@@ -109,7 +109,7 @@ let run_platform q ~seed p =
      instance of the incomplete hardware-software contract)@.";
 
   section "Beyond the paper: gang scheduling (Sec. 3.1.1)";
-  let run_cosched ~cosched =
+  let run_cosched placement =
     let b = Scenario.boot Scenario.Protected p in
     let sender, receiver = Tp_attacks.Cosched_chan.prepare b in
     let spec =
@@ -120,16 +120,15 @@ let run_platform q ~seed p =
       }
     in
     let rng = Tp_util.Rng.create ~seed:(seed + 90) in
-    let s =
-      Tp_attacks.Harness.run_pair_cross_core b ~sender ~receiver ~cosched spec
-        ~rng
+    let r =
+      Tp_attacks.Harness.run_pair_result ~placement b ~sender ~receiver spec ~rng
     in
-    Tp_channel.Leakage.test ~rng s
+    Tp_channel.Leakage.test ~rng r.data
   in
   Format.printf "cross-core bandwidth channel, free-running: %a@."
-    Tp_channel.Leakage.pp_result (run_cosched ~cosched:false);
+    Tp_channel.Leakage.pp_result (run_cosched Tp_attacks.Harness.Concurrent);
   Format.printf "same, domains gang-scheduled:              %a@."
-    Tp_channel.Leakage.pp_result (run_cosched ~cosched:true);
+    Tp_channel.Leakage.pp_result (run_cosched Tp_attacks.Harness.Coscheduled);
   Format.printf
     "(with gang scheduling no two domains ever execute concurrently, so \
      concurrent-access channels vanish by construction)@.";
@@ -154,7 +153,8 @@ let run_platform q ~seed p =
         symbols = chan.Tp_attacks.Cache_channels.symbols;
       }
     in
-    Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng
+    let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+    Tp_channel.Leakage.test ~rng r.data
   in
   Format.printf "but the on-core L1-D channel under CAT alone: %a@."
     Tp_channel.Leakage.pp_result l1;

@@ -308,7 +308,8 @@ let cat q ~seed p =
       symbols = chan.Tp_attacks.Cache_channels.symbols;
     }
   in
-  let l1 = Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng in
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  let l1 = Tp_channel.Leakage.test ~rng r.data in
   Format.printf "  but the on-core L1-D channel:  %a@.@."
     Tp_channel.Leakage.pp_result l1
 
@@ -316,7 +317,7 @@ let cosched q ~seed p =
   (* §3.1.1's confinement mitigation for cross-core channels: gang
      scheduling so only one domain ever executes. *)
   let samples = Quality.samples q / 3 in
-  let run ~cosched =
+  let run placement =
     let b = Scenario.boot Scenario.Protected p in
     let sender, receiver = Tp_attacks.Cosched_chan.prepare b in
     let spec =
@@ -327,18 +328,17 @@ let cosched q ~seed p =
       }
     in
     let rng = Tp_util.Rng.create ~seed in
-    let s =
-      Tp_attacks.Harness.run_pair_cross_core b ~sender ~receiver ~cosched spec
-        ~rng
+    let r =
+      Tp_attacks.Harness.run_pair_result ~placement b ~sender ~receiver spec ~rng
     in
-    Tp_channel.Leakage.test ~rng s
+    Tp_channel.Leakage.test ~rng r.data
   in
   Format.printf "Cross-core bandwidth channel on %s, time protection on:@."
     p.Tp_hw.Platform.name;
   Format.printf "  free-running concurrency: %a@." Tp_channel.Leakage.pp_result
-    (run ~cosched:false);
+    (run Tp_attacks.Harness.Concurrent);
   Format.printf "  gang-scheduled domains:   %a@.@."
-    Tp_channel.Leakage.pp_result (run ~cosched:true)
+    Tp_channel.Leakage.pp_result (run Tp_attacks.Harness.Coscheduled)
 
 let mls q ~seed p =
   let samples = Quality.samples q / 2 in
@@ -707,22 +707,6 @@ let cmd_faults =
           injection point and check the global invariants.")
     Term.(const run $ platform_arg $ verbose_arg)
 
-let scenario_choices =
-  [
-    ("raw", Scenario.Raw);
-    ("full-flush", Scenario.Full_flush);
-    ("protected", Scenario.Protected);
-    ("coloured-only", Scenario.Coloured_only);
-    ("no-pad", Scenario.Protected_no_pad);
-    ("no-prefetcher", Scenario.Protected_no_prefetcher);
-    ("cat-llc", Scenario.Cat_llc);
-  ]
-
-(* Stable slug for a scenario kind: the CLI spelling, reused for
-   certificate artifact names and the daemon's config column. *)
-let slug_of_kind kind =
-  fst (List.find (fun (_, k) -> k = kind) scenario_choices)
-
 let config_arg =
   let doc =
     "Scenario to lint: $(b,raw), $(b,full-flush), $(b,protected), \
@@ -730,7 +714,7 @@ let config_arg =
   in
   Arg.(
     value
-    & opt (enum scenario_choices) Scenario.Protected
+    & opt (enum Scenario.slugs) Scenario.Protected
     & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
 
 let domains_arg =
@@ -809,7 +793,7 @@ let cmd_lint =
              Bounds-derived analytic envelope. *)
           let kc =
             Tp_analysis.Kcert.lint_crosscheck p
-              ~config_name:(slug_of_kind kind) (Scenario.config kind p)
+              ~config_name:(Scenario.slug kind) (Scenario.config kind p)
           in
           {
             r with
@@ -907,7 +891,7 @@ let certify_configs_arg =
   in
   Arg.(
     value
-    & opt_all (enum scenario_choices) []
+    & opt_all (enum Scenario.slugs) []
     & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
 
 let exhaustive_arg =
@@ -989,7 +973,7 @@ let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
     && List.length plats = List.length Tp_hw.Platform.all
   in
   let kinds =
-    match kinds with [] -> List.map snd scenario_choices | ks -> ks
+    match kinds with [] -> List.map snd Scenario.slugs | ks -> ks
   in
   let paths = match paths with [] -> Tp_analysis.Kcert.all_paths | ps -> ps in
   let entries =
@@ -1003,7 +987,7 @@ let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
                 let ex = Tp_analysis.Certify.exhaustive3_path path p cfg in
                 let cert =
                   Tp_analysis.Kcert.certify ~exhaustive:ex ~path p
-                    ~config_name:(slug_of_kind kind) cfg
+                    ~config_name:(Scenario.slug kind) cfg
                 in
                 (cert, Tp_analysis.Kcert.report cert))
               paths)
@@ -1750,18 +1734,22 @@ let cmd_replay_smoke =
                           symbols = chan.Tp_attacks.Cache_channels.symbols;
                         }
                       in
-                      let data =
-                        Tp_attacks.Harness.run_pair b ~sender ~receiver spec
-                          ~rng:(Tp_util.Rng.create ~seed:7)
+                      let r =
+                        Tp_attacks.Harness.run_pair_result b ~sender ~receiver
+                          spec ~rng:(Tp_util.Rng.create ~seed:7)
                       in
-                      ( data,
+                      ( r,
                         Tp_hw.Machine.state_digest
                           (Tp_kernel.System.machine b.Tp_kernel.Boot.sys) )
                     in
-                    let d_rep, m_rep = collect true in
-                    let d_live, m_live = collect false in
+                    let r_rep, m_rep = collect true in
+                    let r_live, m_live = collect false in
+                    let d_rep = r_rep.data and d_live = r_live.data in
                     let name = Printf.sprintf "%s/%s" slug
                         chan.Tp_attacks.Cache_channels.name in
+                    check (name ^ ": collection complete")
+                      (not (r_rep.degraded || r_live.degraded))
+                      (Tp_attacks.Harness.status_json r_rep);
                     check (name ^ ": dataset bit-identical")
                       (d_rep = d_live) "replayed dataset differs from live";
                     check (name ^ ": machine state bit-identical")

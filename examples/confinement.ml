@@ -21,7 +21,8 @@ let measure kind =
     }
   in
   let rng = Tp_util.Rng.create ~seed:2024 in
-  Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  Tp_channel.Leakage.test ~rng r.data
 
 let () =
   Format.printf

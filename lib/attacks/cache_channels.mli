@@ -1,10 +1,11 @@
 (** The intra-core prime&probe channels of Table 3.
 
     Each channel packages a sender (Trojan) and receiver (spy) pair for
-    {!Harness.run_pair}.  The sender encodes its symbol as the number
-    of sets/entries it touches in the target structure; the receiver
-    reports the time to probe its own buffer (or, for predictors, a
-    misprediction-dominated traversal time), exactly as in the paper:
+    {!Harness.run_pair_result}.  The sender encodes its symbol as the
+    number of sets/entries it touches in the target structure; the
+    receiver reports the time to probe its own buffer (or, for
+    predictors, a misprediction-dominated traversal time), exactly as in
+    the paper:
 
     - L1-D / L1-I: Mastik-style prime&probe over cache-sized buffers
       (virtually indexed — colouring cannot help, only flushing);

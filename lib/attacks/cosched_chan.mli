@@ -4,11 +4,11 @@
     hardware cannot partition them; the paper's way out is to
     "co-schedule domains across the cores, such that at any time only
     one domain executes".  This module packages a cross-core
-    bus-contention sender/receiver pair for
-    {!Harness.run_pair_cross_core}: under free-running concurrency the
-    channel is open even with full time protection; under gang
-    scheduling the sender is simply never executing while the receiver
-    measures, and the channel closes by construction. *)
+    bus-contention sender/receiver pair for {!Harness.run_pair_result}
+    with a [Concurrent] or [Coscheduled] placement: under free-running
+    concurrency the channel is open even with full time protection;
+    under gang scheduling the sender is simply never executing while
+    the receiver measures, and the channel closes by construction. *)
 
 val symbols : int
 

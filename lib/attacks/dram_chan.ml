@@ -61,4 +61,5 @@ let run b ~samples ~close_rows_on_switch ~rng =
   let spec =
     { (Harness.default_spec p) with Harness.samples; symbols; noise_sigma = 0.4 }
   in
-  Harness.measure_leak b ~sender ~receiver spec ~rng
+  let r = Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  Tp_channel.Leakage.test ~rng r.Harness.data

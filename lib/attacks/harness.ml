@@ -58,9 +58,10 @@ type result = {
   recovered_faults : int;
   checkpoints : int;
   switch_counters : Tp_obs.Counter.snapshot;
-  lint : Tp_analysis.Diag.report;
   cert : Tp_analysis.Certify.cert;
 }
+
+type placement = Same_core | Concurrent | Coscheduled
 
 (* Re-admit a measurement thread that an aborted slice left neither
    running nor queued, so the loop can keep collecting. *)
@@ -74,26 +75,26 @@ let recover_thread sys tcb =
     Sched.enqueue (System.sched sys) ~core:tcb.Types.t_core tcb
   end
 
-(* The checkpointed collection loop shared by the single-core and
-   cross-core harnesses.  [run_chunk n] advances the simulation by [n]
-   scheduling units (slices or rounds); [collected ()] reports how
-   many samples have been recorded so far.  Returns the degradation
-   reason (if any), the number of kernel faults recovered and the
-   number of checkpoints taken.
+(* Injection point crossed once per checkpointed chunk: arming it lets
+   the fail-at-step-N machinery strike the collection loop itself (not
+   just kernel setup paths) and exercise the recovery/degradation
+   contract below. *)
+let point_chunk = "harness.chunk"
+let () = Tp_fault.Fault.register point_chunk
+
+(* The checkpointed collection loop.  [run_chunk n] advances the
+   simulation by [n] scheduling units (slices or rounds); [collected ()]
+   reports how many samples have been recorded so far.  Returns the
+   degradation reason (if any), the number of kernel faults recovered,
+   the number of checkpoints taken and the switch-counter delta.
 
    Each chunk is a checkpoint: the sample lists only ever grow, so a
    kernel fault mid-chunk costs at most the current chunk's partial
    slices — everything recorded at the last checkpoint is kept and the
    loop resumes, instead of the whole measurement aborting. *)
-(* Injection point crossed once per checkpointed chunk: arming it lets
-   the fail-at-step-N machinery strike the collection loop itself (not
-   just kernel setup paths) and exercise the recovery/degradation
-   contract below — the same proof obligation PR 1 imposed on kernel
-   operations, extended to the serving layer. *)
-let point_chunk = "harness.chunk"
-let () = Tp_fault.Fault.register point_chunk
-
-let collect sys ~threads ~total ~chunk_size ~budget ~target ~collected ~run_chunk =
+let collect sys spec ~threads ~total ~collected ~run_chunk =
+  let chunk_size = Stdlib.max 1 spec.checkpoint_slices in
+  let budget = effective_budget spec in
   (* Wall budget means wall time: Sys.time is CPU time, which both
      undercounts when the process is descheduled and — summed across
      domains — overcounts under -j N.  Unix.gettimeofday is the
@@ -108,7 +109,7 @@ let collect sys ~threads ~total ~chunk_size ~budget ~target ~collected ~run_chun
   let checkpoints = ref 0 in
   let fruitless = ref 0 in
   let done_ = ref 0 in
-  while !done_ < total && !stop = None && collected () < target do
+  while !done_ < total && !stop = None && collected () < spec.samples do
     let n = Stdlib.min chunk_size (total - !done_) in
     let before = collected () in
     (match
@@ -148,31 +149,6 @@ let collect sys ~threads ~total ~chunk_size ~budget ~target ~collected ~run_chun
       ~after:(Tp_obs.Counter.snapshot (Domain_switch.counters ()))
   in
   (!stop, !recovered, !checkpoints, switch_counters)
-
-let finish ~b ~spec ~inputs ~outputs ~stop ~recovered ~checkpoints
-    ~switch_counters =
-  let input = Array.of_list (List.rev !inputs) in
-  let output = Array.of_list (List.rev !outputs) in
-  let n = Stdlib.min spec.samples (Array.length input) in
-  let shortfall = n < spec.samples in
-  let reason =
-    match stop with
-    | Some r -> Some r
-    | None -> if shortfall then Some "sample shortfall" else None
-  in
-  (match reason with
-  | Some r -> Klog.harness_degraded ~reason:r ~collected:n ()
-  | None -> ());
-  {
-    data = { Tp_channel.Mi.input = Array.sub input 0 n; output = Array.sub output 0 n };
-    degraded = shortfall || stop <> None;
-    degraded_reason = reason;
-    recovered_faults = recovered;
-    checkpoints;
-    switch_counters;
-    lint = Tp_analysis.Lint.check_static b;
-    cert = Tp_analysis.Certify.certify_static b;
-  }
 
 (* Per-symbol record-once / replay-many state for the sender side of a
    trial loop.  The first slice sending symbol [s] runs live with a
@@ -243,56 +219,7 @@ let record_streams b ~sender ~symbols ~slice_cycles =
   Exec.run_slices sys ~core:0 ~slice_cycles ~slices:(symbols + 2) ();
   streams
 
-let run_pair_result b ~sender ~receiver spec ~rng =
-  let sys = b.Boot.sys in
-  let sym_rng = Tp_util.Rng.split rng in
-  let noise_rng = Tp_util.Rng.split rng in
-  let cur_sym = ref (-1) in
-  let iteration = ref 0 in
-  let inputs = ref [] and outputs = ref [] in
-  let recorded = ref 0 in
-  let send = replayed_sender spec ~sender in
-  let sender_body ctx =
-    let s = Tp_util.Rng.int sym_rng spec.symbols in
-    cur_sym := s;
-    send ctx s
-  in
-  let receiver_body ctx =
-    let m = receiver ctx in
-    (match m with
-    | Some y when !cur_sym >= 0 && !iteration >= spec.warmup ->
-        inputs := !cur_sym :: !inputs;
-        outputs :=
-          (y +. Tp_util.Rng.gaussian noise_rng ~mu:0.0 ~sigma:spec.noise_sigma)
-          :: !outputs;
-        incr recorded
-    | Some _ | None -> ());
-    incr iteration
-  in
-  let st = Boot.spawn b b.Boot.domains.(0) sender_body in
-  let rt = Boot.spawn b b.Boot.domains.(1) receiver_body in
-  (* Two slices per iteration (sender then receiver), plus slack for
-     warmup and the first scheduling round. *)
-  let slices = 2 * (spec.samples + spec.warmup + 2) in
-  let stop, recovered, checkpoints, switch_counters =
-    collect sys ~threads:[ st; rt ] ~total:slices
-      ~chunk_size:(Stdlib.max 1 spec.checkpoint_slices)
-      ~budget:(effective_budget spec) ~target:spec.samples
-      ~collected:(fun () -> !recorded)
-      ~run_chunk:(fun n ->
-        Exec.run_slices sys ~core:0 ~slice_cycles:spec.slice_cycles ~slices:n ())
-  in
-  finish ~b ~spec ~inputs ~outputs ~stop ~recovered ~checkpoints ~switch_counters
-
-let run_pair b ~sender ~receiver spec ~rng =
-  let r = run_pair_result b ~sender ~receiver spec ~rng in
-  if Array.length r.data.Tp_channel.Mi.input = 0 then
-    invalid_arg
-      "Harness.run_pair: no samples collected — the receiver never completed \
-       a measurement within its slice (slice_cycles too small for the probe?)";
-  r.data
-
-let run_pair_cross_core_result b ~sender ~receiver ~cosched spec ~rng =
+let run_pair_result ?(placement = Same_core) b ~sender ~receiver spec ~rng =
   let sys = b.Boot.sys in
   let sym_rng = Tp_util.Rng.split rng in
   let noise_rng = Tp_util.Rng.split rng in
@@ -317,44 +244,46 @@ let run_pair_cross_core_result b ~sender ~receiver ~cosched spec ~rng =
     | Some _ | None -> ());
     incr iteration
   in
-  let st = Boot.spawn b b.Boot.domains.(0) ~core:0 sender_body in
-  let rt = Boot.spawn b b.Boot.domains.(1) ~core:1 receiver_body in
-  let cores = [ 0; 1 ] in
-  let rounds =
-    (* Concurrent: one round = one sender + one receiver slice.
-       Co-scheduled: the domain rotation needs two rounds per sample. *)
-    (if cosched then 2 else 1) * (spec.samples + spec.warmup + 2)
-  in
-  let run_chunk n =
-    if cosched then
-      Exec.run_coscheduled sys ~cores ~slice_cycles:spec.slice_cycles ~rounds:n ()
-    else
-      Exec.run_concurrent sys ~cores ~slice_cycles:spec.slice_cycles ~rounds:n ()
+  let rcore = if placement = Same_core then 0 else 1 in
+  let st = Boot.spawn b b.Boot.domains.(0) sender_body in
+  let rt = Boot.spawn b b.Boot.domains.(1) ~core:rcore receiver_body in
+  let slice_cycles = spec.slice_cycles and cores = [ 0; 1 ] in
+  (* One unit is a slice on the shared core, or a round across both.
+     A sample takes two slices (sender then receiver) on one core, one
+     concurrent round, or two co-scheduled rounds (the domain rotation);
+     the +2 is slack for warmup and the first scheduling round. *)
+  let units_per_sample, run_chunk =
+    match placement with
+    | Same_core ->
+        (2, fun n -> Exec.run_slices sys ~core:0 ~slice_cycles ~slices:n ())
+    | Concurrent ->
+        (1, fun n -> Exec.run_concurrent sys ~cores ~slice_cycles ~rounds:n ())
+    | Coscheduled ->
+        (2, fun n -> Exec.run_coscheduled sys ~cores ~slice_cycles ~rounds:n ())
   in
   let stop, recovered, checkpoints, switch_counters =
-    collect sys ~threads:[ st; rt ] ~total:rounds
-      ~chunk_size:(Stdlib.max 1 spec.checkpoint_slices)
-      ~budget:(effective_budget spec) ~target:spec.samples
+    collect sys spec ~threads:[ st; rt ]
+      ~total:(units_per_sample * (spec.samples + spec.warmup + 2))
       ~collected:(fun () -> !recorded)
       ~run_chunk
   in
-  finish ~b ~spec ~inputs ~outputs ~stop ~recovered ~checkpoints
-    ~switch_counters
-
-let run_pair_cross_core b ~sender ~receiver ~cosched spec ~rng =
-  let r = run_pair_cross_core_result b ~sender ~receiver ~cosched spec ~rng in
-  if Array.length r.data.Tp_channel.Mi.input = 0 then
-    invalid_arg "Harness.run_pair_cross_core: no samples collected";
-  r.data
-
-let measure_leak_result b ~sender ~receiver spec ~rng =
-  let r = run_pair_result b ~sender ~receiver spec ~rng in
-  if Array.length r.data.Tp_channel.Mi.input = 0 then
-    invalid_arg "Harness.measure_leak: no samples collected";
-  (Tp_channel.Leakage.test ~rng r.data, r)
-
-let measure_leak b ~sender ~receiver spec ~rng =
-  fst (measure_leak_result b ~sender ~receiver spec ~rng)
+  let n = Stdlib.min spec.samples !recorded in
+  let keep l = Array.sub (Array.of_list (List.rev l)) 0 n in
+  let reason =
+    match stop with
+    | Some _ -> stop
+    | None -> if n < spec.samples then Some "sample shortfall" else None
+  in
+  Option.iter (fun r -> Klog.harness_degraded ~reason:r ~collected:n ()) reason;
+  {
+    data = { Tp_channel.Mi.input = keep !inputs; output = keep !outputs };
+    degraded = reason <> None;
+    degraded_reason = reason;
+    recovered_faults = recovered;
+    checkpoints;
+    switch_counters;
+    cert = Tp_analysis.Certify.certify_static b;
+  }
 
 (* Collection metadata as one JSON object, so `tpsim faults` and the
    campaign service report the degradation contract in the same
@@ -368,23 +297,3 @@ let status_json r =
     | Some s -> "\"" ^ Tp_util.Json.escape s ^ "\"")
     r.recovered_faults r.checkpoints
     (Array.length r.data.Tp_channel.Mi.input)
-
-let timed ctx f =
-  let t0 = Uctx.now ctx in
-  f ();
-  Uctx.now ctx - t0
-
-let probe_reads ctx ~base ~stride ~count =
-  timed ctx (fun () ->
-      for i = 0 to count - 1 do
-        Uctx.read ctx (base + (i * stride))
-      done)
-
-let probe_read_misses ctx ~base ~stride ~count ~threshold =
-  let misses = ref 0 in
-  for i = 0 to count - 1 do
-    let t0 = Uctx.now ctx in
-    Uctx.read ctx (base + (i * stride));
-    if Uctx.now ctx - t0 > threshold then incr misses
-  done;
-  !misses

@@ -4,8 +4,8 @@
     in two security domains, exactly as in §5.3: each iteration the
     sender encodes a uniformly random symbol during its slice, then the
     receiver measures during its own slice; the pair (symbol,
-    measurement) is one channel use.  The resulting dataset feeds
-    {!Tp_channel.Leakage.test}.
+    measurement) is one channel use.  {!run_pair_result} collects the
+    dataset; {!Tp_channel.Leakage.test} judges it, as a separate call.
 
     The simulated machine is deterministic; real measurements are not.
     [noise_sigma] adds Gaussian measurement noise (cycles) to the
@@ -83,10 +83,6 @@ type result = {
   switch_counters : Tp_obs.Counter.snapshot;
       (** delta of the kernel switch-path counters over the collection
           (all zeros unless counters are enabled, {!Tp_obs.Ctl}) *)
-  lint : Tp_analysis.Diag.report;
-      (** static partition-lint verdict ({!Tp_analysis.Lint.check_static})
-          of the configuration this result was measured under, so every
-          dataset records whether its protection claims actually held *)
   cert : Tp_analysis.Certify.cert;
       (** certified leakage bound ({!Tp_analysis.Certify.certify_static})
           of the same configuration: any MI later measured from [data]
@@ -94,72 +90,34 @@ type result = {
           cross-validation the certifier's test suite enforces *)
 }
 
-val run_pair :
-  Tp_kernel.Boot.booted ->
-  sender:(Tp_kernel.Uctx.t -> int -> unit) ->
-  receiver:(Tp_kernel.Uctx.t -> float option) ->
-  spec ->
-  rng:Tp_util.Rng.t ->
-  Tp_channel.Mi.samples
-(** [run_pair b ~sender ~receiver spec ~rng] runs the pair in domains
-    0 (sender) and 1 (receiver) of [b] on core 0 and returns the
-    collected dataset.  The receiver returns [None] for slices that
-    should not produce a sample (e.g. calibration).
-    @raise Invalid_argument if no samples at all were collected. *)
+type placement =
+  | Same_core
+      (** both domains time-share core 0 (§5.3): sender slice, then
+          receiver slice *)
+  | Concurrent
+      (** receiver on core 1, both cores executing at once
+          ({!Tp_kernel.Exec.run_concurrent}) *)
+  | Coscheduled
+      (** receiver on core 1, domains gang-scheduled so only one ever
+          executes ({!Tp_kernel.Exec.run_coscheduled}, the §3.1.1
+          confinement mitigation) *)
 
 val run_pair_result :
+  ?placement:placement ->
   Tp_kernel.Boot.booted ->
   sender:(Tp_kernel.Uctx.t -> int -> unit) ->
   receiver:(Tp_kernel.Uctx.t -> float option) ->
   spec ->
   rng:Tp_util.Rng.t ->
   result
-(** Like {!run_pair} but never raises on partial data: returns
-    whatever was collected together with degradation metadata. *)
-
-val run_pair_cross_core :
-  Tp_kernel.Boot.booted ->
-  sender:(Tp_kernel.Uctx.t -> int -> unit) ->
-  receiver:(Tp_kernel.Uctx.t -> float option) ->
-  cosched:bool ->
-  spec ->
-  rng:Tp_util.Rng.t ->
-  Tp_channel.Mi.samples
-(** Cross-core variant: the sender runs in domain 0 on core 0 and the
-    receiver in domain 1 on core 1.  With [cosched:false] both domains
-    execute concurrently ({!Tp_kernel.Exec.run_concurrent}); with
-    [cosched:true] they are gang-scheduled so only one domain is ever
-    executing ({!Tp_kernel.Exec.run_coscheduled}, the §3.1.1
-    confinement mitigation). *)
-
-val run_pair_cross_core_result :
-  Tp_kernel.Boot.booted ->
-  sender:(Tp_kernel.Uctx.t -> int -> unit) ->
-  receiver:(Tp_kernel.Uctx.t -> float option) ->
-  cosched:bool ->
-  spec ->
-  rng:Tp_util.Rng.t ->
-  result
-(** Checkpointed cross-core variant, never raises on partial data. *)
-
-val measure_leak :
-  Tp_kernel.Boot.booted ->
-  sender:(Tp_kernel.Uctx.t -> int -> unit) ->
-  receiver:(Tp_kernel.Uctx.t -> float option) ->
-  spec ->
-  rng:Tp_util.Rng.t ->
-  Tp_channel.Leakage.result
-(** [run_pair] followed by the shuffle test. *)
-
-val measure_leak_result :
-  Tp_kernel.Boot.booted ->
-  sender:(Tp_kernel.Uctx.t -> int -> unit) ->
-  receiver:(Tp_kernel.Uctx.t -> float option) ->
-  spec ->
-  rng:Tp_util.Rng.t ->
-  Tp_channel.Leakage.result * result
-(** {!measure_leak} plus the collection metadata (degraded flag,
-    recovered fault count) for reporting. *)
+(** [run_pair_result b ~sender ~receiver spec ~rng] runs the sender in
+    domain 0 on core 0 and the receiver in domain 1 of [b], placed as
+    [placement] says (default [Same_core]), and returns what was
+    collected with its degradation metadata.  The receiver returns
+    [None] for slices that should not produce a sample (e.g.
+    calibration).  Never raises on partial or empty data: judge
+    [data] with {!Tp_channel.Leakage.test}, which rejects an empty
+    dataset. *)
 
 val status_json : result -> string
 (** The collection metadata of a result — degraded flag and reason,
@@ -172,18 +130,3 @@ val point_chunk : string
     collection chunk.  Arming it (e.g. [--inject harness.chunk:2])
     makes a kernel fault strike {e mid-collection}, driving the
     recover-and-resume path rather than a setup path. *)
-
-(** {1 Receiver helpers} *)
-
-val timed : Tp_kernel.Uctx.t -> (unit -> unit) -> int
-(** Cycle-counter time of running a thunk. *)
-
-val probe_reads : Tp_kernel.Uctx.t -> base:int -> stride:int -> count:int -> int
-(** Read [count] addresses [base, base+stride, ...]; returns total
-    cycles — the basic prime/probe traversal. *)
-
-val probe_read_misses :
-  Tp_kernel.Uctx.t -> base:int -> stride:int -> count:int -> threshold:int -> int
-(** Like {!probe_reads} but returns how many individual accesses took
-    longer than [threshold] cycles (a miss count, as the paper's
-    receivers report). *)

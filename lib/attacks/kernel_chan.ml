@@ -5,6 +5,12 @@ let syscalls_per_slice = 32
 
 let page = Tp_hw.Defs.page_size
 
+let slice_cycles p =
+  Tp_hw.Platform.us_to_cycles p
+    (match p.Tp_hw.Platform.arch with
+    | Tp_hw.Platform.X86 -> 1_000.0
+    | Tp_hw.Platform.Arm -> 10_000.0)
+
 let prepare b =
   let sys = b.Boot.sys in
   let p = System.platform sys in

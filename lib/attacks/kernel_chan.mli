@@ -20,8 +20,13 @@ val symbols : int
 val prepare :
   Tp_kernel.Boot.booted ->
   (Tp_kernel.Uctx.t -> int -> unit) * (Tp_kernel.Uctx.t -> float option)
-(** Sender/receiver pair for {!Harness.run_pair}.  The receiver's
-    output is the number of probe misses (the paper's "LLC misses"
-    axis of Figure 3). *)
+(** Sender/receiver pair for {!Harness.run_pair_result}.  The
+    receiver's output is the number of probe misses (the paper's "LLC
+    misses" axis of Figure 3). *)
+
+val slice_cycles : Tp_hw.Platform.t -> int
+(** Time-slice length the receiver needs: its three probe passes over
+    its cache share must fit one slice.  1 ms on x86, as in §5.3.1; the
+    Arm platforms' low clock and large share need a 10 ms tick. *)
 
 val syscalls_per_slice : int

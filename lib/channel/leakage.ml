@@ -13,7 +13,7 @@ let resolution_bits = 0.001
 
 let test ?(shuffles = 100) ?(grid_points = Mi.default_grid_points) ~rng samples =
   let n = Array.length samples.Mi.input in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Leakage.test: empty dataset (no samples collected)";
   let m = Mi.estimate ~grid_points samples in
   let shuffled =
     Array.init shuffles (fun _ ->

@@ -38,7 +38,9 @@ val test :
   result
 (** Run the full test.  [shuffles] defaults to 100, as in the paper.
     The confidence bound is [mean + 1.96 * std] of the shuffled-MI
-    distribution (normal approximation to the paper's exact interval). *)
+    distribution (normal approximation to the paper's exact interval).
+    @raise Invalid_argument on an empty dataset: no samples is never
+    evidence of no leak. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

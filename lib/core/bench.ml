@@ -74,20 +74,25 @@ type exp_spec = {
   x_run : Quality.t -> seed:int -> trial:int -> Tp_hw.Platform.t -> trial_out;
 }
 
-let channel_trial ~scenario ~prepare ~symbols q ~seed ~trial p =
+let channel_trial ?slice_cycles ~scenario ~prepare ~symbols q ~seed ~trial p =
   let rng = Tp_util.Rng.of_trial ~seed ~trial in
   let b = Scenario.boot scenario p in
   let sender, receiver = prepare b in
+  let default = Tp_attacks.Harness.default_spec p in
   let spec =
     {
-      (Tp_attacks.Harness.default_spec p) with
+      default with
       Tp_attacks.Harness.samples = bench_samples q;
       symbols;
+      slice_cycles = Option.value slice_cycles ~default:default.slice_cycles;
     }
   in
-  let s = Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng in
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  (match r.degraded_reason with
+  | Some why -> failwith ("tpsim bench: channel trial degraded: " ^ why)
+  | None -> ());
   {
-    t_digest = digest_samples s;
+    t_digest = digest_samples r.data;
     t_cycles = System.now b.Boot.sys ~core:0;
     t_accesses = accesses_of b.Boot.sys;
   }
@@ -99,6 +104,7 @@ let suite =
       x_run =
         (fun q ~seed ~trial p ->
           channel_trial ~scenario:Scenario.Coloured_only
+            ~slice_cycles:(Tp_attacks.Kernel_chan.slice_cycles p)
             ~prepare:Tp_attacks.Kernel_chan.prepare
             ~symbols:Tp_attacks.Kernel_chan.symbols q ~seed ~trial p);
     };
@@ -155,6 +161,11 @@ let suite =
    throughput floor the sweep hot path is built on. *)
 let replay_speedup_floor = 5.0
 
+(* Fixed, so the live and replay digests stay reproducible; large
+   enough (quick: ~1 s live, ~0.15 s replayed on a 2-core x86 host) that
+   the speedup ratio is not host-timer noise. *)
+let replay_rounds = function Quality.Quick -> 200 | Quality.Full -> 400
+
 let replay_sweep_exp q p =
   let module H = Tp_attacks.Harness in
   let b = Scenario.boot Scenario.Raw p in
@@ -191,7 +202,7 @@ let replay_sweep_exp q p =
         failwith "tpsim bench: replay-sweep: recording came back incomplete")
     streams;
   let snap = Tp_hw.Machine.snapshot m in
-  let rounds = bench_trials q in
+  let rounds = replay_rounds q in
   let leg md =
     Tp_hw.Machine.restore m snap;
     let c0 = System.now sys ~core:0 in

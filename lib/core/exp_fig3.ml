@@ -12,26 +12,16 @@ let run_side q ~seed kind p =
   let rng = Tp_util.Rng.create ~seed in
   let b = Scenario.boot kind p in
   let sender, receiver = Tp_attacks.Kernel_chan.prepare b in
-  (* The receiver's three probe passes over its LLC share must fit the
-     slice; the Sabre's low clock and large share need a longer tick
-     than the 1 ms used on x86 (§5.3.1). *)
-  let slice_us =
-    match p.Tp_hw.Platform.arch with
-    | Tp_hw.Platform.X86 -> 1_000.0
-    | Tp_hw.Platform.Arm -> 10_000.0
-  in
   let spec =
     {
       (Tp_attacks.Harness.default_spec p) with
       Tp_attacks.Harness.samples = Quality.samples q;
       symbols = Tp_attacks.Kernel_chan.symbols;
-      slice_cycles = Tp_hw.Platform.us_to_cycles p slice_us;
+      slice_cycles = Tp_attacks.Kernel_chan.slice_cycles p;
     }
   in
   let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
   let samples = r.Tp_attacks.Harness.data in
-  if Array.length samples.Tp_channel.Mi.input = 0 then
-    invalid_arg "Exp_fig3.run_side: no samples collected";
   let leak = Tp_channel.Leakage.test ~rng samples in
   {
     scenario = Scenario.name kind;

@@ -20,7 +20,9 @@ let measure q ~seed kind p =
       warmup = 3;
     }
   in
-  let samples = Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng in
+  let samples =
+    (Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng).data
+  in
   (samples, Tp_channel.Leakage.test ~rng samples)
 
 let run q ~seed p =

@@ -19,8 +19,12 @@ let measure q ~seed kind p (chan : Tp_attacks.Cache_channels.t) =
       symbols = chan.Tp_attacks.Cache_channels.symbols;
     }
   in
-  let leak, r = Tp_attacks.Harness.measure_leak_result b ~sender ~receiver spec ~rng in
-  { scenario = Scenario.name kind; leak; degraded = r.Tp_attacks.Harness.degraded }
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  {
+    scenario = Scenario.name kind;
+    leak = Tp_channel.Leakage.test ~rng r.data;
+    degraded = r.degraded;
+  }
 
 let run ?channels q ~seed p =
   let chans = Tp_attacks.Cache_channels.all p in

@@ -23,7 +23,9 @@ let measure q ~seed ~padded observable p =
       symbols = Tp_attacks.Flush_chan.symbols;
     }
   in
-  let samples = Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng in
+  let samples =
+    (Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng).data
+  in
   (samples, Tp_channel.Leakage.test ~rng samples)
 
 let obs_name = function

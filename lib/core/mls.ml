@@ -44,7 +44,8 @@ let one_direction ~samples ~seed ~sender_label p =
     }
   in
   let rng = Tp_util.Rng.create ~seed in
-  Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  Tp_channel.Leakage.test ~rng r.Tp_attacks.Harness.data
 
 let demo ?(samples = 400) ~seed p =
   {

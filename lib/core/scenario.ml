@@ -16,6 +16,19 @@ let name = function
   | Protected_no_prefetcher -> "protected (prefetcher off)"
   | Cat_llc -> "CAT way-partitioned LLC"
 
+let slugs =
+  [
+    ("raw", Raw);
+    ("full-flush", Full_flush);
+    ("protected", Protected);
+    ("coloured-only", Coloured_only);
+    ("no-pad", Protected_no_pad);
+    ("no-prefetcher", Protected_no_prefetcher);
+    ("cat-llc", Cat_llc);
+  ]
+
+let slug kind = fst (List.find (fun (_, k) -> k = kind) slugs)
+
 let config kind p =
   let open Tp_kernel in
   match kind with

@@ -25,6 +25,15 @@ type kind =
 
 val name : kind -> string
 
+val slugs : (string * kind) list
+(** The stable slug of every kind ([raw], [full-flush], [protected],
+    [coloured-only], [no-pad], [no-prefetcher], [cat-llc]): tpsim's
+    [-c] spelling, the campaign service's config names and the
+    certificate artifact names. *)
+
+val slug : kind -> string
+(** The kind's entry in {!slugs}. *)
+
 val config : kind -> Tp_hw.Platform.t -> Tp_kernel.Config.t
 
 val boot :

@@ -84,8 +84,6 @@ let set_of t ~vaddr ~paddr =
    reconstruct set/tag splits this is simplest and collision-free. *)
 let tag_of t ~paddr = paddr lsr t.line_bits
 
-type result = Hit | Miss of { evicted_dirty : bool; evicted : int }
-
 (* Way search, unrolled for the associativities the platforms actually
    use.  unsafe_get is safe by construction: the arrays hold
    [n_sets * ways] entries, [set] is masked by the pow-2 [n_sets - 1]
@@ -200,13 +198,6 @@ let access_fast t ~vaddr ~paddr ~write =
 let last_evicted t = t.ev_line
 let last_evicted_dirty t = t.ev_dirty
 
-let access_masked t ~alloc_ways ~vaddr ~paddr ~write =
-  if access_masked_fast t ~alloc_ways ~vaddr ~paddr ~write then Hit
-  else Miss { evicted_dirty = t.ev_dirty; evicted = t.ev_line }
-
-let access t ~vaddr ~paddr ~write =
-  access_masked t ~alloc_ways:max_int ~vaddr ~paddr ~write
-
 let probe t ~vaddr ~paddr =
   let set = set_of t ~vaddr ~paddr in
   find_way t set (tag_of t ~paddr) >= 0
@@ -222,10 +213,6 @@ let insert_clean_fast t ~vaddr ~paddr =
       ~obs:(Tp_obs.Ctl.counters_on ());
     false
   end
-
-let insert_clean t ~vaddr ~paddr =
-  if insert_clean_fast t ~vaddr ~paddr then Hit
-  else Miss { evicted_dirty = t.ev_dirty; evicted = t.ev_line }
 
 let invalidate_line t ~vaddr ~paddr =
   let set = set_of t ~vaddr ~paddr in

@@ -44,51 +44,37 @@ val counters : t -> Tp_obs.Counter.set
     only: the model never reads them, so recording cannot perturb
     simulated time (see {!Tp_obs.Ctl}). *)
 
-type result =
-  | Hit
-  | Miss of { evicted_dirty : bool; evicted : int }
-      (** The access missed.  [evicted] is the physical line address
-          (line-aligned) of the victim line, or [-1] if an invalid way
-          was filled; [evicted_dirty] says whether it needed
-          write-back.  Inclusive outer caches use [evicted] to
-          back-invalidate inner copies. *)
+(** {2 Access}
 
-val access : t -> vaddr:int -> paddr:int -> write:bool -> result
-(** Look up the line containing the address; on miss, allocate it,
-    evicting the LRU way of the set.  [write] marks the line dirty. *)
+    The per-access hot path of the whole simulator, allocation-free:
+    each call returns a bare [bool] (hit?); on a miss the victim is
+    available from {!last_evicted} / {!last_evicted_dirty} until the
+    next allocating operation on the same cache. *)
 
-val access_masked :
-  t -> alloc_ways:int -> vaddr:int -> paddr:int -> write:bool -> result
-(** Like {!access}, but a miss may only allocate into the ways set in
-    the [alloc_ways] bitmask — the Intel CAT (cache allocation
+val access_fast : t -> vaddr:int -> paddr:int -> write:bool -> bool
+(** [true] = hit.  Look up the line containing the address; on miss,
+    allocate it, evicting the LRU way of the set.  [write] marks the
+    line dirty. *)
+
+val access_masked_fast :
+  t -> alloc_ways:int -> vaddr:int -> paddr:int -> write:bool -> bool
+(** Like {!access_fast}, but a miss may only allocate into the ways set
+    in the [alloc_ways] bitmask — the Intel CAT (cache allocation
     technology) mechanism of §2.3: hits are served from any way, but a
     class of service can only displace lines within its own ways, so
     disjoint masks partition the cache by associativity instead of by
     page colour. *)
 
-(** {2 Allocation-free access}
-
-    The per-access hot path of the whole simulator.  The [_fast]
-    variants return a bare [bool] (hit?) instead of boxing a {!result};
-    on a miss the victim is available from {!last_evicted} /
-    {!last_evicted_dirty} until the next allocating operation on the
-    same cache.  {!access}/{!access_masked} are thin wrappers kept for
-    callers that want the summary value. *)
-
-val access_fast : t -> vaddr:int -> paddr:int -> write:bool -> bool
-(** [true] = hit.  Semantics of {!access}, without the result box. *)
-
-val access_masked_fast :
-  t -> alloc_ways:int -> vaddr:int -> paddr:int -> write:bool -> bool
-(** [true] = hit.  Semantics of {!access_masked}, without the box. *)
-
 val insert_clean_fast : t -> vaddr:int -> paddr:int -> bool
-(** [true] = already present.  Semantics of {!insert_clean}. *)
+(** [true] = already present.  Otherwise allocate the line without
+    marking it dirty and without counting as a demand access (used by
+    the prefetcher). *)
 
 val last_evicted : t -> int
-(** Physical line address evicted by the most recent allocating miss
-    ([-1] if it filled an invalid way).  Only meaningful directly after
-    a [_fast] call returned [false]. *)
+(** Physical line address (line-aligned) evicted by the most recent
+    allocating miss, or [-1] if it filled an invalid way.  Inclusive
+    outer caches use it to back-invalidate inner copies.  Only
+    meaningful directly after a call above returned [false]. *)
 
 val last_evicted_dirty : t -> bool
 (** Whether that victim needed write-back. *)
@@ -97,11 +83,6 @@ val probe : t -> vaddr:int -> paddr:int -> bool
 (** Non-allocating presence check (true = would hit). Does not touch
     LRU state; used by tests and by snooping logic, never by attacker
     code (attackers only see time). *)
-
-val insert_clean : t -> vaddr:int -> paddr:int -> result
-(** Allocate a line without marking it dirty and without counting as a
-    demand access (used by the prefetcher).  Returns [Hit] if already
-    present. *)
 
 val invalidate_line : t -> vaddr:int -> paddr:int -> unit
 (** Drop a single line if present (no write-back modelled). *)

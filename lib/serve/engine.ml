@@ -90,16 +90,7 @@ let platform_slugs =
     ("armv8", Tp_hw.Platform.armv8);
   ]
 
-let config_slugs =
-  [
-    ("raw", Scenario.Raw);
-    ("full-flush", Scenario.Full_flush);
-    ("protected", Scenario.Protected);
-    ("coloured-only", Scenario.Coloured_only);
-    ("no-pad", Scenario.Protected_no_pad);
-    ("no-prefetcher", Scenario.Protected_no_prefetcher);
-    ("cat-llc", Scenario.Cat_llc);
-  ]
+let config_slugs = Scenario.slugs
 
 let channel_slugs =
   [ "l1d"; "l1i"; "tlb"; "btb"; "bhb"; "l2"; "kernel"; "flush" ]
@@ -311,11 +302,17 @@ let wall_reason = "wall-clock budget exhausted"
 let compute_cell (j : Protocol.job) c =
   let b = Scenario.boot c.cl_kind c.cl_plat in
   let (sender, receiver), symbols = prepare_channel c b in
+  let default = Harness.default_spec c.cl_plat in
   let spec =
     {
-      (Harness.default_spec c.cl_plat) with
+      default with
       Harness.samples = j.Protocol.j_samples;
       symbols;
+      (* The kernel channel's receiver needs a longer slice on Arm. *)
+      slice_cycles =
+        (if c.cl_channel = "kernel" then
+           Tp_attacks.Kernel_chan.slice_cycles c.cl_plat
+         else default.Harness.slice_cycles);
       budget =
         {
           Harness.max_cycles = j.Protocol.j_trial_cycle_budget;

@@ -47,8 +47,7 @@ val circuit_threshold : int
 (** Consecutive post-retry failures that open the circuit (5). *)
 
 val config_slugs : (string * Tp_core.Scenario.kind) list
-(** CLI-stable scenario slugs ([raw], [full-flush], [protected], ...),
-    shared with [tpsim]'s [-c] argument. *)
+(** The job protocol's config names: {!Tp_core.Scenario.slugs}. *)
 
 val channel_slugs : string list
 (** [l1d; l1i; tlb; btb; bhb; l2; kernel; flush]. *)

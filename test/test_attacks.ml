@@ -16,6 +16,13 @@ let no_leak r =
   | Tp_channel.Leakage.No_evidence | Tp_channel.Leakage.Negligible -> true
   | Tp_channel.Leakage.Leak -> false
 
+(* Collect, then judge: the paper's two-step methodology (§5.3). *)
+let leak_of ?placement b ~sender ~receiver spec ~rng =
+  let r =
+    Tp_attacks.Harness.run_pair_result ?placement b ~sender ~receiver spec ~rng
+  in
+  Tp_channel.Leakage.test ~rng r.Tp_attacks.Harness.data
+
 let measure_chan ?(samples = 250) ?(p = haswell) kind
     (chan : Tp_attacks.Cache_channels.t) =
   let b = Scenario.boot kind p in
@@ -28,7 +35,7 @@ let measure_chan ?(samples = 250) ?(p = haswell) kind
     }
   in
   let rng = Tp_util.Rng.create ~seed:77 in
-  Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng
+  leak_of b ~sender ~receiver spec ~rng
 
 let test_l1d_raw_leaks () =
   Alcotest.(check bool) "L1-D raw leaks" true
@@ -113,7 +120,7 @@ let measure_kernel_chan kind =
     }
   in
   let rng = Tp_util.Rng.create ~seed:5 in
-  Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng
+  leak_of b ~sender ~receiver spec ~rng
 
 let test_kernel_chan_shared_kernel_leaks () =
   Alcotest.(check bool) "shared kernel leaks despite coloured userland" true
@@ -138,7 +145,7 @@ let measure_flush ~padded obs =
     }
   in
   let rng = Tp_util.Rng.create ~seed:6 in
-  Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng
+  leak_of b ~sender ~receiver spec ~rng
 
 let test_flush_channel_no_pad_leaks () =
   Alcotest.(check bool) "offline time leaks without padding" true
@@ -166,7 +173,7 @@ let measure_irq kind =
     }
   in
   let rng = Tp_util.Rng.create ~seed:8 in
-  Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng
+  leak_of b ~sender ~receiver spec ~rng
 
 let test_irq_channel_raw_leaks () =
   Alcotest.(check bool) "timer interrupt channel open" true
@@ -266,7 +273,7 @@ let test_cat_masks_are_disjoint () =
 (* ------------------------------------------------------------------ *)
 (* Gang scheduling (§3.1.1) *)
 
-let measure_cosched ~cosched =
+let measure_cosched placement =
   let b = Scenario.boot Scenario.Protected haswell in
   let sender, receiver = Tp_attacks.Cosched_chan.prepare b in
   let spec =
@@ -277,21 +284,18 @@ let measure_cosched ~cosched =
     }
   in
   let rng = Tp_util.Rng.create ~seed:21 in
-  let s =
-    Tp_attacks.Harness.run_pair_cross_core b ~sender ~receiver ~cosched spec ~rng
-  in
-  Tp_channel.Leakage.test ~rng s
+  leak_of ~placement b ~sender ~receiver spec ~rng
 
 let test_cross_core_concurrent_leaks () =
   (* Full time protection does not help against a concurrent
      cross-core bandwidth channel — which is why the confinement
      threat model must exclude it. *)
   Alcotest.(check bool) "concurrent: open despite time protection" true
-    (is_leak (measure_cosched ~cosched:false))
+    (is_leak (measure_cosched Tp_attacks.Harness.Concurrent))
 
 let test_cross_core_cosched_closed () =
   Alcotest.(check bool) "gang-scheduled: closed" true
-    (no_leak (measure_cosched ~cosched:true))
+    (no_leak (measure_cosched Tp_attacks.Harness.Coscheduled))
 
 (* ------------------------------------------------------------------ *)
 (* DRAM row-buffer channel (beyond-paper, taxonomy §2.2) *)
@@ -345,7 +349,10 @@ let test_harness_pairs_symbols () =
     }
   in
   let rng = Tp_util.Rng.create ~seed:1 in
-  let s = Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng in
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  Alcotest.(check bool) "complete" false r.Tp_attacks.Harness.degraded;
+  let s = r.Tp_attacks.Harness.data in
+  Alcotest.(check int) "all samples" 50 (Array.length s.Tp_channel.Mi.input);
   Array.iteri
     (fun i sym ->
       Alcotest.(check (float 1e-9)) "aligned" (float_of_int sym)
@@ -360,7 +367,13 @@ let test_harness_rejects_empty () =
     { (Tp_attacks.Harness.default_spec haswell) with Tp_attacks.Harness.samples = 5 }
   in
   let rng = Tp_util.Rng.create ~seed:1 in
-  match Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng with
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  Alcotest.(check int) "no samples" 0
+    (Array.length r.Tp_attacks.Harness.data.Tp_channel.Mi.input);
+  Alcotest.(check bool) "degraded" true r.Tp_attacks.Harness.degraded;
+  Alcotest.(check (option string)) "reason" (Some "sample shortfall")
+    r.Tp_attacks.Harness.degraded_reason;
+  match Tp_channel.Leakage.test ~rng r.Tp_attacks.Harness.data with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 

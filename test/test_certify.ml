@@ -351,7 +351,8 @@ let measure_l1d kind =
     }
   in
   let rng = Tp_util.Rng.create ~seed:77 in
-  Tp_attacks.Harness.measure_leak_result b ~sender ~receiver spec ~rng
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  (Tp_channel.Leakage.test ~rng r.Tp_attacks.Harness.data, r)
 
 let test_measured_mi_below_bound_raw () =
   let leak, hr = measure_l1d Scenario.Raw in

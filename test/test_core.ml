@@ -182,7 +182,8 @@ let test_calibrated_pad_closes_flush_channel () =
     }
   in
   let rng = Tp_util.Rng.create ~seed:31 in
-  let r = Tp_attacks.Harness.measure_leak b ~sender ~receiver spec ~rng in
+  let hr = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  let r = Tp_channel.Leakage.test ~rng hr.Tp_attacks.Harness.data in
   Alcotest.(check bool) "calibrated pad closes the channel" true
     (r.Tp_channel.Leakage.verdict <> Tp_channel.Leakage.Leak)
 

@@ -7,8 +7,6 @@ let g32k8 = { Cache.size = 32768; ways = 8; line = 64; indexing = Cache.Virtual 
 
 let mk () = Cache.create g32k8
 
-let is_hit = function Cache.Hit -> true | Cache.Miss _ -> false
-
 let test_cache_geometry () =
   Alcotest.(check int) "sets" 64 (Cache.sets g32k8);
   Alcotest.(check int) "colours of L1" 1 (Cache.colours g32k8);
@@ -21,22 +19,22 @@ let test_cache_geometry () =
 let test_cache_miss_then_hit () =
   let c = mk () in
   Alcotest.(check bool) "first access misses" false
-    (is_hit (Cache.access c ~vaddr:0x1000 ~paddr:0x1000 ~write:false));
+    (Cache.access_fast c ~vaddr:0x1000 ~paddr:0x1000 ~write:false);
   Alcotest.(check bool) "second access hits" true
-    (is_hit (Cache.access c ~vaddr:0x1000 ~paddr:0x1000 ~write:false))
+    (Cache.access_fast c ~vaddr:0x1000 ~paddr:0x1000 ~write:false)
 
 let test_cache_same_line_hits () =
   let c = mk () in
-  ignore (Cache.access c ~vaddr:0x1000 ~paddr:0x1000 ~write:false);
+  ignore (Cache.access_fast c ~vaddr:0x1000 ~paddr:0x1000 ~write:false);
   Alcotest.(check bool) "same line other byte hits" true
-    (is_hit (Cache.access c ~vaddr:0x103F ~paddr:0x103F ~write:false))
+    (Cache.access_fast c ~vaddr:0x103F ~paddr:0x103F ~write:false)
 
 let test_cache_conflict_eviction () =
   let c = mk () in
   (* 64 sets * 64B line: addresses 4096 apart map to the same set. *)
   let stride = 64 * 64 in
   for w = 0 to 8 do
-    ignore (Cache.access c ~vaddr:(w * stride) ~paddr:(w * stride) ~write:false)
+    ignore (Cache.access_fast c ~vaddr:(w * stride) ~paddr:(w * stride) ~write:false)
   done;
   (* 9 lines into an 8-way set: the first (LRU) must be gone. *)
   Alcotest.(check bool) "way 0 evicted" false
@@ -48,11 +46,11 @@ let test_cache_lru_order () =
   let c = mk () in
   let stride = 64 * 64 in
   for w = 0 to 7 do
-    ignore (Cache.access c ~vaddr:(w * stride) ~paddr:(w * stride) ~write:false)
+    ignore (Cache.access_fast c ~vaddr:(w * stride) ~paddr:(w * stride) ~write:false)
   done;
   (* Touch way 0 so way 1 becomes LRU; a new line must evict way 1. *)
-  ignore (Cache.access c ~vaddr:0 ~paddr:0 ~write:false);
-  ignore (Cache.access c ~vaddr:(8 * stride) ~paddr:(8 * stride) ~write:false);
+  ignore (Cache.access_fast c ~vaddr:0 ~paddr:0 ~write:false);
+  ignore (Cache.access_fast c ~vaddr:(8 * stride) ~paddr:(8 * stride) ~write:false);
   Alcotest.(check bool) "way 0 survives (recently used)" true
     (Cache.probe c ~vaddr:0 ~paddr:0);
   Alcotest.(check bool) "way 1 evicted (LRU)" false
@@ -60,9 +58,9 @@ let test_cache_lru_order () =
 
 let test_cache_dirty_flush () =
   let c = mk () in
-  ignore (Cache.access c ~vaddr:0 ~paddr:0 ~write:true);
-  ignore (Cache.access c ~vaddr:64 ~paddr:64 ~write:true);
-  ignore (Cache.access c ~vaddr:128 ~paddr:128 ~write:false);
+  ignore (Cache.access_fast c ~vaddr:0 ~paddr:0 ~write:true);
+  ignore (Cache.access_fast c ~vaddr:64 ~paddr:64 ~write:true);
+  ignore (Cache.access_fast c ~vaddr:128 ~paddr:128 ~write:false);
   Alcotest.(check int) "dirty count" 2 (Cache.dirty_lines c);
   let wb = Cache.flush c in
   Alcotest.(check int) "flush writes back dirty lines" 2 wb;
@@ -72,23 +70,22 @@ let test_cache_dirty_flush () =
 
 let test_cache_write_hit_dirties () =
   let c = mk () in
-  ignore (Cache.access c ~vaddr:0 ~paddr:0 ~write:false);
+  ignore (Cache.access_fast c ~vaddr:0 ~paddr:0 ~write:false);
   Alcotest.(check int) "clean" 0 (Cache.dirty_lines c);
-  ignore (Cache.access c ~vaddr:0 ~paddr:0 ~write:true);
+  ignore (Cache.access_fast c ~vaddr:0 ~paddr:0 ~write:true);
   Alcotest.(check int) "dirtied by write hit" 1 (Cache.dirty_lines c)
 
 let test_cache_eviction_reports_address () =
   let c = Cache.create { Cache.size = 128; ways = 1; line = 64; indexing = Cache.Physical } in
-  ignore (Cache.access c ~vaddr:0 ~paddr:0 ~write:true);
-  (match Cache.access c ~vaddr:128 ~paddr:128 ~write:false with
-  | Cache.Miss { evicted_dirty; evicted } ->
-      Alcotest.(check bool) "evicted dirty" true evicted_dirty;
-      Alcotest.(check int) "evicted line addr" 0 evicted
-  | Cache.Hit -> Alcotest.fail "expected miss");
+  ignore (Cache.access_fast c ~vaddr:0 ~paddr:0 ~write:true);
+  Alcotest.(check bool) "miss" false
+    (Cache.access_fast c ~vaddr:128 ~paddr:128 ~write:false);
+  Alcotest.(check bool) "evicted dirty" true (Cache.last_evicted_dirty c);
+  Alcotest.(check int) "evicted line addr" 0 (Cache.last_evicted c);
   (* Fill of an invalid way reports no eviction. *)
-  match Cache.access c ~vaddr:64 ~paddr:64 ~write:false with
-  | Cache.Miss { evicted; _ } -> Alcotest.(check int) "no victim" (-1) evicted
-  | Cache.Hit -> Alcotest.fail "expected miss"
+  Alcotest.(check bool) "miss" false
+    (Cache.access_fast c ~vaddr:64 ~paddr:64 ~write:false);
+  Alcotest.(check int) "no victim" (-1) (Cache.last_evicted c)
 
 let test_cache_virtual_vs_physical_indexing () =
   let v = Cache.create { g32k8 with Cache.indexing = Cache.Virtual } in
@@ -98,7 +95,8 @@ let test_cache_virtual_vs_physical_indexing () =
 
 let test_cache_insert_clean () =
   let c = mk () in
-  ignore (Cache.insert_clean c ~vaddr:0 ~paddr:0);
+  Alcotest.(check bool) "absent before" false
+    (Cache.insert_clean_fast c ~vaddr:0 ~paddr:0);
   Alcotest.(check bool) "present" true (Cache.probe c ~vaddr:0 ~paddr:0);
   Alcotest.(check int) "not dirty" 0 (Cache.dirty_lines c)
 
@@ -333,14 +331,14 @@ let test_cache_masked_allocation () =
   (* One set, 8 ways; class A owns ways 0-3, class B ways 4-7. *)
   let mask_a = 0x0F and mask_b = 0xF0 in
   for i = 0 to 3 do
-    ignore (Cache.access_masked c ~alloc_ways:mask_a ~vaddr:(i * 64) ~paddr:(i * 64) ~write:false)
+    ignore (Cache.access_masked_fast c ~alloc_ways:mask_a ~vaddr:(i * 64) ~paddr:(i * 64) ~write:false)
   done;
   for i = 4 to 7 do
-    ignore (Cache.access_masked c ~alloc_ways:mask_b ~vaddr:(i * 64) ~paddr:(i * 64) ~write:false)
+    ignore (Cache.access_masked_fast c ~alloc_ways:mask_b ~vaddr:(i * 64) ~paddr:(i * 64) ~write:false)
   done;
   (* B floods: it may only displace its own lines; A's survive. *)
   for i = 8 to 31 do
-    ignore (Cache.access_masked c ~alloc_ways:mask_b ~vaddr:(i * 64) ~paddr:(i * 64) ~write:false)
+    ignore (Cache.access_masked_fast c ~alloc_ways:mask_b ~vaddr:(i * 64) ~paddr:(i * 64) ~write:false)
   done;
   for i = 0 to 3 do
     Alcotest.(check bool) "class A line survives B's flood" true
@@ -348,8 +346,8 @@ let test_cache_masked_allocation () =
   done;
   (* Hits cross classes: B can still *read* an A-allocated line. *)
   Alcotest.(check bool) "cross-class hit" true
-    (Cache.access_masked c ~alloc_ways:mask_b ~vaddr:0 ~paddr:0 ~write:false
-    = Cache.Hit)
+    (Cache.access_masked_fast c ~alloc_ways:mask_b ~vaddr:0 ~paddr:0
+       ~write:false)
 
 let test_machine_clflush_globally_evicts () =
   let m = Machine.create Platform.haswell in
@@ -405,7 +403,7 @@ let qcheck_cache_occupancy_bounded =
     (fun (_, addrs) ->
       let c = Cache.create { Cache.size = 4096; ways = 4; line = 64; indexing = Cache.Physical } in
       List.iter
-        (fun a -> ignore (Cache.access c ~vaddr:a ~paddr:a ~write:(a land 1 = 1)))
+        (fun a -> ignore (Cache.access_fast c ~vaddr:a ~paddr:a ~write:(a land 1 = 1)))
         addrs;
       Cache.valid_lines c <= Cache.capacity_lines c
       && Cache.dirty_lines c <= Cache.valid_lines c)
@@ -415,7 +413,7 @@ let qcheck_cache_flush_empties =
     QCheck.(list_of_size Gen.(int_range 0 200) (int_bound 100_000))
     (fun addrs ->
       let c = Cache.create { Cache.size = 8192; ways = 2; line = 64; indexing = Cache.Virtual } in
-      List.iter (fun a -> ignore (Cache.access c ~vaddr:a ~paddr:a ~write:true)) addrs;
+      List.iter (fun a -> ignore (Cache.access_fast c ~vaddr:a ~paddr:a ~write:true)) addrs;
       ignore (Cache.flush c);
       Cache.valid_lines c = 0 && Cache.dirty_lines c = 0)
 
@@ -424,8 +422,8 @@ let qcheck_access_after_access_hits =
     QCheck.(int_bound 1_000_000)
     (fun a ->
       let c = mk () in
-      ignore (Cache.access c ~vaddr:a ~paddr:a ~write:false);
-      is_hit (Cache.access c ~vaddr:a ~paddr:a ~write:false))
+      ignore (Cache.access_fast c ~vaddr:a ~paddr:a ~write:false);
+      Cache.access_fast c ~vaddr:a ~paddr:a ~write:false)
 
 let qcheck_tlb_occupancy =
   QCheck.Test.make ~name:"tlb occupancy bounded" ~count:50

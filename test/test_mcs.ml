@@ -119,7 +119,7 @@ let test_mcs_composes_with_time_protection () =
   (* Pre-bind a scheduling context to the sender by spawning the pair
      through the harness, then capping domain 0's threads. *)
   let samples =
-    let s = Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng in
+    let s = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
     (* Cap every domain-0 thread and run a second dataset. *)
     let sc = mk_sc b 0 ~budget:(spec.Tp_attacks.Harness.slice_cycles / 2)
         ~period:spec.Tp_attacks.Harness.slice_cycles in
@@ -128,7 +128,7 @@ let test_mcs_composes_with_time_protection () =
       b.Boot.domains.(0).Boot.dom_threads;
     ignore (System.now sys ~core:0);
     ignore s;
-    Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng
+    (Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng).data
   in
   let r = Tp_channel.Leakage.test ~rng samples in
   Alcotest.(check bool) "flush channel closed under MCS + TP" true

@@ -95,7 +95,12 @@ let channel_trial ~scenario ~samples p ~seed ~trial =
       symbols = chan.Tp_attacks.Cache_channels.symbols;
     }
   in
-  let s = Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng in
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  let s = r.Tp_attacks.Harness.data in
+  (* Runs on pool domains, so fail by exception rather than through the
+     (not domain-safe) Alcotest printer. *)
+  if r.Tp_attacks.Harness.degraded || Array.length s.Tp_channel.Mi.input <> samples
+  then failwith "channel_trial: incomplete collection";
   ( Digest.to_hex
       (Digest.string
          (Marshal.to_string (s.Tp_channel.Mi.input, s.Tp_channel.Mi.output) [])),

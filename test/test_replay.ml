@@ -240,11 +240,14 @@ let collect ~replay kind =
       symbols = chan.Tp_attacks.Cache_channels.symbols;
     }
   in
-  let data =
-    Tp_attacks.Harness.run_pair b ~sender ~receiver spec
+  let r =
+    Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec
       ~rng:(Tp_util.Rng.create ~seed:11)
   in
-  ( data,
+  Alcotest.(check bool) "complete" false r.Tp_attacks.Harness.degraded;
+  Alcotest.(check int) "all samples" 120
+    (Array.length r.Tp_attacks.Harness.data.Tp_channel.Mi.input);
+  ( r.Tp_attacks.Harness.data,
     Machine.state_digest (Tp_kernel.System.machine b.Tp_kernel.Boot.sys) )
 
 let test_harness_replay_bit_identical () =

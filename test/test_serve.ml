@@ -395,6 +395,25 @@ let test_cycle_budget_cached_wall_timeout_not () =
           Alcotest.(check int)
             "wall-degraded data never stored" 1 (Store.count store)))
 
+(* The kernel channel's receiver needs its own slice on Arm
+   (Kernel_chan.slice_cycles): the 1 ms default is too short for its
+   probe passes to complete a single sample there. *)
+let test_arm_kernel_cell_completes () =
+  with_dir (fun dir ->
+      with_store dir (fun store ->
+          let j =
+            P.job ~id:"arm-kernel" ~platforms:[ "sabre" ]
+              ~configs:[ "protected" ] ~channels:[ "kernel" ] ~trials:1
+              ~seed:1 ~samples:40 ~max_retries:0 ()
+          in
+          match E.run_job ~store ~jobs:1 j with
+          | Error e -> Alcotest.fail e
+          | Ok r ->
+              Alcotest.(check string) "job complete" "complete"
+                (P.status_name r.P.r_status);
+              Alcotest.(check int) "all samples" 40
+                (List.hd r.P.r_trials).P.t_n))
+
 (* ---- telemetry --------------------------------------------------- *)
 
 (* The zero-perturbation gate for the metrics layer: the same sweep
@@ -605,6 +624,8 @@ let suite =
       test_crash_resume_store_faults;
     Alcotest.test_case "cycle budget cached, wall timeout not" `Slow
       test_cycle_budget_cached_wall_timeout_not;
+    Alcotest.test_case "sabre kernel cell completes" `Quick
+      test_arm_kernel_cell_completes;
     Alcotest.test_case "metrics on/off digests bit-identical" `Slow
       test_metrics_digest_identical;
     Alcotest.test_case "leakage-drift predicate" `Quick test_drift_predicate;
