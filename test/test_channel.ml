@@ -161,6 +161,75 @@ let test_leakage_noisy_but_real_leak () =
   Alcotest.(check bool) "detected through noise" true
     (res.Leakage.verdict = Leakage.Leak)
 
+(* Frozen outputs of the shuffle test: [Printf "%h"] of m, m0 and the
+   shuffle mean/std on five fixed datasets.  The estimator may be made
+   faster but never different — any changed bit in any of the 101 MI
+   estimates fails here.  Shapes: the sweep-wide 16 symbols x 40 samples
+   (sparse groups, some with one sample or none), 16 x 150, 4 symbols
+   with only three distinct timings each (zero-IQR groups), a constant
+   output (MI is pure rounding noise), and a single symbol. *)
+let pinned_dataset ~seed ~n ~k f =
+  let r = Tp_util.Rng.create ~seed in
+  let input = Array.init n (fun _ -> Tp_util.Rng.int r k) in
+  { Mi.input; output = Array.map (f r) input }
+
+let pinned_datasets =
+  [
+    ( "16 symbols x 40, sparse",
+      pinned_dataset ~seed:41 ~n:40 ~k:16 (fun r sym ->
+          Float.round
+            (Tp_util.Rng.gaussian r
+               ~mu:(300.0 +. (4.0 *. float_of_int sym))
+               ~sigma:6.0)),
+      ( "0x1.433bf1b84765ep+1",
+        "0x1.d5a422967ed16p+0",
+        "0x1.764d35428f186p+0",
+        "0x1.85241c46ec953p-3" ) );
+    ( "16 symbols x 150",
+      pinned_dataset ~seed:42 ~n:150 ~k:16 (fun r sym ->
+          Tp_util.Rng.gaussian r
+            ~mu:(1000.0 +. float_of_int (sym land 3))
+            ~sigma:2.5),
+      ( "0x1.50cb83d4b37e3p-2",
+        "0x1.f7f6bfcbc3973p-2",
+        "0x1.4117b3177d1fap-2",
+        "0x1.7534eae8126c3p-4" ) );
+    ( "4 symbols, few timings",
+      pinned_dataset ~seed:43 ~n:200 ~k:4 (fun r sym ->
+          float_of_int
+            (120 + (8 * Tp_util.Rng.int r 3) + if sym = 2 then 8 else 0)),
+      ( "0x1.6d78957b85778p-3",
+        "0x1.9eba40cfcba6ep-5",
+        "0x1.bb3f557cbd94cp-6",
+        "0x1.8a16e91e56546p-7" ) );
+    ( "constant output",
+      pinned_dataset ~seed:44 ~n:60 ~k:3 (fun _ _ -> 77.0),
+      ( "0x1.65aa74101a174p-53",
+        "0x1.65aa74101a18cp-53",
+        "0x1.65aa74101a17cp-53",
+        "0x1.014a2883c8175p-102" ) );
+    ( "single symbol",
+      pinned_dataset ~seed:45 ~n:80 ~k:1 (fun r _ ->
+          Tp_util.Rng.gaussian r ~mu:50.0 ~sigma:5.0),
+      ("0x0p+0", "0x0p+0", "0x0p+0", "0x0p+0") );
+  ]
+
+let test_leakage_pinned_bits () =
+  List.iteri
+    (fun i (name, s, (m, m0, mean, std)) ->
+      let r = Leakage.test ~rng:(Tp_util.Rng.create ~seed:(100 + i)) s in
+      let h = Printf.sprintf "%h" in
+      Alcotest.(check (list string))
+        (name ^ ": m, m0, shuffle mean, shuffle std")
+        [ m; m0; mean; std ]
+        [
+          h r.Leakage.m;
+          h r.Leakage.m0;
+          h r.Leakage.shuffle_mean;
+          h r.Leakage.shuffle_std;
+        ])
+    pinned_datasets
+
 let test_matrix_shape_and_stochastic () =
   let s = perfect_channel 400 in
   let m = Matrix.of_samples ~bins:10 s in
@@ -293,6 +362,7 @@ let suite =
     Alcotest.test_case "leakage detects leak" `Quick test_leakage_detects_leak;
     Alcotest.test_case "leakage accepts null" `Quick test_leakage_accepts_null;
     Alcotest.test_case "leakage through noise" `Quick test_leakage_noisy_but_real_leak;
+    Alcotest.test_case "leakage pinned bits" `Quick test_leakage_pinned_bits;
     Alcotest.test_case "matrix stochastic" `Quick test_matrix_shape_and_stochastic;
     Alcotest.test_case "matrix concentrated" `Quick test_matrix_perfect_channel_concentrated;
     Alcotest.test_case "capacity: BSC" `Quick test_capacity_bsc;
