@@ -4,9 +4,11 @@
     a continuous probability density per input symbol, estimated with
     KDE [Silverman 1986].  We use the binned variant: samples are first
     histogrammed onto the evaluation grid, then the Gaussian kernel is
-    applied to bin counts, which makes the 100-shuffle leakage test
-    cheap (O(grid × kernel-window) per density instead of
-    O(samples × grid)). *)
+    applied to bin counts, so a density costs O(occupied bins ×
+    kernel window) instead of O(samples × grid).  What keeps the
+    100-shuffle leakage test cheap is {!estimate_into}: it reuses the
+    caller's buffers, evaluates half the kernel, and reports the window
+    it wrote, so {!Mi} sums over that window only. *)
 
 type grid = { lo : float; hi : float; points : int }
 (** Evaluation grid: [points] equally spaced positions covering
@@ -20,6 +22,27 @@ val silverman_bandwidth : float array -> float
 (** Silverman's rule of thumb: [0.9 * min(sd, iqr/1.34) * n^(-1/5)].
     Returns 0 for degenerate (constant) samples; callers must apply a
     floor (see {!estimate}). *)
+
+type workspace
+(** Kernel scratch for repeated estimates on one grid.  Mutable: use
+    it from one domain at a time. *)
+
+val workspace : grid -> workspace
+
+val estimate_into :
+  workspace -> ?bandwidth:float -> float array -> into:float array -> int * int
+(** [estimate_into ws xs ~into] writes the density of [xs] on the
+    workspace's grid into [into] (length [points]) and returns the
+    window [(first, last)] it wrote: the occupied bins widened by the
+    kernel's half-width and clamped to the grid.  Outside the window
+    the density is exactly +0.0, but [into] is left as it was there.
+    It sorts [xs] in place.  The values are bit-identical to
+    {!estimate}'s:
+    - the bandwidth takes the standard deviation in sample order
+      before sorting, and both quartiles from the one sorted array;
+    - the kernel is computed for offsets [0 .. hw] and mirrored,
+      exactly, since [float (-m) *. step /. h] is [-(m * step / h)];
+    - bins are added in ascending order, as runs of the sorted [xs]. *)
 
 val estimate : grid -> ?bandwidth:float -> float array -> float array
 (** [estimate grid samples] returns the estimated density at each grid

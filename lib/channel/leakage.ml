@@ -14,11 +14,11 @@ let resolution_bits = 0.001
 let test ?(shuffles = 100) ?(grid_points = Mi.default_grid_points) ~rng samples =
   let n = Array.length samples.Mi.input in
   if n = 0 then invalid_arg "Leakage.test: empty dataset (no samples collected)";
-  let m = Mi.estimate ~grid_points samples in
+  let est = Mi.prepare ~grid_points samples in
+  let m = Mi.evaluate est in
   let shuffled =
     Array.init shuffles (fun _ ->
-        let perm = Tp_util.Rng.permutation rng n in
-        Mi.estimate_with_permutation ~grid_points samples ~perm)
+        Mi.evaluate est ~perm:(Tp_util.Rng.permutation rng n))
   in
   let mean = Tp_util.Stats.mean shuffled in
   let std = Tp_util.Stats.std shuffled in

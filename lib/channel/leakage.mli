@@ -39,6 +39,10 @@ val test :
 (** Run the full test.  [shuffles] defaults to 100, as in the paper.
     The confidence bound is [mean + 1.96 * std] of the shuffled-MI
     distribution (normal approximation to the paper's exact interval).
+    The dataset is {!Mi.prepare}d once, then evaluated on the real
+    pairing and on each shuffle: groups and grid are shared by all
+    [shuffles + 1] estimates, and each estimate is bit-identical to a
+    separate {!Mi.estimate} of the shuffled dataset.
     @raise Invalid_argument on an empty dataset: no samples is never
     evidence of no leak. *)
 

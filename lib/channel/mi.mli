@@ -19,15 +19,37 @@ type samples = { input : int array; output : float array }
 
 val default_grid_points : int
 
-val estimate : ?grid_points:int -> samples -> float
-(** Estimated mutual information in bits.  Always ≥ 0 (negative
-    integration artefacts are clamped) and ≤ log2 of the number of
-    distinct input symbols. *)
+type prepared
+(** An estimator bound to one dataset, built so that re-pairing the
+    outputs (the shuffle test in {!Leakage}) redoes only what a
+    re-pairing changes.  {!prepare} computes, once:
+    - the symbol groups, from [input], which a shuffle never touches;
+    - the KDE grid, from the min and max of [output], a multiset every
+      permutation preserves;
+    - the scratch each evaluation fills: one sample buffer and one
+      density per group, the marginal, the kernel.
 
-val estimate_with_permutation :
-  ?grid_points:int -> samples -> perm:int array -> float
-(** MI after re-pairing outputs by the permutation (used by the
-    shuffle test in {!Leakage}); [perm] must be a permutation of
-    [0 .. n-1]. *)
+    Every evaluation then gives bit-for-bit the value a from-scratch
+    estimate of the re-paired dataset would, and sums in the same
+    order: groups in symbol order, grid points ascending.  The sums run
+    only over the window each density's kernel reaches
+    ({!Kde.estimate_into}); outside it the density is exactly +0.0,
+    which adds nothing to the marginal and which the [> 1e-300] guard
+    of the MI sum already skips.  [log2] divides by a precomputed
+    [log 2.0], the same value as before.
+
+    A [prepared] is mutable scratch: use it from one domain at a time. *)
+
+val prepare : ?grid_points:int -> samples -> prepared
+
+val evaluate : ?perm:int array -> prepared -> float
+(** MI of the prepared dataset, or, given [perm] (a permutation of
+    [0 .. n-1]), of the dataset whose sample [i] pairs input [i] with
+    output [perm.(i)]. *)
+
+val estimate : ?grid_points:int -> samples -> float
+(** [evaluate (prepare s)]: estimated mutual information in bits.
+    Always ≥ 0 (negative integration artefacts are clamped) and ≤ log2
+    of the number of distinct input symbols. *)
 
 val bits_to_millibits : float -> float

@@ -21,9 +21,12 @@ let max a =
   assert (Array.length a > 0);
   Array.fold_left Stdlib.max a.(0) a
 
+(* [Float.compare] orders floats exactly as polymorphic [compare] does
+   (nan first and equal to itself, -0 equal to +0), without the generic
+   dispatch. *)
 let sorted a =
   let b = Array.copy a in
-  Array.sort compare b;
+  Array.sort Float.compare b;
   b
 
 let median a =
@@ -32,10 +35,9 @@ let median a =
   let n = Array.length b in
   if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
 
-let percentile a p =
-  assert (Array.length a > 0);
+let percentile_sorted b p =
+  assert (Array.length b > 0);
   assert (p >= 0.0 && p <= 100.0);
-  let b = sorted a in
   let n = Array.length b in
   if n = 1 then b.(0)
   else begin
@@ -45,6 +47,10 @@ let percentile a p =
     let frac = rank -. float_of_int lo in
     b.(lo) +. (frac *. (b.(hi) -. b.(lo)))
   end
+
+let percentile a p =
+  assert (Array.length a > 0);
+  percentile_sorted (sorted a) p
 
 let geomean a =
   assert (Array.length a > 0);

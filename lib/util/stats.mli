@@ -19,9 +19,17 @@ val max : float array -> float
 val median : float array -> float
 (** Median (average of middle two for even lengths). Does not mutate. *)
 
+val sorted : float array -> float array
+(** A sorted copy, in [Float.compare] order (the order of polymorphic
+    [compare]: nan first, -0 equal to +0). *)
+
 val percentile : float array -> float -> float
 (** [percentile a p] for [p] in [\[0,100\]], linear interpolation.
     Does not mutate its argument. *)
+
+val percentile_sorted : float array -> float -> float
+(** [percentile_sorted b p] is [percentile b p] for an already sorted
+    [b]: several percentiles of one array can share one sort. *)
 
 val geomean : float array -> float
 (** Geometric mean. Requires all elements positive. *)
