@@ -251,6 +251,23 @@ let microbenchmarks () =
     Test.make ~name:"MI estimate (512 samples, 4 symbols)"
       (Staged.stage (fun () -> ignore (Tp_channel.Mi.estimate mi_samples)))
   in
+  (* The sweep-wide cell shape: 40 samples over 16 symbols, so most
+     groups hold two or three samples. *)
+  let leak_samples =
+    {
+      Tp_channel.Mi.input = Array.init 40 (fun _ -> Tp_util.Rng.int rng 16);
+      output =
+        Array.init 40 (fun _ ->
+            Float.round (Tp_util.Rng.gaussian rng ~mu:300.0 ~sigma:8.0));
+    }
+  in
+  let bench_leakage =
+    Test.make ~name:"Leakage test (40 samples, 16 symbols)"
+      (Staged.stage (fun () ->
+           ignore
+             (Tp_channel.Leakage.test ~rng:(Tp_util.Rng.create ~seed:11)
+                leak_samples)))
+  in
   let kde_xs = Array.init 1000 (fun i -> float_of_int (i mod 97)) in
   let bench_kde =
     Test.make ~name:"KDE (1000 samples, 512-point grid)"
@@ -261,7 +278,14 @@ let microbenchmarks () =
                 kde_xs)))
   in
   let tests =
-    [ bench_cache_access; bench_domain_switch; bench_ipc; bench_mi; bench_kde ]
+    [
+      bench_cache_access;
+      bench_domain_switch;
+      bench_ipc;
+      bench_mi;
+      bench_leakage;
+      bench_kde;
+    ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let instances = Instance.[ monotonic_clock ] in

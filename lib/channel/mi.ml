@@ -52,6 +52,7 @@ let prepare ?(grid_points = default_grid_points) s =
   }
 
 let evaluate ?perm p =
+  Option.iter (fun perm -> assert (Array.length perm = Array.length p.output)) perm;
   let k = Array.length p.groups in
   if k < 2 then 0.0
   else begin

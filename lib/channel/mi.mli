@@ -35,8 +35,8 @@ type prepared
     only over the window each density's kernel reaches
     ({!Kde.estimate_into}); outside it the density is exactly +0.0,
     which adds nothing to the marginal and which the [> 1e-300] guard
-    of the MI sum already skips.  [log2] divides by a precomputed
-    [log 2.0], the same value as before.
+    of the MI sum already skips.  [log2 x] is [log x /. ln2] with [ln2]
+    computed once at start-up: the same quotient, one [log] fewer.
 
     A [prepared] is mutable scratch: use it from one domain at a time. *)
 

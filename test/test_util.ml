@@ -134,6 +134,46 @@ let qcheck_percentile_monotone =
       let lo = Stdlib.min p1 p2 and hi = Stdlib.max p1 p2 in
       Tp_util.Stats.percentile a lo <= Tp_util.Stats.percentile a hi +. 1e-9)
 
+(* [Stats] sorts with [Float.compare]; polymorphic [compare] defines the
+   same order on floats (nan first and equal to itself, -0 equal to
+   +0), so percentiles must match a [List.sort compare] reference bit
+   for bit, ties, zeros, infinities and nans included. *)
+let qcheck_percentile_matches_compare_sort =
+  let elt =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ Float.nan; 0.0; -0.0; infinity; neg_infinity; 1.0; -1.0 ];
+          map float_of_int (int_range (-3) 3);
+          float_range (-100.) 100.;
+        ])
+  in
+  QCheck.Test.make ~name:"percentile = List.sort compare reference, bitwise"
+    ~count:300
+    QCheck.(
+      pair
+        (make
+           ~print:Print.(array float)
+           Gen.(array_size (int_range 1 30) elt))
+        (float_range 0. 100.))
+    (fun (a, p) ->
+      let reference p =
+        let b = Array.of_list (List.sort compare (Array.to_list a)) in
+        let n = Array.length b in
+        if n = 1 then b.(0)
+        else begin
+          let rank = p /. 100.0 *. float_of_int (n - 1) in
+          let lo = int_of_float (Float.floor rank) in
+          let hi = Stdlib.min (lo + 1) (n - 1) in
+          let frac = rank -. float_of_int lo in
+          b.(lo) +. (frac *. (b.(hi) -. b.(lo)))
+        end
+      in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      List.for_all
+        (fun p -> same (reference p) (Tp_util.Stats.percentile a p))
+        [ p; 0.0; 25.0; 50.0; 75.0; 100.0 ])
+
 let qcheck_mean_bounds =
   QCheck.Test.make ~name:"mean within [min,max]" ~count:200
     QCheck.(array_of_size Gen.(int_range 1 50) (float_range (-1000.) 1000.))
@@ -174,6 +214,7 @@ let suite =
     Alcotest.test_case "histogram centers" `Quick test_histogram_bin_center;
     Alcotest.test_case "table renders" `Quick test_table_renders;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
+    QCheck_alcotest.to_alcotest qcheck_percentile_matches_compare_sort;
     QCheck_alcotest.to_alcotest qcheck_mean_bounds;
     QCheck_alcotest.to_alcotest qcheck_shuffle_preserves_multiset;
   ]
