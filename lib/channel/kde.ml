@@ -98,7 +98,6 @@ let estimate_into ws ?bandwidth xs ~into =
   (first, last)
 
 let estimate g ?bandwidth samples =
-  assert (Array.length samples > 0);
   let density = Array.make g.points 0.0 in
   ignore
     (estimate_into (workspace g) ?bandwidth (Array.copy samples) ~into:density);
