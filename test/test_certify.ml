@@ -1062,6 +1062,71 @@ let test_kcert_artifact_deterministic () =
     (List.length (jlist (mem "steps" j)))
 
 (* ------------------------------------------------------------------ *)
+(* Pinned static certificates *)
+
+(* What `tpsim certify --exhaustive` emits for one scenario — the
+   static certificate and its exhaustive result — plus the linter's
+   pad-bound breakdown, digested.  Pinned for every scenario on every
+   platform, so a change to how any consumer reads the configuration's
+   flush policy shows up here as a digest change. *)
+let static_pin_digest p kind =
+  let v = view kind p in
+  let subject =
+    Printf.sprintf "certify %s %s" p.Tp_hw.Platform.name (Scenario.name kind)
+  in
+  let cfg = Scenario.config kind p in
+  let breakdown =
+    String.concat ","
+      (List.map
+         (fun (name, c) -> Printf.sprintf "%s=%d" name c)
+         (Lint.pad_bound_breakdown p cfg))
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          [
+            Certify.cert_to_json (Certify.certify_view ~subject v);
+            Certify.exhaustive_to_json (Certify.exhaustive p cfg);
+            breakdown;
+          ]))
+
+let static_pins =
+  [
+    ("haswell/raw", "7b504f6ad51b7e58e5c8e0bd331816f7");
+    ("haswell/full-flush", "5b2debbd318c988380aed43372e473ef");
+    ("haswell/protected", "eb4b3b77ebaeb9243d5f4dbad9398264");
+    ("haswell/coloured-only", "2831b4881ba12793b06680de21f000e1");
+    ("haswell/no-pad", "23e6d048c3e5d88dfdfd480b2394489e");
+    ("haswell/no-prefetcher", "c0c0e2f03a526efe959180c8172df828");
+    ("haswell/cat-llc", "3af9201498d41595049bf1cd509fb7e8");
+    ("sabre/raw", "2b7b1c42bc9b9aa15bde71816bfecada");
+    ("sabre/full-flush", "46cc9559d77e12ec9c04b0106153033d");
+    ("sabre/protected", "3ed39306084fde9136f6b628d2c2424f");
+    ("sabre/coloured-only", "8e82cdf8286df912a20da7a88cb15472");
+    ("sabre/no-pad", "ebf0e15df89bec9f479eb411b832593b");
+    ("sabre/no-prefetcher", "7174ae6e09c3465406b4bc232f67599c");
+    ("sabre/cat-llc", "a98149527c082ea08a6f45151b37513d");
+    ("armv8/raw", "a8fe451b2cd9199395768505d4dc9e46");
+    ("armv8/full-flush", "f8b12515d67e9fdedd5d866579db7544");
+    ("armv8/protected", "c8f5baabdf873a1cf8c070c3da6cfc68");
+    ("armv8/coloured-only", "3234b28d90f22395111089c0a1c74573");
+    ("armv8/no-pad", "c4c4f4fabcc7da826b7fc118fc533b82");
+    ("armv8/no-prefetcher", "b4e2d822cc4f2de6ca8d6cb0541cadc7");
+    ("armv8/cat-llc", "99760676074392d979e2f743e140e0df");
+  ]
+
+let test_static_certs_pinned () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun kind ->
+          let key = p.Tp_hw.Platform.name ^ "/" ^ Scenario.slug kind in
+          Alcotest.(check string) key (List.assoc key static_pins)
+            (static_pin_digest p kind))
+        all_kinds)
+    Tp_hw.Platform.all
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -1117,4 +1182,6 @@ let suite =
       test_kcert_exhaustive3_agreement;
     Alcotest.test_case "kcert: deterministic digested artifact" `Quick
       test_kcert_artifact_deterministic;
+    Alcotest.test_case "static certificates pinned" `Quick
+      test_static_certs_pinned;
   ]
