@@ -146,6 +146,32 @@ let cat_ok (v : Lint.view) =
          | _ -> false)
        v.v_domains
 
+(* Which certified channels a configuration closes.  The switch-flush
+   plan scrubs some on every switch; a spatial partition closes the
+   outer levels — [partitioned] (coloured userland + cloned kernels)
+   both, [cat] (disjoint CAT way masks) the LLC ways only.  The
+   partition facts are the caller's: {!certify_view} checks them on the
+   booted view, {!Kcert} takes the configuration's claim. *)
+type closure = {
+  cl_l1 : bool;
+  cl_tlb : bool;
+  cl_bp : bool;
+  cl_l2 : bool;
+  cl_llc : bool;
+  cl_llc_flushed : bool;
+}
+
+let closure plan ~partitioned ~cat =
+  let has step = List.mem step plan in
+  {
+    cl_l1 = has Tp_hw.Flush.L1_hw || has Tp_hw.Flush.L1_manual;
+    cl_tlb = has Tp_hw.Flush.Tlb;
+    cl_bp = has Tp_hw.Flush.Bp;
+    cl_l2 = has Tp_hw.Flush.L2 || partitioned;
+    cl_llc = has Tp_hw.Flush.Llc || partitioned || cat;
+    cl_llc_flushed = has Tp_hw.Flush.Llc;
+  }
+
 (* Effective pad: the configured pad floor and every domain kernel's
    own pad attribute — the minimum is what a switch actually pads to
    (mirrors the linter's pad-sufficiency check). *)
@@ -184,8 +210,10 @@ let certify_view ?subject ?program_summary ?program_name (v : Lint.view) =
      and leaves a private L2 untouched (§2.3). *)
   let l2_raw = min raw_outer cap_l2 in
   let llc_raw = raw_outer - l2_raw in
-  let l2_closed = cfg.flush_llc || cfg.flush_l2 || partitioned in
-  let llc_closed = cfg.flush_llc || partitioned || cat_ok v in
+  let { cl_l1; cl_tlb; cl_bp; cl_l2 = l2_closed; cl_llc = llc_closed;
+        cl_llc_flushed } =
+    closure (C.flush_plan p cfg) ~partitioned ~cat:(cat_ok v)
+  in
   let single = n_domains < 2 in
   let mk_bound ch raw closed note =
     let closed = closed || single in
@@ -201,19 +229,16 @@ let certify_view ?subject ?program_summary ?program_name (v : Lint.view) =
   let open_note what = Printf.sprintf "open: %s survive the switch" what in
   let bounds =
     [
-      mk_bound L1d raw_l1d
-        (cfg.flush_l1 || cfg.flush_llc)
-        (if cfg.flush_l1 || cfg.flush_llc then flush_note "flush_l1"
-         else open_note "data lines");
-      mk_bound L1i raw_l1i
-        (cfg.flush_l1 || cfg.flush_llc)
-        (if cfg.flush_l1 || cfg.flush_llc then flush_note "flush_l1"
+      mk_bound L1d raw_l1d cl_l1
+        (if cl_l1 then flush_note "flush_l1" else open_note "data lines");
+      mk_bound L1i raw_l1i cl_l1
+        (if cl_l1 then flush_note "flush_l1"
          else open_note "instruction lines");
-      mk_bound Tlb raw_tlb cfg.flush_tlb
-        (if cfg.flush_tlb then flush_note "flush_tlb"
+      mk_bound Tlb raw_tlb cl_tlb
+        (if cl_tlb then flush_note "flush_tlb"
          else open_note "translations");
-      mk_bound Bp raw_bp cfg.flush_bp
-        (if cfg.flush_bp then flush_note "flush_bp"
+      mk_bound Bp raw_bp cl_bp
+        (if cl_bp then flush_note "flush_bp"
          else open_note "BTB entries and PHT counters");
       (let closed = l2_closed && llc_closed in
        let bits =
@@ -222,7 +247,7 @@ let certify_view ?subject ?program_summary ?program_name (v : Lint.view) =
        in
        let note =
          if single then "fewer than two domains: no receiver"
-         else if cfg.flush_llc then flush_note "flush_llc"
+         else if cl_llc_flushed then flush_note "flush_llc"
          else if partitioned then
            "partitioned by page colour (coloured userland + cloned kernel)"
          else if cat_ok v && not l2_closed then
@@ -512,18 +537,20 @@ let lifecycle_turn m ~core tiny = function
         (Tp_hw.Shrink.destroy_op m ~core ~asid:2
            ~barrier:(0x5000_0000 + (6 * Tp_hw.Defs.page_size)))
 
-let scrub_of_config (cfg : C.t) =
-  {
-    Tp_hw.Shrink.sc_flush_l1 = cfg.flush_l1;
-    sc_flush_l2 = cfg.flush_l2;
-    sc_flush_llc = cfg.flush_llc;
-    sc_flush_tlb = cfg.flush_tlb;
-    sc_flush_bp = cfg.flush_bp;
-    (* Row-buffer state is outside the small scope (see
-       {!exclusions}): always precharged, so the check exercises the
-       five certified channels, not the known-uncloseable one. *)
-    sc_close_dram = true;
-  }
+(* The configuration's switch-flush plan at machine scope: the x86
+   manual L1 sweep is a kernel-layer construction, so the architected
+   flush stands in for it.  Row-buffer state is outside the small scope
+   (see {!exclusions}): the scrub always ends with a precharge, so the
+   check exercises the five certified channels, not the
+   known-uncloseable one. *)
+let scrub_of_config p (cfg : C.t) =
+  List.filter_map
+    (function
+      | Tp_hw.Flush.L1_manual -> Some Tp_hw.Flush.L1_hw
+      | Tp_hw.Flush.Dram_close -> None
+      | step -> Some step)
+    (C.flush_plan p cfg)
+  @ [ Tp_hw.Flush.Dram_close ]
 
 (* Victim placement: with colouring, the victim owns the odd pages of
    the 2-colour shrink (data, and its branch-site code page); without,
@@ -537,7 +564,7 @@ let victim_layout (cfg : C.t) =
 let run_schedule ?(path = Switch) tiny (cfg : C.t) sched secret =
   let m = Tp_hw.Machine.create tiny in
   let core = 0 in
-  let scrub = scrub_of_config cfg in
+  let scrub = scrub_of_config tiny cfg in
   let arrays_at, code_at = victim_layout cfg in
   let obs = ref [] in
   String.iter

@@ -77,6 +77,26 @@ val ceil_log2 : int -> int
 
 val exclusions : string list
 
+type closure = {
+  cl_l1 : bool;  (** L1-D and L1-I *)
+  cl_tlb : bool;
+  cl_bp : bool;
+  cl_l2 : bool;  (** the private-L2 level of the outer-cache channel *)
+  cl_llc : bool;  (** the LLC level of the outer-cache channel *)
+  cl_llc_flushed : bool;  (** the plan flushes the whole hierarchy *)
+}
+(** Which certified channels (and outer-cache levels) are closed. *)
+
+val closure :
+  Tp_hw.Flush.step list -> partitioned:bool -> cat:bool -> closure
+(** The channels closed by a switch-flush plan
+    ({!Tp_kernel.Config.flush_plan}) together with the caller's
+    partition facts: [partitioned] (coloured userland and cloned
+    kernels) closes both outer levels, [cat] (disjoint CAT way masks)
+    the LLC level only.  Shared by {!certify_view}, which checks the
+    facts on the booted view, and {!Kcert.certify}, which takes the
+    configuration's claim. *)
+
 val certify_view :
   ?subject:string ->
   ?program_summary:Absint.summary ->
@@ -152,7 +172,9 @@ val exhaustive : Tp_hw.Platform.t -> Tp_kernel.Config.t -> exhaustive_result
     {!Tp_hw.Shrink.tiny} machine; run the victim under each secret;
     require every attacker observation (timestamps, probe latencies,
     branch latencies) to be identical across secrets.  The domain
-    switch applies the configuration's flushes ({!Tp_hw.Shrink.apply})
+    switch runs the configuration's switch-flush plan
+    ({!Tp_hw.Shrink.apply}; the manual L1 flush becomes the
+    architected one at machine scope)
     and pads each turn to [pad_cycles].  DRAM rows are always
     precharged — the row-buffer channel is outside the certified scope
     ({!exclusions}). *)

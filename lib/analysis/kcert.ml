@@ -147,6 +147,15 @@ let dispatch_site = L.kernel_base_vaddr + L.entry_stub.L.t_off + 0x10
 let return_site (h : L.text_range) =
   L.kernel_base_vaddr + h.L.t_off + h.L.t_len - 8
 
+let flush_name = function
+  | Tp_hw.Flush.L1_hw -> "l1-hw"
+  | Tp_hw.Flush.L1_manual -> "l1-manual"
+  | Tp_hw.Flush.L2 -> "l2-private"
+  | Tp_hw.Flush.Llc -> "llc"
+  | Tp_hw.Flush.Tlb -> "tlb"
+  | Tp_hw.Flush.Bp -> "bp"
+  | Tp_hw.Flush.Dram_close -> "dram-close"
+
 (* The 12 paper-ordered steps of [Domain_switch.switch], lifted for a
    domain-crossing switch under [cfg].  For a domain crossing,
    [protect = kernel_switched || not clone_kernel] is true in every
@@ -160,24 +169,12 @@ let lift_switch (p : P.t) (cfg : C.t) =
   let base = L.kernel_base_vaddr in
   let lay = L.image_layout p in
   let r = Tp_hw.Defs.Read and w = Tp_hw.Defs.Write and f = Tp_hw.Defs.Fetch in
-  let manual_l1 =
-    cfg.flush_l1 && (not cfg.flush_llc) && not p.P.has_l1_flush_instr
-  in
-  let flush_names =
-    (if cfg.flush_llc then [ "l1-hw"; "l2-private"; "llc" ]
-     else if cfg.flush_l1 then
-       (if manual_l1 then [ "l1-manual" ] else [ "l1-hw" ])
-       @ (if cfg.flush_l2 then [ "l2-private" ] else [])
-     else [])
-    @ (if cfg.flush_tlb then [ "tlb" ] else [])
-    @ (if cfg.flush_bp then [ "bp" ] else [])
-    @ if cfg.close_dram_rows then [ "dram-close" ] else []
-  in
+  let plan = C.flush_plan p cfg in
   (* The manual flush's buffer sweep is real memory traffic at fixed
      per-image virtual addresses: one load per L1-D line, one fetched
      jump per L1-I line ([Domain_switch.manual_l1_flush]). *)
   let manual_accesses =
-    if not manual_l1 then []
+    if not (List.mem Tp_hw.Flush.L1_manual plan) then []
     else
       [
         acc "flushbuf-d-sweep" (base + lay.L.flushbuf_off) p.P.l1d.Tp_hw.Cache.size r;
@@ -238,7 +235,7 @@ let lift_switch (p : P.t) (cfg : C.t) =
       ];
     step 6 "release-kernel-lock" [ acc "big-lock" (shared L.Big_lock) 8 w ];
     step 7 "unmask-irqs" [ acc "irq-tables" (shared L.Irq_tables) 256 w ];
-    step 8 "flush" ~flushes:flush_names manual_accesses;
+    step 8 "flush" ~flushes:(List.map flush_name plan) manual_accesses;
     step 9 "prefetch-shared"
       (if cfg.prefetch_shared then
          List.map
@@ -461,11 +458,16 @@ let certify ?exhaustive ?(path = Switch) (p : P.t) ~config_name (cfg : C.t) =
      rules), and the 3-domain exhaustive check exercises the coloured
      placement. *)
   let partitioned = cfg.colour_user && cfg.clone_kernel in
-  let l1_closed = cfg.flush_l1 || cfg.flush_llc in
-  let l2_closed =
-    cfg.flush_llc || (cfg.flush_l1 && cfg.flush_l2) || partitioned
+  let {
+    Certify.cl_l1 = l1_closed;
+    cl_l2 = l2_closed;
+    cl_llc = llc_closed;
+    cl_tlb;
+    cl_bp;
+    cl_llc_flushed;
+  } =
+    Certify.closure (C.flush_plan p cfg) ~partitioned ~cat:cfg.cat_llc
   in
-  let llc_closed = cfg.flush_llc || partitioned || cfg.cat_llc in
   let cap_l2 = match p.P.l2 with Some g -> cache_lines g | None -> 0 in
   let mk ch raw covered closed note =
     let covered = min covered raw in
@@ -493,13 +495,13 @@ let certify ?exhaustive ?(path = Switch) (p : P.t) ~config_name (cfg : C.t) =
       mk Certify.Tlb
         (p.P.itlb.entries + p.P.dtlb.entries + p.P.l2tlb.entries)
         (cov.Absint.kc_dtlb + cov.Absint.kc_itlb + cov.Absint.kc_l2tlb)
-        cfg.flush_tlb
-        (if cfg.flush_tlb then flush_note "flush_tlb"
+        cl_tlb
+        (if cl_tlb then flush_note "flush_tlb"
          else cover_note "translation");
       mk Certify.Bp
         (p.P.btb.entries + p.P.bhb.pht_entries)
-        bp_covered cfg.flush_bp
-        (if cfg.flush_bp then flush_note "flush_bp"
+        bp_covered cl_bp
+        (if cl_bp then flush_note "flush_bp"
          else
            "open: residue after BTB/PHT coverage of the path's \
             deterministic branches through the modelled index hashes");
@@ -509,7 +511,7 @@ let certify ?exhaustive ?(path = Switch) (p : P.t) ~config_name (cfg : C.t) =
          + if llc_closed then 0 else cache_lines p.P.llc
        in
        let note =
-         if cfg.flush_llc then flush_note "flush_llc"
+         if cl_llc_flushed then flush_note "flush_llc"
          else if partitioned then
            "partitioned by page colour (coloured userland + cloned kernel)"
          else if llc_closed && not l2_closed then
@@ -542,7 +544,7 @@ let certify ?exhaustive ?(path = Switch) (p : P.t) ~config_name (cfg : C.t) =
      so it encodes nothing; otherwise it varies with the incoming
      cache/TLB/BP state the configuration left open. *)
   let op_deterministic =
-    l1_closed && l2_closed && llc_closed && cfg.flush_tlb && cfg.flush_bp
+    l1_closed && l2_closed && llc_closed && cl_tlb && cl_bp
   in
   let op_entropy =
     if path = Switch || op_deterministic then 0
@@ -763,12 +765,19 @@ let bound_json b =
     b.kb_bits b.kb_raw b.kb_covered b.kb_scrubbed
     (Diag.json_escape b.kb_note)
 
+(* The record's fields in order; [pad_cycles], the one integer field,
+   sits after [disable_prefetcher]. *)
 let config_json (cfg : C.t) =
-  Printf.sprintf
-    "{\"colour_user\":%b,\"clone_kernel\":%b,\"flush_l1\":%b,\"flush_tlb\":%b,\"flush_bp\":%b,\"flush_l2\":%b,\"flush_llc\":%b,\"disable_prefetcher\":%b,\"pad_cycles\":%d,\"partition_irqs\":%b,\"prefetch_shared\":%b,\"close_dram_rows\":%b,\"cat_llc\":%b}"
-    cfg.colour_user cfg.clone_kernel cfg.flush_l1 cfg.flush_tlb cfg.flush_bp
-    cfg.flush_l2 cfg.flush_llc cfg.disable_prefetcher cfg.pad_cycles
-    cfg.partition_irqs cfg.prefetch_shared cfg.close_dram_rows cfg.cat_llc
+  let fields =
+    List.concat_map
+      (fun m ->
+        let field = Printf.sprintf "\"%s\":%b" m.C.key (m.C.get cfg) in
+        if m.C.key = "disable_prefetcher" then
+          [ field; Printf.sprintf "\"pad_cycles\":%d" cfg.pad_cycles ]
+        else [ field ])
+      C.mechanisms
+  in
+  "{" ^ String.concat "," fields ^ "}"
 
 (* The digested core: everything except the exhaustive block, so that
    a consumer that cannot afford the model check (the campaign daemon

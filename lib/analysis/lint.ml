@@ -21,33 +21,26 @@ let rule_kcert_unsound = "TP-KCERT-UNSOUND"
 (* ------------------------------------------------------------------ *)
 (* Analytic pad bound                                                  *)
 
+let flush_component = function
+  | Tp_hw.Flush.L1_hw | Tp_hw.Flush.L1_manual -> "flush-l1"
+  | Tp_hw.Flush.L2 -> "flush-l2"
+  | Tp_hw.Flush.Llc -> "flush-llc"
+  | Tp_hw.Flush.Tlb -> "flush-tlb"
+  | Tp_hw.Flush.Bp -> "flush-bp"
+  | Tp_hw.Flush.Dram_close -> "dram-close"
+
 let pad_bound_breakdown p (cfg : Config.t) =
   let coloured = cfg.Config.colour_user in
   let footprint_bytes =
     List.fold_left (fun acc (_, b) -> acc + b) 0 (Layout.switch_footprint p)
   in
   let sweep bytes = Tp_hw.Bounds.sweep_cycles ~coloured p ~bytes () in
-  let flushes =
-    if cfg.Config.flush_llc then
-      [
-        ("flush-l1", Tp_hw.Bounds.l1_flush_hw_bound p);
-        ("flush-l2", Tp_hw.Bounds.l2_flush_bound p);
-        ("flush-llc", Tp_hw.Bounds.llc_flush_bound p);
-      ]
-    else if cfg.Config.flush_l1 then
-      ("flush-l1", Tp_hw.Bounds.l1_flush_bound ~coloured p)
-      :: (if cfg.Config.flush_l2 then [ ("flush-l2", Tp_hw.Bounds.l2_flush_bound p) ]
-          else [])
-    else []
-  in
-  [ ("fixed-overhead", Domain_switch.fixed_overhead_cycles);
+  [ ("fixed-overhead", Tp_hw.Bounds.switch_fixed_overhead);
     ("switch-footprint", sweep footprint_bytes) ]
-  @ flushes
-  @ (if cfg.Config.flush_tlb then [ ("flush-tlb", Tp_hw.Bounds.tlb_flush_bound p) ] else [])
-  @ (if cfg.Config.flush_bp then [ ("flush-bp", Tp_hw.Bounds.bp_flush_bound p) ] else [])
-  @ (if cfg.Config.close_dram_rows then
-       [ ("dram-close", Domain_switch.dram_close_cost) ]
-     else [])
+  @ List.map
+      (fun step ->
+        (flush_component step, Tp_hw.Bounds.flush_step_bound ~coloured p step))
+      (Config.flush_plan p cfg)
   @
   if cfg.Config.prefetch_shared then
     [ ("prefetch-shared", sweep Layout.shared_bytes) ]
@@ -332,7 +325,11 @@ let lint_view v =
   end
   else if
     ndoms >= 2
-    && not (cfg.Config.flush_l1 && cfg.Config.flush_tlb && cfg.Config.flush_bp)
+    && not
+         (let plan = Config.flush_plan v.v_platform cfg in
+          (List.mem Tp_hw.Flush.L1_hw plan || List.mem Tp_hw.Flush.L1_manual plan)
+          && List.mem Tp_hw.Flush.Tlb plan
+          && List.mem Tp_hw.Flush.Bp plan)
   then
     add
       (Diag.error ~rule:rule_kernel_shared

@@ -61,14 +61,18 @@ let run p =
       total_us = us (direct + indirect);
     }
   in
+  (* Each row runs a configuration's switch-flush plan: the platform's
+     L1 flush (architected on Arm, the manual sweep on x86), and the
+     full-flush scenario's whole hierarchy + TLB + BP. *)
+  let plan cfg sys = Domain_switch.flush sys ~core:0 (Config.flush_plan p cfg) in
   let l1_row =
     mk_row "L1 only"
-      ~flush:(fun sys -> Domain_switch.l1_flush_cost sys ~core:0)
+      ~flush:(plan { Config.raw with Config.flush_l1 = true })
       ~ws_bytes:p.Tp_hw.Platform.l1d.Tp_hw.Cache.size
   in
   let full_row =
     mk_row "Full flush"
-      ~flush:(fun sys -> Domain_switch.full_flush_cost sys ~core:0)
+      ~flush:(plan (Config.full_flush p))
       ~ws_bytes:
         (min p.Tp_hw.Platform.llc.Tp_hw.Cache.size (8 * 1024 * 1024))
   in

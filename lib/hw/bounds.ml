@@ -79,16 +79,23 @@ let l1_flush_manual_bound ?coloured (p : Platform.t) =
   sweep_cycles ?coloured p ~bytes:p.Platform.l1d.Cache.size ()
   + sweep_cycles ~fetch:true ?coloured p ~bytes:p.Platform.l1i.Cache.size ()
 
-let l1_flush_bound ?coloured (p : Platform.t) =
-  if p.Platform.has_l1_flush_instr then l1_flush_hw_bound p
-  else l1_flush_manual_bound ?coloured p
-
 let l2_flush_bound (p : Platform.t) =
   match p.Platform.l2 with None -> 0 | Some g -> flush_cost ~dirty:true g
 
 let llc_flush_bound (p : Platform.t) = flush_cost ~dirty:true p.Platform.llc
 let tlb_flush_bound (_ : Platform.t) = Machine.tlb_flush_cost
 let bp_flush_bound (_ : Platform.t) = Machine.bp_flush_cost
+
+(* One switch-flush step's worst case: the bound of the operation
+   Machine.flush_step (or, for the manual L1 flush, the kernel) runs. *)
+let flush_step_bound ?coloured p = function
+  | Flush.L1_hw -> l1_flush_hw_bound p
+  | Flush.L1_manual -> l1_flush_manual_bound ?coloured p
+  | Flush.L2 -> l2_flush_bound p
+  | Flush.Llc -> llc_flush_bound p
+  | Flush.Tlb -> tlb_flush_bound p
+  | Flush.Bp -> bp_flush_bound p
+  | Flush.Dram_close -> Machine.dram_close_cost
 
 (* A demand access that allocates can evict a dirty victim at every
    cache level it passes through (Machine charges wb_cost_per_line per
@@ -110,7 +117,6 @@ let eviction_wb_bound (p : Platform.t) ~lines =
 let lock_cost = 30
 let timer_reprogram_cost = 60
 let return_cost = 40
-let dram_close_cost = 100
 
 (* Lock acquire + release, timer reprogram, return-from-kernel: the
    unconditional per-switch overhead outside any flush or sweep. *)

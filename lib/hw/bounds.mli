@@ -40,15 +40,10 @@ val sweep : ?fetch:bool -> ?coloured:bool -> Platform.t -> bytes:int -> unit -> 
 val sweep_cycles :
   ?fetch:bool -> ?coloured:bool -> Platform.t -> bytes:int -> unit -> int
 
-val l1_flush_bound : ?coloured:bool -> Platform.t -> int
-(** Worst-case L1 I+D flush: the architected flush (full occupancy,
-    dirty D side) when the platform has one, otherwise the x86 manual
-    sweep flush over the image's L1-sized buffers. *)
-
 val l1_flush_hw_bound : Platform.t -> int
-(** The architected L1 flush bound regardless of
-    [has_l1_flush_instr] — the full-flush ([wbinvd]) path uses it on
-    every platform. *)
+(** Worst-case architected L1 I+D flush: full occupancy, dirty D side.
+    Independent of [has_l1_flush_instr] — the full-flush ([wbinvd])
+    path uses it on every platform. *)
 
 val l1_flush_manual_bound : ?coloured:bool -> Platform.t -> int
 (** The manual load/jump displacement flush bound (§4.3). *)
@@ -62,6 +57,12 @@ val llc_flush_bound : Platform.t -> int
 val tlb_flush_bound : Platform.t -> int
 val bp_flush_bound : Platform.t -> int
 
+val flush_step_bound : ?coloured:bool -> Platform.t -> Flush.step -> int
+(** Worst-case cost of one switch-flush step: the matching bound
+    above, {!Machine.dram_close_cost} for [Dram_close].  [coloured]
+    only matters for [L1_manual], whose buffers live in the (coloured)
+    kernel image. *)
+
 val eviction_wb_bound : Platform.t -> lines:int -> int
 (** Worst-case dirty-victim write-back cost of [lines] demand accesses:
     each allocation can evict a dirty line at every level of the cache
@@ -71,8 +72,8 @@ val eviction_wb_bound : Platform.t -> lines:int -> int
 (** {2 Lifecycle cost table}
 
     The fixed cycle costs of the kernel lifecycle operations, shared
-    between the executing kernel ({!Tp_kernel.Domain_switch},
-    {!Tp_kernel.Clone} alias them) and the analytic envelopes
+    between the executing kernel ({!Tp_kernel.Domain_switch} and
+    {!Tp_kernel.Clone} charge them) and the analytic envelopes
     ({!Tp_analysis.Lint}, {!Tp_analysis.Kcert} sum them) — one table,
     so the certified bound cannot drift from the executed sequence. *)
 
@@ -84,9 +85,6 @@ val timer_reprogram_cost : int
 
 val return_cost : int
 (** Return-from-kernel trap overhead. *)
-
-val dram_close_cost : int
-(** Close all open DRAM rows (the pad's deterministic-DRAM step). *)
 
 val switch_fixed_overhead : int
 (** [2*lock + timer_reprogram + return]: the unconditional per-switch

@@ -41,6 +41,7 @@ let inval_cost_per_line = 5
 let wb_cost_per_line = 10
 let tlb_flush_cost = 200
 let bp_flush_cost = 400
+let dram_close_cost = 100
 let l2_tlb_hit_extra = 7
 let prefetch_issue_cost = 1
 
@@ -329,62 +330,52 @@ let flush_cache_cost cache =
   let dirty = Cache.flush cache in
   (lines * inval_cost_per_line) + (dirty * wb_cost_per_line)
 
-(* Account a hardware flush operation: counters plus (when tracing) a
-   span covering the cycles the flush occupied the core. *)
-let note_flush c ~core_id ~what cost =
-  Tp_obs.Counter.incr c.st_flush_ops;
-  Tp_obs.Counter.add c.st_flush_cycles cost;
-  if Tp_obs.Trace.enabled () then
-    Tp_obs.Trace.span ~core:core_id ~cat:"hw" ~name:what ~ts:c.cycles ~dur:cost
-      ()
-
-let flush_l1_hw t ~core:core_id =
+(* One switch-flush step.  Each hardware flush is accounted in the
+   counters plus (when tracing) an "hw" span covering the cycles it
+   occupied the core; the precharge-all is not a flush operation. *)
+let flush_step t ~core:core_id step =
   let c = core t core_id in
-  let cost = flush_cache_cost c.l1d + flush_cache_cost c.l1i in
-  note_flush c ~core_id ~what:"flush_l1" cost;
-  c.cycles <- c.cycles + cost;
-  cost
-
-let flush_l2_private t ~core:core_id =
-  let c = core t core_id in
-  match c.l2 with
-  | None -> 0
-  | Some l2 ->
-      let cost = flush_cache_cost l2 in
-      note_flush c ~core_id ~what:"flush_l2" cost;
-      c.cycles <- c.cycles + cost;
-      cost
-
-let flush_llc t ~core:core_id =
-  let c = core t core_id in
-  let cost = flush_cache_cost t.llc in
-  (* Inclusive hierarchy: private copies are gone too. *)
-  Array.iter
-    (fun cc ->
-      ignore (Cache.flush cc.l1d);
-      ignore (Cache.flush cc.l1i);
-      match cc.l2 with Some l2 -> ignore (Cache.flush l2) | None -> ())
-    t.cores;
-  note_flush c ~core_id ~what:"flush_llc" cost;
-  c.cycles <- c.cycles + cost;
-  cost
-
-let flush_tlbs t ~core:core_id =
-  let c = core t core_id in
-  Tlb.flush_all c.itlb;
-  Tlb.flush_all c.dtlb;
-  Tlb.flush_all c.l2tlb;
-  note_flush c ~core_id ~what:"flush_tlbs" tlb_flush_cost;
-  c.cycles <- c.cycles + tlb_flush_cost;
-  tlb_flush_cost
-
-let flush_branch_predictor t ~core:core_id =
-  let c = core t core_id in
-  Btb.flush c.btb;
-  Bhb.flush c.bhb;
-  note_flush c ~core_id ~what:"flush_bp" bp_flush_cost;
-  c.cycles <- c.cycles + bp_flush_cost;
-  bp_flush_cost
+  let charge what cost =
+    Tp_obs.Counter.incr c.st_flush_ops;
+    Tp_obs.Counter.add c.st_flush_cycles cost;
+    if Tp_obs.Trace.enabled () then
+      Tp_obs.Trace.span ~core:core_id ~cat:"hw" ~name:what ~ts:c.cycles
+        ~dur:cost ();
+    c.cycles <- c.cycles + cost;
+    cost
+  in
+  match step with
+  | Flush.L1_hw ->
+      charge "flush_l1" (flush_cache_cost c.l1d + flush_cache_cost c.l1i)
+  | Flush.L1_manual ->
+      invalid_arg "Machine.flush_step: the manual L1 flush is a kernel step"
+  | Flush.L2 -> (
+      match c.l2 with
+      | None -> 0
+      | Some l2 -> charge "flush_l2" (flush_cache_cost l2))
+  | Flush.Llc ->
+      let cost = flush_cache_cost t.llc in
+      (* Inclusive hierarchy: private copies are gone too. *)
+      Array.iter
+        (fun cc ->
+          ignore (Cache.flush cc.l1d);
+          ignore (Cache.flush cc.l1i);
+          match cc.l2 with Some l2 -> ignore (Cache.flush l2) | None -> ())
+        t.cores;
+      charge "flush_llc" cost
+  | Flush.Tlb ->
+      Tlb.flush_all c.itlb;
+      Tlb.flush_all c.dtlb;
+      Tlb.flush_all c.l2tlb;
+      charge "flush_tlbs" tlb_flush_cost
+  | Flush.Bp ->
+      Btb.flush c.btb;
+      Bhb.flush c.bhb;
+      charge "flush_bp" bp_flush_cost
+  | Flush.Dram_close ->
+      Dram.close_all t.dram;
+      c.cycles <- c.cycles + dram_close_cost;
+      dram_close_cost
 
 let l1d t ~core:i = (core t i).l1d
 let l1i t ~core:i = (core t i).l1i

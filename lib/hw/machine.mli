@@ -78,24 +78,17 @@ val clflush : t -> core:int -> paddr:int -> int
     ISAs — which is what makes Flush+Reload and DRAMA-style attacks
     practical. *)
 
-val flush_l1_hw : t -> core:int -> int
-(** Architected L1 I+D flush (Arm DCCISW/ICIALLU).  Returns the cycles
-    consumed (invalidate cost + write-back of dirty lines), already
-    added to the clock.  Only meaningful when the platform
-    [has_l1_flush_instr]. *)
-
-val flush_l2_private : t -> core:int -> int
-(** Flush the core's private L2 if it has one (part of a full flush). *)
-
-val flush_llc : t -> core:int -> int
-(** Write back and invalidate the shared LLC (the expensive part of
-    x86 [wbinvd]); also back-invalidates all cores' private caches. *)
-
-val flush_tlbs : t -> core:int -> int
-(** Full TLB invalidation (TLBIALL / invpcid). *)
-
-val flush_branch_predictor : t -> core:int -> int
-(** BTB + BHB reset (x86 IBC / Arm BPIALL). *)
+val flush_step : t -> core:int -> Flush.step -> int
+(** Perform one switch-flush step on [core]: the architected L1 I+D
+    flush (Arm DCCISW/ICIALLU), the private-L2 flush (0 without one),
+    the LLC write-back + invalidate that also back-invalidates every
+    core's private caches (x86 [wbinvd]), full TLB invalidation
+    (TLBIALL / invpcid), BTB + BHB reset (x86 IBC / Arm BPIALL), or the
+    hypothetical DRAM precharge-all ({!dram_close_cost}).  Cache flushes
+    cost per capacity line plus write-back per dirty line.  Returns the
+    cycles consumed, already added to the clock.  Raises
+    [Invalid_argument] on [L1_manual], a kernel-layer step that needs
+    the kernel image's flush buffers. *)
 
 (** {1 Component access (kernel model, tests, diagnostics)} *)
 
@@ -170,6 +163,9 @@ val tlb_flush_cost : int
 
 val bp_flush_cost : int
 (** Fixed cost of a branch-predictor (BTB + BHB) reset. *)
+
+val dram_close_cost : int
+(** Fixed cost of the hypothetical all-banks DRAM precharge. *)
 
 val prefetch_issue_cost : int
 (** Cycles charged to the demand stream per prefetch issued. *)

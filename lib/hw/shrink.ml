@@ -106,64 +106,11 @@ let schedules ~domains ~horizon =
 (* ------------------------------------------------------------------ *)
 (* Machine-level switch scrub                                          *)
 
-type scrub = {
-  sc_flush_l1 : bool;
-  sc_flush_l2 : bool;
-  sc_flush_llc : bool;
-  sc_flush_tlb : bool;
-  sc_flush_bp : bool;
-  sc_close_dram : bool;
-}
+let apply m ~core plan =
+  List.fold_left (fun acc step -> acc + Machine.flush_step m ~core step) 0 plan
 
-let no_scrub =
-  {
-    sc_flush_l1 = false;
-    sc_flush_l2 = false;
-    sc_flush_llc = false;
-    sc_flush_tlb = false;
-    sc_flush_bp = false;
-    sc_close_dram = false;
-  }
-
-(* Same fixed cost Tp_kernel.Domain_switch charges for the hypothetical
-   precharge-all operation, read from the shared lifecycle cost table. *)
-let dram_close_cost = Bounds.dram_close_cost
-
-let apply m ~core s =
-  let cost = ref 0 in
-  (* Mirrors Tp_kernel.Domain_switch: a full-hierarchy flush runs
-     L1 + private L2 + LLC in order, otherwise the requested private
-     levels are flushed individually.  At machine scope the architected
-     L1 flush is used unconditionally — the x86 manual-flush sequence
-     is a kernel-layer construction. *)
-  if s.sc_flush_llc then begin
-    cost := !cost + Machine.flush_l1_hw m ~core;
-    cost := !cost + Machine.flush_l2_private m ~core;
-    cost := !cost + Machine.flush_llc m ~core
-  end
-  else begin
-    if s.sc_flush_l1 then cost := !cost + Machine.flush_l1_hw m ~core;
-    if s.sc_flush_l2 then cost := !cost + Machine.flush_l2_private m ~core
-  end;
-  if s.sc_flush_tlb then cost := !cost + Machine.flush_tlbs m ~core;
-  if s.sc_flush_bp then cost := !cost + Machine.flush_branch_predictor m ~core;
-  if s.sc_close_dram then begin
-    Dram.close_all (Machine.dram m);
-    Machine.add_cycles m ~core dram_close_cost;
-    cost := !cost + dram_close_cost
-  end;
-  !cost
-
-let bound (p : Platform.t) s =
-  (if s.sc_flush_llc then
-     Bounds.l1_flush_hw_bound p + Bounds.l2_flush_bound p
-     + Bounds.llc_flush_bound p
-   else
-     (if s.sc_flush_l1 then Bounds.l1_flush_hw_bound p else 0)
-     + if s.sc_flush_l2 then Bounds.l2_flush_bound p else 0)
-  + (if s.sc_flush_tlb then Bounds.tlb_flush_bound p else 0)
-  + (if s.sc_flush_bp then Bounds.bp_flush_bound p else 0)
-  + if s.sc_close_dram then dram_close_cost else 0
+let bound p plan =
+  List.fold_left (fun acc step -> acc + Bounds.flush_step_bound p step) 0 plan
 
 (* ------------------------------------------------------------------ *)
 (* Machine-level lifecycle operations                                  *)
@@ -201,7 +148,7 @@ let destroy_op m ~core ~asid ~barrier =
     !cost
     + Machine.access m ~core ~asid ~vaddr:barrier ~paddr:barrier
         ~kind:Defs.Write ();
-  cost := !cost + Machine.flush_tlbs m ~core;
+  cost := !cost + Machine.flush_step m ~core Flush.Tlb;
   Machine.add_cycles m ~core Bounds.ipi_cost;
   cost := !cost + Bounds.ipi_cost;
   !cost

@@ -38,34 +38,21 @@ val schedules : domains:int -> horizon:int -> string list
 
 (** {1 Switch scrub}
 
-    The machine-level image of the domain-switch flush sequence:
-    which state the switch scrubs, as plain flags (lib/hw cannot see
-    {!Tp_kernel.Config}). *)
+    The machine-level image of the domain-switch flush: a
+    switch-flush plan ({!Flush.step} list, built by
+    [Tp_kernel.Config.flush_plan]) run on the shrunken machine. *)
 
-type scrub = {
-  sc_flush_l1 : bool;
-  sc_flush_l2 : bool;
-  sc_flush_llc : bool;  (** covers the whole inclusive hierarchy *)
-  sc_flush_tlb : bool;
-  sc_flush_bp : bool;
-  sc_close_dram : bool;  (** hypothetical precharge-all *)
-}
+val apply : Machine.t -> core:int -> Flush.step list -> int
+(** Run the plan's steps in order with {!Machine.flush_step}; returns
+    the cycles charged.  Raises [Invalid_argument] on [L1_manual]
+    (a kernel-layer step: callers map it to [L1_hw] at machine
+    scope). *)
 
-val no_scrub : scrub
-
-val dram_close_cost : int
-(** Fixed cost of the precharge-all, matching
-    [Tp_kernel.Domain_switch.dram_close_cost]. *)
-
-val apply : Machine.t -> core:int -> scrub -> int
-(** Perform the scrub on the machine; returns the cycles charged.
-    Mirrors [Tp_kernel.Domain_switch]'s flush ordering ([flush_llc]
-    subsumes the private levels). *)
-
-val bound : Platform.t -> scrub -> int
-(** Worst-case cost of {!apply} from {!Bounds}: dominates the exact
-    cost of any scrub on any reachable machine state (the
-    Bounds-domination property test exercises this). *)
+val bound : Platform.t -> Flush.step list -> int
+(** Worst-case cost of {!apply}: the sum of {!Bounds.flush_step_bound}
+    over the plan.  Dominates the exact cost from any reachable
+    machine state (the Bounds-domination property test exercises
+    this). *)
 
 (** {1 Lifecycle operations}
 

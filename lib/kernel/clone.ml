@@ -230,7 +230,7 @@ let teardown sys ~core ki ~charge =
           Tp_hw.Machine.add_cycles m ~core ipi_cost;
           Tp_hw.Machine.add_cycles m ~core:c ipi_cost
         end;
-        ignore (Tp_hw.Machine.flush_tlbs m ~core:c);
+        ignore (Tp_hw.Machine.flush_step m ~core:c Tp_hw.Flush.Tlb);
         let pc = System.per_core sys c in
         pc.System.cur_kernel <- System.initial_kernel sys;
         pc.System.cur_thread <- (System.initial_kernel sys).Types.ki_idle;

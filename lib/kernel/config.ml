@@ -69,6 +69,55 @@ let full_flush _p =
     cat_llc = false;
   }
 
+(* The switch-flush plan: the one place the flush fields are read to
+   pick switch steps.  [flush_llc] (wbinvd) covers L1 + L2 + LLC and
+   takes precedence; otherwise the L1 flush is the architected one
+   where the ISA has it and the x86 manual sweep where it does not,
+   and the private L2 is flushed only alongside it. *)
+let flush_plan (p : Tp_hw.Platform.t) c =
+  let caches =
+    if c.flush_llc then Tp_hw.Flush.[ L1_hw; L2; Llc ]
+    else if c.flush_l1 then
+      (if p.Tp_hw.Platform.has_l1_flush_instr then Tp_hw.Flush.L1_hw
+       else Tp_hw.Flush.L1_manual)
+      :: (if c.flush_l2 then [ Tp_hw.Flush.L2 ] else [])
+    else []
+  in
+  caches
+  @ (if c.flush_tlb then [ Tp_hw.Flush.Tlb ] else [])
+  @ (if c.flush_bp then [ Tp_hw.Flush.Bp ] else [])
+  @ if c.close_dram_rows then [ Tp_hw.Flush.Dram_close ] else []
+
+type mechanism = { key : string; get : t -> bool; set : t -> bool -> t }
+
+let mechanisms =
+  [
+    { key = "colour_user"; get = (fun c -> c.colour_user);
+      set = (fun c b -> { c with colour_user = b }) };
+    { key = "clone_kernel"; get = (fun c -> c.clone_kernel);
+      set = (fun c b -> { c with clone_kernel = b }) };
+    { key = "flush_l1"; get = (fun c -> c.flush_l1);
+      set = (fun c b -> { c with flush_l1 = b }) };
+    { key = "flush_tlb"; get = (fun c -> c.flush_tlb);
+      set = (fun c b -> { c with flush_tlb = b }) };
+    { key = "flush_bp"; get = (fun c -> c.flush_bp);
+      set = (fun c b -> { c with flush_bp = b }) };
+    { key = "flush_l2"; get = (fun c -> c.flush_l2);
+      set = (fun c b -> { c with flush_l2 = b }) };
+    { key = "flush_llc"; get = (fun c -> c.flush_llc);
+      set = (fun c b -> { c with flush_llc = b }) };
+    { key = "disable_prefetcher"; get = (fun c -> c.disable_prefetcher);
+      set = (fun c b -> { c with disable_prefetcher = b }) };
+    { key = "partition_irqs"; get = (fun c -> c.partition_irqs);
+      set = (fun c b -> { c with partition_irqs = b }) };
+    { key = "prefetch_shared"; get = (fun c -> c.prefetch_shared);
+      set = (fun c b -> { c with prefetch_shared = b }) };
+    { key = "close_dram_rows"; get = (fun c -> c.close_dram_rows);
+      set = (fun c b -> { c with close_dram_rows = b }) };
+    { key = "cat_llc"; get = (fun c -> c.cat_llc);
+      set = (fun c b -> { c with cat_llc = b }) };
+  ]
+
 (* One-step strengthenings of a configuration: each disabled mechanism
    enabled on its own.  Enabling a flush can raise the worst-case
    switch cost, so "more protection" only means "no more leakage" if
@@ -82,22 +131,6 @@ let strengthen ?(pad_for = fun _ -> 0) c =
   let repad d =
     { d with pad_cycles = max d.pad_cycles (max c.pad_cycles (pad_for d)) }
   in
-  let flips =
-    [
-      (c.colour_user, fun d -> { d with colour_user = true });
-      (c.clone_kernel, fun d -> { d with clone_kernel = true });
-      (c.flush_l1, fun d -> { d with flush_l1 = true });
-      (c.flush_tlb, fun d -> { d with flush_tlb = true });
-      (c.flush_bp, fun d -> { d with flush_bp = true });
-      (c.flush_l2, fun d -> { d with flush_l2 = true });
-      (c.flush_llc, fun d -> { d with flush_llc = true });
-      (c.disable_prefetcher, fun d -> { d with disable_prefetcher = true });
-      (c.partition_irqs, fun d -> { d with partition_irqs = true });
-      (c.prefetch_shared, fun d -> { d with prefetch_shared = true });
-      (c.close_dram_rows, fun d -> { d with close_dram_rows = true });
-      (c.cat_llc, fun d -> { d with cat_llc = true });
-    ]
-  in
   let padded =
     if c.pad_cycles < pad_for c then
       [ { c with pad_cycles = pad_for c } ]
@@ -105,28 +138,5 @@ let strengthen ?(pad_for = fun _ -> 0) c =
   in
   padded
   @ List.filter_map
-      (fun (already, flip) -> if already then None else Some (repad (flip c)))
-      flips
-
-let pp ppf c =
-  let flag name b = if b then Some name else None in
-  let flags =
-    List.filter_map Fun.id
-      [
-        flag "colour" c.colour_user;
-        flag "clone" c.clone_kernel;
-        flag "flush-L1" c.flush_l1;
-        flag "flush-TLB" c.flush_tlb;
-        flag "flush-BP" c.flush_bp;
-        flag "flush-L2" c.flush_l2;
-        flag "flush-LLC" c.flush_llc;
-        flag "no-prefetcher" c.disable_prefetcher;
-        flag "irq-partition" c.partition_irqs;
-        flag "prefetch-shared" c.prefetch_shared;
-        flag "close-dram-rows" c.close_dram_rows;
-        flag "cat-llc" c.cat_llc;
-        (if c.pad_cycles > 0 then Some (Printf.sprintf "pad=%d" c.pad_cycles)
-         else None);
-      ]
-  in
-  Format.fprintf ppf "{%s}" (String.concat " " flags)
+      (fun m -> if m.get c then None else Some (repad (m.set c true)))
+      mechanisms

@@ -39,20 +39,6 @@ let stats_key : stats Domain.DLS.key =
 let stats () = Domain.DLS.get stats_key
 let counters () = (stats ()).st
 
-(* Fixed switch-step costs, read from the shared lifecycle table in
-   Tp_hw.Bounds — the same table the analytic envelope sums, so the
-   executed sequence and the certified bound cannot drift. *)
-let lock_cost = Tp_hw.Bounds.lock_cost
-let timer_reprogram_cost = Tp_hw.Bounds.timer_reprogram_cost
-let return_cost = Tp_hw.Bounds.return_cost
-let dram_close_cost = Tp_hw.Bounds.dram_close_cost
-
-(* Cycles the switch path always spends outside memory traffic: lock
-   acquire + release (steps 1 and 6), timer reprogramming (step 11) and
-   the user return (step 12).  Exported for the linter's analytic
-   worst-case switch bound. *)
-let fixed_overhead_cycles = Tp_hw.Bounds.switch_fixed_overhead
-
 (* x86 "manual" L1 flush (§4.3): the kernel loads one word per line of
    an L1-D-sized buffer, then follows a chain of jumps through an
    L1-I-sized buffer (each chained jump is BTB-mispredicted, which is
@@ -86,55 +72,22 @@ let manual_l1_flush sys ~core ki =
   done;
   System.now sys ~core - start
 
-let l1_flush_cost sys ~core =
-  let p = System.platform sys in
+(* Run a switch-flush plan in order.  Hardware steps are the
+   machine's; the manual L1 flush is the kernel's, through the current
+   kernel's flush buffers.  The manual flush displaces rather than
+   invalidates: after the loop the L1 holds exactly the flush buffer —
+   deterministic content, which is all the defence needs. *)
+let flush sys ~core plan =
   let m = System.machine sys in
-  if p.Tp_hw.Platform.has_l1_flush_instr then Tp_hw.Machine.flush_l1_hw m ~core
-  else begin
-    (* The manual flush displaces rather than invalidates: after the
-       loop the L1 holds exactly the flush buffer — deterministic
-       content, which is all the defence needs. *)
-    let ki = (System.per_core sys core).System.cur_kernel in
-    manual_l1_flush sys ~core ki
-  end
-
-let full_flush_cost sys ~core =
-  let m = System.machine sys in
-  let c1 = Tp_hw.Machine.flush_l1_hw m ~core in
-  let c2 = Tp_hw.Machine.flush_l2_private m ~core in
-  let c3 = Tp_hw.Machine.flush_llc m ~core in
-  let c4 = Tp_hw.Machine.flush_tlbs m ~core in
-  let c5 = Tp_hw.Machine.flush_branch_predictor m ~core in
-  c1 + c2 + c3 + c4 + c5
-
-let do_flushes sys ~core ki =
-  let cfg = System.cfg sys in
-  let m = System.machine sys in
-  let p = System.platform sys in
-  let acc = ref 0 in
-  if cfg.Config.flush_llc then begin
-    (* wbinvd covers the whole hierarchy in one go. *)
-    acc := !acc + Tp_hw.Machine.flush_l1_hw m ~core;
-    acc := !acc + Tp_hw.Machine.flush_l2_private m ~core;
-    acc := !acc + Tp_hw.Machine.flush_llc m ~core
-  end
-  else if cfg.Config.flush_l1 then begin
-    if p.Tp_hw.Platform.has_l1_flush_instr then
-      acc := !acc + Tp_hw.Machine.flush_l1_hw m ~core
-    else acc := !acc + manual_l1_flush sys ~core ki;
-    if cfg.Config.flush_l2 then acc := !acc + Tp_hw.Machine.flush_l2_private m ~core
-  end;
-  if cfg.Config.flush_tlb then acc := !acc + Tp_hw.Machine.flush_tlbs m ~core;
-  if cfg.Config.flush_bp then
-    acc := !acc + Tp_hw.Machine.flush_branch_predictor m ~core;
-  if cfg.Config.close_dram_rows then begin
-    (* Hypothetical hardware support: precharge all banks so row-buffer
-       state cannot cross the switch (no current ISA offers this). *)
-    Tp_hw.Dram.close_all (Tp_hw.Machine.dram m);
-    acc := !acc + dram_close_cost;
-    Tp_hw.Machine.add_cycles m ~core dram_close_cost
-  end;
-  !acc
+  List.fold_left
+    (fun acc step ->
+      acc
+      +
+      match step with
+      | Tp_hw.Flush.L1_manual ->
+          manual_l1_flush sys ~core (System.per_core sys core).System.cur_kernel
+      | step -> Tp_hw.Machine.flush_step m ~core step)
+    0 plan
 
 let prefetch_shared sys ~core =
   List.iter
@@ -162,7 +115,7 @@ let switch sys ~core ~to_ =
   pc.System.last_tick_start <- t0;
   (* 1. acquire the kernel lock *)
   ignore (System.touch_shared sys ~core Layout.Big_lock ~kind:Tp_hw.Defs.Write ());
-  Tp_hw.Machine.add_cycles m ~core lock_cost;
+  Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.lock_cost;
   (* 2. process the timer tick normally *)
   ignore
     (System.touch_image sys ~core from_kernel ~region:System.Text
@@ -229,14 +182,17 @@ let switch sys ~core ~to_ =
   to_.Types.t_state <- Types.Ts_running;
   (* 6. release the kernel lock *)
   ignore (System.touch_shared sys ~core Layout.Big_lock ~kind:Tp_hw.Defs.Write ());
-  Tp_hw.Machine.add_cycles m ~core lock_cost;
+  Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.lock_cost;
   (* 7. unmask the interrupts of the new kernel *)
   if protect then
     ignore
       (System.touch_shared sys ~core Layout.Irq_tables ~len:256
          ~kind:Tp_hw.Defs.Write ());
   (* 8. flush on-core microarchitectural state *)
-  let flush = if protect then do_flushes sys ~core to_kernel else 0 in
+  let flush =
+    if protect then flush sys ~core (Config.flush_plan (System.platform sys) cfg)
+    else 0
+  in
   (* 9. pre-fetch shared kernel data (Requirement 3) *)
   if protect && cfg.Config.prefetch_shared then prefetch_shared sys ~core;
   (* 10. poll the cycle counter until the configured latency has
@@ -257,9 +213,9 @@ let switch sys ~core ~to_ =
   (* 11. reprogram the timer interrupt *)
   ignore
     (System.touch_shared sys ~core Layout.Irq_tables ~len:64 ~kind:Tp_hw.Defs.Write ());
-  Tp_hw.Machine.add_cycles m ~core timer_reprogram_cost;
+  Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.timer_reprogram_cost;
   (* 12. restore the user stack pointer and return *)
-  Tp_hw.Machine.add_cycles m ~core return_cost;
+  Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.return_cost;
   let total = System.now sys ~core - t0 in
   if kernel_switched then Klog.switch ~core ~from_kernel ~to_kernel ~total;
   let padded = protect && from_kernel.Types.ki_pad_cycles > 0 in

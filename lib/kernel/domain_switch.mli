@@ -28,15 +28,6 @@ type cost = {
   kernel_switched : bool;
 }
 
-val fixed_overhead_cycles : int
-(** Cycles the switch path always spends outside memory traffic (lock
-    acquire/release, timer reprogramming, user return) — a component
-    of the linter's analytic worst-case switch bound. *)
-
-val dram_close_cost : int
-(** Fixed cost charged for the hypothetical all-banks DRAM precharge
-    ([close_dram_rows]). *)
-
 val counters : unit -> Tp_obs.Counter.set
 (** The switch-path performance-counter set (["kernel.switch"]:
     switches, kernel_switches, protected, flush_cycles,
@@ -50,12 +41,9 @@ val switch : System.t -> core:int -> to_:Types.tcb -> cost
     kernel), running whatever protection steps the configuration and
     the domain crossing require. *)
 
-val l1_flush_cost : System.t -> core:int -> int
-(** Perform just the platform's L1 flush operation (hardware flush on
-    Arm, the "manual" load/jump flush on x86) and return its cost —
-    the Table 2 measurement primitive.  Uses the current kernel's
-    flush buffers. *)
-
-val full_flush_cost : System.t -> core:int -> int
-(** Perform the maximal architected flush (whole hierarchy + TLB + BP)
-    and return its cost (Table 2, "full flush" row). *)
+val flush : System.t -> core:int -> Tp_hw.Flush.step list -> int
+(** Run a switch-flush plan ({!Config.flush_plan}) on [core], as step 8
+    of {!switch} does, and return its cost.  [L1_manual] sweeps the
+    current kernel's flush buffers; every other step is
+    {!Tp_hw.Machine.flush_step}.  Also the Table 2 measurement
+    primitive. *)

@@ -215,15 +215,23 @@ let qcheck_strengthen_monotone =
 (* ------------------------------------------------------------------ *)
 (* Shrink: scrub cost domination (QCheck) *)
 
-let scrub_of_bits bits =
-  {
-    Shrink.sc_flush_l1 = bits land 1 <> 0;
-    sc_flush_l2 = bits land 2 <> 0;
-    sc_flush_llc = bits land 4 <> 0;
-    sc_flush_tlb = bits land 8 <> 0;
-    sc_flush_bp = bits land 16 <> 0;
-    sc_close_dram = bits land 32 <> 0;
-  }
+(* Machine-scope plans: every step but the kernel-layer manual L1
+   flush, in any order and multiplicity. *)
+let machine_steps = Tp_hw.Flush.[ L1_hw; L2; Llc; Tlb; Bp; Dram_close ]
+
+let step_name = function
+  | Tp_hw.Flush.L1_hw -> "L1_hw"
+  | Tp_hw.Flush.L1_manual -> "L1_manual"
+  | Tp_hw.Flush.L2 -> "L2"
+  | Tp_hw.Flush.Llc -> "Llc"
+  | Tp_hw.Flush.Tlb -> "Tlb"
+  | Tp_hw.Flush.Bp -> "Bp"
+  | Tp_hw.Flush.Dram_close -> "Dram_close"
+
+let arb_plan =
+  QCheck.make
+    ~print:(fun plan -> String.concat ";" (List.map step_name plan))
+    QCheck.Gen.(list_size (int_bound 6) (oneofl machine_steps))
 
 let qcheck_scrub_bound_dominates =
   let geometries = Shrink.variants haswell @ Shrink.variants sabre in
@@ -232,11 +240,10 @@ let qcheck_scrub_bound_dominates =
     QCheck.(
       triple
         (int_bound (List.length geometries - 1))
-        (int_bound 63) (small_list small_nat))
-    (fun (gi, sbits, activity) ->
+        arb_plan (small_list small_nat))
+    (fun (gi, plan, activity) ->
       let p = List.nth geometries gi in
       let m = Machine.create p in
-      let scrub = scrub_of_bits sbits in
       (* Dirty the machine with arbitrary traffic first: the bound must
          hold from every reachable state, including dirty lines (write
          backs) and populated TLBs/predictors. *)
@@ -259,16 +266,12 @@ let qcheck_scrub_bound_dominates =
                  ~paddr:(0x2000_0000 + (i mod 32 * 64))
                  ~taken:(n mod 2 = 0)))
         activity;
-      let cost = Shrink.apply m ~core:0 scrub in
-      let bound = Shrink.bound p scrub in
+      let cost = Shrink.apply m ~core:0 plan in
+      let bound = Shrink.bound p plan in
       if cost > bound then
         QCheck.Test.fail_reportf "%s: scrub cost %d > bound %d"
           p.Tp_hw.Platform.name cost bound
       else true)
-
-let test_dram_close_cost_consistent () =
-  Alcotest.(check int) "Shrink mirrors Domain_switch"
-    Domain_switch.dram_close_cost Shrink.dram_close_cost
 
 (* ------------------------------------------------------------------ *)
 (* Small-scope exhaustive noninterference *)
@@ -1062,6 +1065,129 @@ let test_kcert_artifact_deterministic () =
     (List.length (jlist (mem "steps" j)))
 
 (* ------------------------------------------------------------------ *)
+(* The switch-flush plan: certifiers agree, execution matches *)
+
+(* Every configuration one strengthening step from raw or protected,
+   plus the two bases themselves. *)
+let plan_lattice p =
+  List.concat_map
+    (fun base ->
+      base :: Config.strengthen ~pad_for:(Lint.pad_bound p) base)
+    [ Config.raw; Config.protected_ p ]
+
+let boot_config p cfg = Boot.boot ~platform:p ~config:cfg ()
+
+let config_label p cfg =
+  Printf.sprintf "%s {%s pad=%d}" p.Tp_hw.Platform.name
+    (String.concat " "
+       (List.filter_map
+          (fun m -> if m.Config.get cfg then Some m.Config.key else None)
+          Config.mechanisms))
+    cfg.Config.pad_cycles
+
+let test_flush_l2_alone_keeps_l2_open () =
+  (* [flush_l2] only flushes alongside [flush_l1]: on its own the
+     private L2 stays open, so its lines stay in the LLC-channel bound. *)
+  let llc_bits cfg =
+    (bound_of (Certify.certify_static (boot_config haswell cfg)) Certify.Llc)
+      .Certify.b_bits
+  in
+  Alcotest.(check int) "raw LLC bits" 135168 (llc_bits Config.raw);
+  Alcotest.(check int) "flush_l2 alone: same LLC bits" 135168
+    (llc_bits { Config.raw with Config.flush_l2 = true })
+
+let test_certifiers_agree_on_lattice () =
+  (* The static certifier (partition facts from the booted view) and
+     the kernel certifier (from the configuration) must close the same
+     channels.  The outer-cache channel is compared by its bits, which
+     both compute per level with no coverage, so an L2 closed in one
+     and open in the other shows. *)
+  let closed_static c =
+    List.map
+      (fun b ->
+        ( Certify.channel_name b.Certify.b_channel,
+          b.Certify.b_scrubbed,
+          if b.Certify.b_channel = Certify.Llc then b.Certify.b_bits else 0 ))
+      c.Certify.c_bounds
+  in
+  let closed_kernel c =
+    List.map
+      (fun b ->
+        ( Certify.channel_name b.Kcert.kb_channel,
+          b.Kcert.kb_scrubbed,
+          if b.Kcert.kb_channel = Certify.Llc then b.Kcert.kb_bits else 0 ))
+      c.Kcert.k_bounds
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun cfg ->
+          Alcotest.(check (list (triple string bool int)))
+            (config_label p cfg)
+            (closed_kernel (Kcert.certify p ~config_name:"lattice" cfg))
+            (closed_static (Certify.certify_static (boot_config p cfg))))
+        (plan_lattice p))
+    Tp_hw.Platform.all
+
+(* The oracle: the hardware flush spans one real cross-domain switch
+   emits, against the plan.  The manual L1 flush is memory traffic, not
+   a flush operation, so it emits no span; nor does the DRAM
+   precharge; a platform without a private L2 has nothing to flush. *)
+let expected_spans (p : Tp_hw.Platform.t) plan =
+  List.filter_map
+    (function
+      | Tp_hw.Flush.L1_hw -> Some "flush_l1"
+      | Tp_hw.Flush.L2 -> if p.l2 = None then None else Some "flush_l2"
+      | Tp_hw.Flush.Llc -> Some "flush_llc"
+      | Tp_hw.Flush.Tlb -> Some "flush_tlbs"
+      | Tp_hw.Flush.Bp -> Some "flush_bp"
+      | Tp_hw.Flush.L1_manual | Tp_hw.Flush.Dram_close -> None)
+    plan
+
+let test_plan_matches_execution () =
+  let module Trace = Tp_obs.Trace in
+  Trace.start ~capacity:64 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.stop ();
+      Trace.clear ())
+    (fun () ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun cfg ->
+              let b = boot_config p cfg in
+              let sys = b.Boot.sys in
+              let spawn d =
+                let t = Boot.spawn b b.Boot.domains.(d) (fun _ -> ()) in
+                Sched.remove (System.sched sys) ~core:0 t;
+                t
+              in
+              let t0 = spawn 0 and t1 = spawn 1 in
+              ignore (Domain_switch.switch sys ~core:0 ~to_:t0);
+              let cost, events =
+                Trace.with_capture ~capacity:4096 (fun () ->
+                    Domain_switch.switch sys ~core:0 ~to_:t1)
+              in
+              let hw = List.filter (fun e -> e.Trace.cat = "hw") events in
+              let plan = Config.flush_plan p cfg in
+              let name = config_label p cfg in
+              Alcotest.(check (list string)) (name ^ " flush spans")
+                (expected_spans p plan)
+                (List.map (fun e -> e.Trace.name) hw);
+              (* Without the manual flush, the switch's flush cycles are
+                 exactly the spans plus the fixed precharge cost. *)
+              if not (List.mem Tp_hw.Flush.L1_manual plan) then
+                Alcotest.(check int) (name ^ " flush cycles")
+                  (List.fold_left (fun a e -> a + e.Trace.dur) 0 hw
+                  + if List.mem Tp_hw.Flush.Dram_close plan then
+                      Machine.dram_close_cost
+                    else 0)
+                  cost.Domain_switch.flush)
+            (plan_lattice p))
+        Tp_hw.Platform.all)
+
+(* ------------------------------------------------------------------ *)
 (* Pinned static certificates *)
 
 (* What `tpsim certify --exhaustive` emits for one scenario — the
@@ -1144,8 +1270,6 @@ let suite =
       test_fixtures_protected_zero;
     QCheck_alcotest.to_alcotest qcheck_strengthen_monotone;
     QCheck_alcotest.to_alcotest qcheck_scrub_bound_dominates;
-    Alcotest.test_case "dram close cost consistent" `Quick
-      test_dram_close_cost_consistent;
     Alcotest.test_case "exhaustive: protected passes" `Quick
       test_exhaustive_protected_passes;
     Alcotest.test_case "exhaustive: raw counterexample" `Quick
@@ -1184,4 +1308,10 @@ let suite =
       test_kcert_artifact_deterministic;
     Alcotest.test_case "static certificates pinned" `Quick
       test_static_certs_pinned;
+    Alcotest.test_case "flush_l2 alone leaves the L2 open" `Quick
+      test_flush_l2_alone_keeps_l2_open;
+    Alcotest.test_case "certifiers close the same channels on the lattice"
+      `Quick test_certifiers_agree_on_lattice;
+    Alcotest.test_case "flush plan matches the executed switch" `Quick
+      test_plan_matches_execution;
   ]

@@ -251,10 +251,10 @@ let test_walk_latency_reflects_pt_cache_state () =
   let vs = d0.Boot.dom_vspace in
   (* Warm everything, then force a TLB miss with warm PT lines. *)
   ignore (System.user_access sys ~core:0 tcb ~vaddr:buf ~kind:Tp_hw.Defs.Read);
-  ignore (Tp_hw.Machine.flush_tlbs m ~core:0);
+  ignore (Tp_hw.Machine.flush_step m ~core:0 Tp_hw.Flush.Tlb);
   let warm_walk = System.user_access sys ~core:0 tcb ~vaddr:buf ~kind:Tp_hw.Defs.Read in
   (* Now also evict the PT lines before the walk. *)
-  ignore (Tp_hw.Machine.flush_tlbs m ~core:0);
+  ignore (Tp_hw.Machine.flush_step m ~core:0 Tp_hw.Flush.Tlb);
   ignore (Tp_hw.Machine.clflush m ~core:0 ~paddr:(Phys.frame_addr vs.Types.vs_root_pt));
   Hashtbl.iter
     (fun _ f -> ignore (Tp_hw.Machine.clflush m ~core:0 ~paddr:(Phys.frame_addr f)))

@@ -310,7 +310,7 @@ let test_machine_llc_back_invalidation () =
 let test_machine_flush_ops () =
   let m = Machine.create Platform.sabre in
   ignore (Machine.access m ~core:0 ~asid:1 ~vaddr:0 ~paddr:0 ~kind:Defs.Write ());
-  let cost = Machine.flush_l1_hw m ~core:0 in
+  let cost = Machine.flush_step m ~core:0 Tp_hw.Flush.L1_hw in
   Alcotest.(check bool) "flush costs cycles" true (cost > 0);
   Alcotest.(check int) "L1D empty" 0 (Cache.valid_lines (Machine.l1d m ~core:0))
 
@@ -322,7 +322,7 @@ let test_machine_flush_cost_depends_on_dirtiness () =
         (Machine.access m ~core:0 ~asid:1 ~vaddr:(i * 32) ~paddr:(i * 32)
            ~kind:Defs.Write ())
     done;
-    Machine.flush_l1_hw m ~core:0
+    Machine.flush_step m ~core:0 Tp_hw.Flush.L1_hw
   in
   Alcotest.(check bool) "more dirty lines cost more" true (mk_dirty 512 > mk_dirty 16)
 
