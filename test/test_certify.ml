@@ -1270,6 +1270,8 @@ let suite =
       test_fixtures_protected_zero;
     QCheck_alcotest.to_alcotest qcheck_strengthen_monotone;
     QCheck_alcotest.to_alcotest qcheck_scrub_bound_dominates;
+    Alcotest.test_case "flush plan matches the executed switch" `Quick
+      test_plan_matches_execution;
     Alcotest.test_case "exhaustive: protected passes" `Quick
       test_exhaustive_protected_passes;
     Alcotest.test_case "exhaustive: raw counterexample" `Quick
@@ -1312,6 +1314,4 @@ let suite =
       test_flush_l2_alone_keeps_l2_open;
     Alcotest.test_case "certifiers close the same channels on the lattice"
       `Quick test_certifiers_agree_on_lattice;
-    Alcotest.test_case "flush plan matches the executed switch" `Quick
-      test_plan_matches_execution;
   ]
