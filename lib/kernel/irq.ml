@@ -77,6 +77,14 @@ let next_timer t ~core =
     (fun acc tm -> Stdlib.min acc tm.tm_at)
     max_int !(t.timers.(core))
 
+let next_deliverable t ~core ~partitioned ~current =
+  List.fold_left
+    (fun acc tm ->
+      if deliverable t ~partitioned ~current tm.tm_irq then
+        Stdlib.min acc tm.tm_at
+      else acc)
+    max_int !(t.timers.(core))
+
 let drop_masked_race t ~core ~now =
   let ts = t.timers.(core) in
   ts := List.filter (fun tm -> tm.tm_at > now) !ts

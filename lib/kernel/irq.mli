@@ -54,6 +54,14 @@ val next_timer : t -> core:int -> int
     with no timer due before its end is interrupt-free, so replay
     need not model IRQ delivery. *)
 
+val next_deliverable :
+  t -> core:int -> partitioned:bool -> current:Types.kimage -> int
+(** Earliest fire time among the timers on [core] that {!pending}
+    would deliver to [current] ([max_int] if none).  Until the clock
+    reaches it, every {!pending} call with the same [partitioned] and
+    [current] returns [[]] and leaves the timers untouched — which is
+    what lets {!Uctx.idle_rest} skip straight to it. *)
+
 val drop_masked_race : t -> core:int -> now:int -> unit
 (** Model of the §4.3 x86 mask race resolution: after masking, probe
     and acknowledge any interrupt already accepted by the CPU.  Drops

@@ -121,27 +121,43 @@ let remaining t =
   taint t;
   Stdlib.max 0 (t.slice_end - now_ t)
 
+(* Idle out the rest of the slice, polling for interrupts on
+   [idle_step]-cycle boundaries (the interrupt latency) — but only on
+   the first boundary at or after the earliest deliverable timer,
+   capped at the slice end: every poll skipped would have found
+   nothing to deliver, so the outcome is exactly that of polling every
+   boundary (see [idle_rest] in the interface). *)
+let idle_step = 1000
+
+let rec idle_out t =
+  let now = now_ t in
+  let left = t.slice_end - now in
+  if left > 0 then begin
+    let pc = System.per_core t.sys t.core in
+    let due =
+      Irq.next_deliverable (System.irq t.sys) ~core:t.core
+        ~partitioned:(System.cfg t.sys).Config.partition_irqs
+        ~current:pc.System.cur_kernel
+    in
+    let advance =
+      if due - now >= left then left
+      else
+        let steps = Stdlib.max 1 ((due - now + idle_step - 1) / idle_step) in
+        Stdlib.min left (steps * idle_step)
+    in
+    Tp_hw.Machine.add_cycles (System.machine t.sys) ~core:t.core advance
+  end;
+  (* Raises [Preempted] once the clock reaches the slice end. *)
+  post t;
+  idle_out t
+
 let idle_rest t =
   (* Idling has no machine effect beyond the clock, so the recording is
-     a single marker; replay collapses the whole span into one clock
-     advance. *)
+     a single marker; replay idles out the slice the same way. *)
   (match t.recorder with
   | Some r -> Tp_hw.Replay.append_idle r
   | None -> ());
-  (* Advance in interrupt-latency-sized steps so timers fire at the
-     right instant even while the thread sleeps. *)
-  let step = 1000 in
-  let rec go () =
-    let left = t.slice_end - now_ t in
-    if left <= 0 then (post t; raise Preempted)
-    else begin
-      Tp_hw.Machine.add_cycles (System.machine t.sys) ~core:t.core
-        (Stdlib.min step left);
-      post t;
-      go ()
-    end
-  in
-  go ()
+  idle_out t
 
 let replay t r =
   if not (Tp_hw.Replay.complete r) then false
@@ -160,15 +176,10 @@ let replay t r =
              ~asid:vs.Types.vs_asid ~llc_ways ~until:t.slice_end r
          with
         | `Done_idle ->
-            (* The recorded body idled out its slice; do the same in one
-               step, then run the normal end-of-slice post (which also
-               delivers any timer landing exactly on the boundary,
-               matching live idle_rest). *)
-            let left = t.slice_end - now_ t in
-            if left > 0 then
-              Tp_hw.Machine.add_cycles (System.machine t.sys) ~core:t.core left
-        | `Budget | `Incomplete -> ());
-        (* The clock is at or past the slice end either way. *)
-        post t;
-        (* Unreachable: [post] raises [Preempted] at the slice end. *)
-        true
+            (* The recorded body idled out its slice: the live idle path,
+               which here is a single jump to the slice end. *)
+            idle_out t
+        | `Budget | `Incomplete ->
+            (* The clock is at or past the slice end: [post] raises. *)
+            post t;
+            true)

@@ -56,8 +56,22 @@ val remaining : t -> int
 (** Cycles left in the current slice (never negative). *)
 
 val idle_rest : t -> unit
-(** Sleep until the end of the slice, still accepting interrupts at
-    their fire times; always raises {!Preempted} at the slice end. *)
+(** Sleep until the end of the slice, still accepting interrupts;
+    always raises {!Preempted} at the slice end.
+
+    The model polls for interrupts every 1000 cycles (the interrupt
+    latency), so a timer is delivered at the first poll at or after its
+    fire time.  Idling is event-driven but exact: it asks
+    {!Irq.next_deliverable} for the earliest timer the running kernel
+    would accept, advances the clock straight to the first 1000-cycle
+    boundary at or after it (capped at the slice end) and polls there.
+    Nothing but the clock moves while idling, and no skipped poll could
+    have delivered anything — a poll delivers only fired, deliverable
+    timers, and deliverability depends on the current kernel and the
+    IRQ routing, neither of which idling changes — so the clock, the
+    delivery order and instants, the timers left armed and the machine
+    state are exactly those of polling every step (a QCheck property in
+    [test/test_kernel.ml] checks this against the polling loop). *)
 
 (** {1 Record / replay}
 
@@ -81,6 +95,7 @@ val replay : t -> Tp_hw.Replay.t -> bool
     Returns [false] — caller must run the body live — if the stream is
     not {!Tp_hw.Replay.complete}, the thread has no vspace, or a timer
     is due within the slice (replay performs no mid-slice interrupt
-    delivery).  Otherwise replays to the slice boundary and raises
+    delivery).  Otherwise replays to the slice boundary — a recorded
+    {!idle_rest} goes through the same idle path as live — and raises
     {!Preempted} exactly as live execution would; it never returns
     [true] normally. *)

@@ -570,6 +570,142 @@ let test_uctx_timer_interrupts_online_time () =
   Exec.run_slices sys ~core:0 ~slice_cycles:100_000 ~slices:1 ();
   Alcotest.(check int) "exactly one mid-slice jump" 1 !jumps
 
+(* Event-driven idling: [Uctx.idle_rest] jumps from one interrupt
+   poll that can deliver something to the next.  The reference is the
+   step-by-step loop it replaced, kept only here: poll every 1000
+   cycles, delivering whatever has fired. *)
+let polling_idle sys ~slice_end =
+  let now () = System.now sys ~core:0 in
+  let post () =
+    let pc = System.per_core sys 0 in
+    List.iter
+      (fun irq -> Syscalls.handle_irq sys ~core:0 ~irq)
+      (Irq.pending (System.irq sys) ~core:0 ~now:(now ())
+         ~partitioned:(System.cfg sys).Config.partition_irqs
+         ~current:pc.System.cur_kernel);
+    if now () >= slice_end then raise Uctx.Preempted
+  in
+  let rec go () =
+    let left = slice_end - now () in
+    if left <= 0 then (post (); raise Uctx.Preempted)
+    else begin
+      Tp_hw.Machine.add_cycles (System.machine sys) ~core:0 (min 1000 left);
+      post ();
+      go ()
+    end
+  in
+  go ()
+
+(* Who a timer's IRQ is routed to: the running domain's kernel, the
+   other domain's (masked under partitioning), or nobody. *)
+type irq_owner = Own | Foreign | Unrouted
+
+(* When a timer fires, relative to the idle start or the slice end. *)
+type irq_due =
+  | Past of int
+  | Step of int  (** on the [n]th 1000-cycle boundary *)
+  | At_end
+  | Beyond of int
+  | Within of int
+
+let idle_case =
+  let open QCheck.Gen in
+  let owner = oneofl [ Own; Foreign; Unrouted ] in
+  let due =
+    oneof
+      [
+        map (fun d -> Past d) (int_range 0 5_000);
+        map (fun k -> Step k) (int_range 0 50);
+        return At_end;
+        map (fun d -> Beyond d) (int_range 1 5_000);
+        map (fun x -> Within x) (int_range 0 50_000);
+      ]
+  in
+  let print (partition, slice, timers) =
+    Printf.sprintf "partition=%b slice=%d timers=[%s]" partition slice
+      (String.concat "; "
+         (List.map
+            (fun (o, d) ->
+              Printf.sprintf "%s@%s"
+                (match o with Own -> "own" | Foreign -> "foreign" | Unrouted -> "unrouted")
+                (match d with
+                | Past d -> Printf.sprintf "now-%d" d
+                | Step k -> Printf.sprintf "step %d" k
+                | At_end -> "end"
+                | Beyond d -> Printf.sprintf "end+%d" d
+                | Within x -> Printf.sprintf "now+%d" x))
+            timers))
+  in
+  QCheck.make ~print
+    (triple bool
+       (oneof [ return 0; int_range 1 50_000 ])
+       (list_size (int_range 0 6) (pair owner due)))
+
+(* Idle out a slice of [slice] cycles on a protected haswell system
+   (partitioning as drawn) with the drawn timers armed, and return
+   what idling leaves behind: the clock, the delivered IRQs with their
+   delivery instants, the timers still armed, and the machine state. *)
+let idle_outcome (partition, slice, timers) idle =
+  let config = { (Config.protected_ haswell) with Config.partition_irqs = partition } in
+  let b = Boot.boot ~platform:haswell ~config ~domains:2 () in
+  let sys = b.Boot.sys in
+  let d0 = b.Boot.domains.(0) and d1 = b.Boot.domains.(1) in
+  let tcb = Boot.spawn b d0 (fun _ -> ()) in
+  Sched.remove (System.sched sys) ~core:0 tcb;
+  ignore (Domain_switch.switch sys ~core:0 ~to_:tcb);
+  let now0 = System.now sys ~core:0 in
+  let slice_end = now0 + slice in
+  List.iteri
+    (fun i (owner, due) ->
+      let irq = i + 1 in
+      (match owner with
+      | Own -> Clone.set_int sys ~image:d0.Boot.dom_kernel_cap ~irq
+      | Foreign -> Clone.set_int sys ~image:d1.Boot.dom_kernel_cap ~irq
+      | Unrouted -> ());
+      let at =
+        match due with
+        | Past d -> now0 - d
+        | Step k -> now0 + (k * 1000)
+        | At_end -> slice_end
+        | Beyond d -> slice_end + d
+        | Within x -> now0 + x
+      in
+      Irq.arm_timer (System.irq sys) ~core:0 ~irq ~at)
+    timers;
+  (* The IRQ handler reads the IRQ's own table slot: the audit hook
+     sees every delivery, in order, with its clock. *)
+  let delivered = ref [] in
+  System.set_shared_audit sys
+    (Some
+       (fun region ~off ~len:_ ~kind:_ ->
+         if region = Layout.Irq_tables then
+           delivered := (off / 64, System.now sys ~core:0) :: !delivered));
+  (match idle sys tcb ~slice_end with
+  | () -> Alcotest.fail "idling returned without preemption"
+  | exception Uctx.Preempted -> ());
+  System.set_shared_audit sys None;
+  let clock = System.now sys ~core:0 in
+  let digest = Tp_hw.Machine.state_digest (System.machine sys) in
+  (* Each timer has its own IRQ, so draining the rest by fire time
+     identifies exactly which timers are still armed. *)
+  let armed =
+    Irq.pending (System.irq sys) ~core:0 ~now:max_int ~partitioned:false
+      ~current:(System.initial_kernel sys)
+  in
+  (clock, List.rev !delivered, armed, digest)
+
+let qcheck_idle_matches_polling =
+  QCheck.Test.make ~name:"idle_rest matches the 1000-cycle polling loop"
+    ~count:40 idle_case (fun case ->
+      let jumped =
+        idle_outcome case (fun sys tcb ~slice_end ->
+            Uctx.idle_rest (Uctx.make sys ~core:0 tcb ~slice_end))
+      in
+      let polled =
+        idle_outcome case (fun sys _ ~slice_end -> polling_idle sys ~slice_end)
+      in
+      jumped = polled)
+
 (* ------------------------------------------------------------------ *)
 (* IPC *)
 
@@ -702,4 +838,5 @@ let suite =
     Alcotest.test_case "ipc rendezvous" `Quick test_ipc_rendezvous_blocks_and_wakes;
     Alcotest.test_case "ipc arm colour-ready slower" `Quick
       test_ipc_global_mappings_cheaper_on_arm;
+    QCheck_alcotest.to_alcotest qcheck_idle_matches_polling;
   ]
