@@ -292,6 +292,49 @@ let cell_key ~code_rev (j : Protocol.job) c =
         string_of_int c.cl_trial;
       ]
 
+(* ---- kernel certificates, once per (platform, config) ------------ *)
+
+(* Stored with every trial, so a result can always be traced back to
+   the golden certificates it was measured under. *)
+type kcert_fields = {
+  kc_bits : int;
+  kc_digest : string;
+  kc_clone_digest : string;
+  kc_destroy_digest : string;
+}
+
+(* [Kcert.certify] is a pure function of (platform, config) but costs
+   milliseconds per path on x86, so each combination is certified once
+   per process and shared by every trial, like [stream_memo].  The
+   lock is held across the certification, and [Mutex.protect] releases
+   it if certification raises. *)
+let kcert_memo : (string * string, kcert_fields) Hashtbl.t = Hashtbl.create 16
+let kcert_memo_mu = Mutex.create ()
+
+let certify_kernel c =
+  let cfg = Scenario.config c.cl_kind c.cl_plat in
+  let kpath path =
+    Tp_analysis.Kcert.certify ~path c.cl_plat ~config_name:c.cl_config cfg
+  in
+  let switch = kpath Tp_analysis.Kcert.Switch in
+  {
+    kc_bits = Tp_analysis.Kcert.total_bits switch;
+    kc_digest = Tp_analysis.Kcert.digest switch;
+    kc_clone_digest = Tp_analysis.Kcert.digest (kpath Tp_analysis.Kcert.Clone);
+    kc_destroy_digest =
+      Tp_analysis.Kcert.digest (kpath Tp_analysis.Kcert.Destroy);
+  }
+
+let kcert_for c =
+  let key = (c.cl_platform, c.cl_config) in
+  Mutex.protect kcert_memo_mu (fun () ->
+      match Hashtbl.find_opt kcert_memo key with
+      | Some v -> v
+      | None ->
+          let v = certify_kernel c in
+          Hashtbl.replace kcert_memo key v;
+          v)
+
 let verdict_name = function
   | Tp_channel.Leakage.Leak -> "leak"
   | Tp_channel.Leakage.No_evidence -> "no-evidence"
@@ -339,16 +382,7 @@ let compute_cell (j : Protocol.job) c =
          | None -> ""))
   else
     let leak = Tp_channel.Leakage.test ~rng r.Harness.data in
-    (* The kernel lifecycle certificates for this cell, recomputed at
-       compute time (pure, sub-millisecond): the switch-path bound and
-       all three per-path digests are stored with the trial so a
-       result can always be traced back to the golden certificates and
-       code revision it was measured under. *)
-    let cfg = Scenario.config c.cl_kind c.cl_plat in
-    let kpath path =
-      Tp_analysis.Kcert.certify ~path c.cl_plat ~config_name:c.cl_config cfg
-    in
-    let kcert = kpath Tp_analysis.Kcert.Switch in
+    let kc = kcert_for c in
     Ok
       (Protocol.stored_of_trial
          {
@@ -365,12 +399,10 @@ let compute_cell (j : Protocol.job) c =
            t_verdict = verdict_name leak.Tp_channel.Leakage.verdict;
            t_n = n;
            t_cert_bits = Tp_analysis.Certify.total_bits r.Harness.cert;
-           t_kcert_bits = Tp_analysis.Kcert.total_bits kcert;
-           t_kcert_digest = Tp_analysis.Kcert.digest kcert;
-           t_kcert_clone_digest =
-             Tp_analysis.Kcert.digest (kpath Tp_analysis.Kcert.Clone);
-           t_kcert_destroy_digest =
-             Tp_analysis.Kcert.digest (kpath Tp_analysis.Kcert.Destroy);
+           t_kcert_bits = kc.kc_bits;
+           t_kcert_digest = kc.kc_digest;
+           t_kcert_clone_digest = kc.kc_clone_digest;
+           t_kcert_destroy_digest = kc.kc_destroy_digest;
            t_code_rev = code_rev ();
            t_degraded_reason = r.Harness.degraded_reason;
            t_recovered_faults = r.Harness.recovered_faults;

@@ -68,9 +68,24 @@ val compute_cell : Protocol.job -> cell -> (string, string) result
     stored blob, or [Error reason] for non-cacheable outcomes (wall
     timeout, empty collection).  The blob records the trial's certified
     leakage bounds — {!Tp_analysis.Certify.total_bits} of the harness
-    cert plus the kernel switch-path bound, certificate digest and
-    code rev ({!Tp_analysis.Kcert}) — so the drift monitor can compare
-    measured MI against them forever after. *)
+    cert plus the kernel certificate fields of {!kcert_for} — and the
+    code rev, so the drift monitor can compare measured MI against them
+    forever after. *)
+
+type kcert_fields = {
+  kc_bits : int;  (** {!Tp_analysis.Kcert.total_bits} of the switch path *)
+  kc_digest : string;  (** switch-path certificate digest *)
+  kc_clone_digest : string;
+  kc_destroy_digest : string;
+}
+(** The kernel lifecycle certificate fields stored with every trial. *)
+
+val kcert_for : cell -> kcert_fields
+(** The cell's kernel certificate fields: {!Tp_analysis.Kcert.certify}
+    of its (platform, config) on each path.  They depend on nothing
+    else, so each combination is certified once per process and
+    memoised (mutex-guarded: under [-j N] the first lookup certifies
+    and concurrent ones wait for it). *)
 
 val switch_path_channels : string list
 (** [kernel; flush]: the channels whose measurements exercise the

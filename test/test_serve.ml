@@ -600,6 +600,69 @@ let test_top_render () =
     "rate appears with a previous scrape" true
     (contains_sub frame2 "trials/s")
 
+(* ---- kernel certificate memo ------------------------------------ *)
+
+(* Two trials of one (platform, config) at -j 2: both workers' first
+   kernel-certificate lookups race on an empty memo entry — no other
+   test in this suite runs armv8 x no-prefetcher, and this test runs
+   before the one below fills the memo — and the job must still digest
+   exactly as at -j 1. *)
+let test_kcert_memo_race_par_eq_seq () =
+  let j =
+    P.job ~id:"kcert-race" ~platforms:[ "armv8" ] ~configs:[ "no-prefetcher" ]
+      ~channels:[ "l1d" ] ~trials:2 ~seed:5 ~samples:40 ~max_retries:0 ()
+  in
+  with_dir (fun dir ->
+      let digest ~jobs sub =
+        with_store (Filename.concat dir sub) (fun store ->
+            match E.run_job ~store ~jobs j with
+            | Error e -> Alcotest.fail e
+            | Ok r ->
+                Alcotest.(check string) "job complete" "complete"
+                  (P.status_name r.P.r_status);
+                r.P.r_digest)
+      in
+      let par = digest ~jobs:2 "par" in
+      Alcotest.(check string) "-j 2 digest = -j 1 digest" (digest ~jobs:1 "seq")
+        par)
+
+(* The memoised certificate fields are exactly what a direct
+   certification of each path gives, for every platform x config. *)
+let test_kcert_memo_matches_certify () =
+  let module K = Tp_analysis.Kcert in
+  List.iter
+    (fun (plat : Tp_hw.Platform.t) ->
+      List.iter
+        (fun (cslug, kind) ->
+          let c =
+            {
+              E.cl_platform = plat.Tp_hw.Platform.name;
+              cl_plat = plat;
+              cl_config = cslug;
+              cl_kind = kind;
+              cl_channel = "l1d";
+              cl_trial = 0;
+            }
+          in
+          let cfg = Tp_core.Scenario.config kind plat in
+          let cert path = K.certify ~path plat ~config_name:cslug cfg in
+          let switch = cert K.Switch in
+          let what = plat.Tp_hw.Platform.name ^ "/" ^ cslug in
+          (* Twice: the first lookup may certify, the second is a hit. *)
+          List.iter
+            (fun (kc : E.kcert_fields) ->
+              Alcotest.(check int) (what ^ " bits") (K.total_bits switch)
+                kc.E.kc_bits;
+              Alcotest.(check string) (what ^ " switch digest")
+                (K.digest switch) kc.E.kc_digest;
+              Alcotest.(check string) (what ^ " clone digest")
+                (K.digest (cert K.Clone)) kc.E.kc_clone_digest;
+              Alcotest.(check string) (what ^ " destroy digest")
+                (K.digest (cert K.Destroy)) kc.E.kc_destroy_digest)
+            [ E.kcert_for c; E.kcert_for c ])
+        E.config_slugs)
+    Tp_hw.Platform.[ haswell; sabre; armv8 ]
+
 let suite =
   [
     Alcotest.test_case "job wire round-trip" `Quick test_job_roundtrip;
@@ -634,4 +697,8 @@ let suite =
     Alcotest.test_case "top: exposition parse" `Quick test_top_parse;
     Alcotest.test_case "top: histogram quantiles" `Quick test_top_quantile;
     Alcotest.test_case "top: dashboard render" `Quick test_top_render;
+    Alcotest.test_case "kcert memo: racing first lookup, -j 2 = -j 1" `Quick
+      test_kcert_memo_race_par_eq_seq;
+    Alcotest.test_case "kcert memo matches direct certify" `Quick
+      test_kcert_memo_matches_certify;
   ]
