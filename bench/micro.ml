@@ -79,7 +79,7 @@ let bench_restore =
     (Staged.stage (fun () -> Tp_hw.Machine.restore m snap))
 
 (* Cost of one replayed op, amortised over a 64-access stream: the
-   per-op figure the >=5x sweep-throughput floor rests on. *)
+   per-op figure the sweep's replay-throughput floor rests on. *)
 let replay_ops = 64
 
 let bench_replay_step =
@@ -98,6 +98,21 @@ let bench_replay_step =
            (Tp_hw.Replay.replay m ~core:0 ~asid:1 ~llc_ways:(lnot 0)
               ~until:max_int r)))
 
+(* One 1 ms slice idled out with no timer armed: the cost of
+   Uctx.idle_rest itself, which jumps from one deliverable interrupt
+   to the next instead of polling every 1000 cycles. *)
+let bench_idle_slice =
+  let open Tp_kernel in
+  let b = Boot.boot ~platform:p ~config:Config.raw ~domains:1 () in
+  let sys = b.Boot.sys in
+  let tcb = Option.get (System.initial_kernel sys).Types.ki_idle in
+  let slice = Tp_hw.Platform.us_to_cycles p 1000.0 in
+  Test.make ~name:"uctx.idle_rest (1 ms slice)"
+    (Staged.stage (fun () ->
+         let slice_end = System.now sys ~core:0 + slice in
+         try Uctx.idle_rest (Uctx.make sys ~core:0 tcb ~slice_end)
+         with Uctx.Preempted -> ()))
+
 let () =
   let tests =
     [
@@ -110,9 +125,14 @@ let () =
       bench_snapshot;
       bench_restore;
       bench_replay_step;
+      bench_idle_slice;
     ]
   in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+  (* No forced GC between samples: stabilisation inflates ns-scale
+     rows many times over. *)
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~stabilize:false ~quota:(Time.second 0.5) ()
+  in
   let instances = Instance.[ monotonic_clock ] in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]

@@ -151,19 +151,23 @@ let suite =
 
 (* Victim-execution-shaped measurement of the record-once/replay-many
    hot path: record one op stream per symbol, snapshot the machine,
-   then drive the same schedule of sender slices twice from the same
-   restored state — once live (the body re-executes, then idles to the
-   slice boundary in interrupt-latency steps) and once replayed
-   (Tp_hw.Replay re-executes the ops and collapses the idle span).
-   The final machine-state digests must be bit-identical — a speedup
-   that computes something different is a failure, same rule as the
-   parallel suite above — and the replay leg must clear the 5x
-   throughput floor the sweep hot path is built on. *)
-let replay_speedup_floor = 5.0
+   then drive the same schedule of sender slices from the same restored
+   state, alternately live (the body re-executes, then idles to the
+   slice boundary) and replayed (Tp_hw.Replay re-executes the ops).
+   Both legs idle through the same event-driven path, so the ratio
+   measures what replay saves on the body itself.  Every leg's final
+   machine-state digest must be bit-identical — a speedup that
+   computes something different is a failure, same rule as the
+   parallel suite above — and the median of the per-pair speedups must
+   clear the floor the sweep hot path is built on. *)
+let replay_speedup_floor = 1.5
+
+(* Alternating live/replay leg pairs: the median ratio rides out a
+   noisy leg on a shared host. *)
+let replay_pairs = 5
 
 (* Fixed, so the live and replay digests stay reproducible; large
-   enough (quick: ~1 s live, ~0.15 s replayed on a 2-core x86 host) that
-   the speedup ratio is not host-timer noise. *)
+   enough that one leg is not host-timer noise. *)
 let replay_rounds = function Quality.Quick -> 200 | Quality.Full -> 400
 
 let replay_sweep_exp q p =
@@ -217,8 +221,15 @@ let replay_sweep_exp q p =
       accesses_of sys - a0,
       wall )
   in
-  let d_live, _, _, wall_live = leg (fun s -> `Live s) in
-  let d_rep, cycles, accesses, wall_rep = leg (fun s -> `Replay s) in
+  let pairs =
+    List.init replay_pairs (fun _ ->
+        let live = leg (fun s -> `Live s) in
+        (live, leg (fun s -> `Replay s)))
+  in
+  let (d_ref, _, _, _), (_, cycles, accesses, _) = List.hd pairs in
+  let median f = Tp_util.Stats.median (Array.of_list (List.map f pairs)) in
+  let wall_live = median (fun ((_, _, _, w), _) -> w) in
+  let wall_rep = median (fun (_, (_, _, _, w)) -> w) in
   let per denom v = if denom > 0.0 then float_of_int v /. denom else 0.0 in
   {
     r_name = "replay-sweep";
@@ -226,12 +237,17 @@ let replay_sweep_exp q p =
     r_trials = rounds * symbols;
     r_wall_seq = wall_live;
     r_wall_par = wall_rep;
-    r_speedup = (if wall_rep > 0.0 then wall_live /. wall_rep else 1.0);
+    r_speedup =
+      median (fun ((_, _, _, wl), (_, _, _, wr)) ->
+          if wr > 0.0 then wl /. wr else 1.0);
     r_cycles = cycles;
     r_accesses = accesses;
     r_cycles_per_sec = per wall_rep cycles;
     r_accesses_per_sec = per wall_rep accesses;
-    r_deterministic = d_live = d_rep;
+    r_deterministic =
+      List.for_all
+        (fun ((dl, _, _, _), (dr, _, _, _)) -> dl = d_ref && dr = d_ref)
+        pairs;
   }
 
 (* ---- running ---------------------------------------------------- *)
@@ -416,7 +432,7 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline ~max_regress () =
   List.iter
     (fun r ->
       Printf.eprintf
-        "tpsim bench: FAIL %s/%s: replay speedup %.2fx below the %.0fx floor\n%!"
+        "tpsim bench: FAIL %s/%s: replay speedup %.2fx below the %.1fx floor\n%!"
         r.r_name r.r_platform r.r_speedup replay_speedup_floor)
     slow_replay;
   (match json_out with
