@@ -1,12 +1,15 @@
-(* Hot-path microbenchmarks (bechamel).
+(* Microbenchmarks (bechamel): host ns/op of the operations beneath
+   every experiment.
 
    The per-access path — Cache.access_*fast, Tlb.access, Machine.access
-   — dominates every experiment's runtime, so this suite pins its cost
-   in host ns/op: run it before and after touching lib/hw to see what a
-   change does to simulator throughput.  The working set alternates
-   between an L1-resident sweep (hit path) and a strided sweep larger
-   than the cache (miss/evict path), with counters both off and on (the
-   off case must stay cheap: the hot path hoists the enabled check).
+   — dominates every experiment's runtime, so this suite pins its cost:
+   run it before and after touching lib/hw to see what a change does to
+   simulator throughput.  The working set alternates between an
+   L1-resident sweep (hit path) and a strided sweep larger than the
+   cache (miss/evict path), with counters both off and on (the off case
+   must stay cheap: the hot path hoists the enabled check).  Above the
+   hot path sit the kernel's IPC fastpath and the channel analysis
+   every trial ends in: MI estimation, the shuffle test and KDE.
 
    Usage: micro.exe  (no arguments; haswell geometry) *)
 
@@ -113,6 +116,65 @@ let bench_idle_slice =
          try Uctx.idle_rest (Uctx.make sys ~core:0 tcb ~slice_end)
          with Uctx.Preempted -> ()))
 
+(* One-way IPC between two threads of one domain on the protected
+   system, alternating direction. *)
+let bench_ipc =
+  let open Tp_kernel in
+  let b = Boot.boot ~platform:p ~config:(Config.protected_ p) ~domains:2 () in
+  let sys = b.Boot.sys in
+  let d0 = b.Boot.domains.(0) in
+  let ep = Boot.new_endpoint b d0 in
+  let ta = Boot.spawn b d0 (fun _ -> ()) in
+  let tb = Boot.spawn b d0 (fun _ -> ()) in
+  Sched.remove (System.sched sys) ~core:0 ta;
+  Sched.remove (System.sched sys) ~core:0 tb;
+  let dir = ref false in
+  Test.make ~name:"IPC one-way fastpath"
+    (Staged.stage (fun () ->
+         dir := not !dir;
+         let from, to_ = if !dir then (ta, tb) else (tb, ta) in
+         ignore (Ipc.one_way sys ~core:0 ~ep ~from ~to_)))
+
+let rng = Tp_util.Rng.create ~seed:7
+
+let bench_mi =
+  let samples =
+    {
+      Tp_channel.Mi.input = Array.init 512 (fun i -> i land 3);
+      output =
+        Array.init 512 (fun i ->
+            float_of_int (i land 3) +. Tp_util.Rng.float rng 1.0);
+    }
+  in
+  Test.make ~name:"MI estimate (512 samples, 4 symbols)"
+    (Staged.stage (fun () -> ignore (Tp_channel.Mi.estimate samples)))
+
+(* The sweep-wide cell shape: 40 samples over 16 symbols, so most
+   groups hold two or three samples. *)
+let bench_leakage =
+  let samples =
+    {
+      Tp_channel.Mi.input = Array.init 40 (fun _ -> Tp_util.Rng.int rng 16);
+      output =
+        Array.init 40 (fun _ ->
+            Float.round (Tp_util.Rng.gaussian rng ~mu:300.0 ~sigma:8.0));
+    }
+  in
+  Test.make ~name:"Leakage test (40 samples, 16 symbols)"
+    (Staged.stage (fun () ->
+         ignore
+           (Tp_channel.Leakage.test ~rng:(Tp_util.Rng.create ~seed:11)
+              samples)))
+
+let bench_kde =
+  let xs = Array.init 1000 (fun i -> float_of_int (i mod 97)) in
+  Test.make ~name:"KDE (1000 samples, 512-point grid)"
+    (Staged.stage (fun () ->
+         ignore
+           (Tp_channel.Kde.estimate
+              { Tp_channel.Kde.lo = 0.0; hi = 100.0; points = 512 }
+              xs)))
+
 let () =
   let tests =
     [
@@ -126,6 +188,10 @@ let () =
       bench_restore;
       bench_replay_step;
       bench_idle_slice;
+      bench_ipc;
+      bench_mi;
+      bench_leakage;
+      bench_kde;
     ]
   in
   (* No forced GC between samples: stabilisation inflates ns-scale
@@ -138,7 +204,7 @@ let () =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let table =
-    Tp_util.Table.create ~title:"Simulator hot-path costs"
+    Tp_util.Table.create ~title:"Simulator operation costs"
       ~headers:[ "operation"; "ns/op" ]
   in
   List.iter
