@@ -301,34 +301,36 @@ let max_rss_kib () =
 
 (* ---- JSON out --------------------------------------------------- *)
 
-let json_of_results ~jobs ~quality results =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"schema\": \"tpsim-bench/1\",\n  \"jobs\": %d,\n  \"quality\": \
-        \"%s\",\n  \"max_rss_kib\": %d,\n  \"experiments\": [\n"
-       jobs quality (max_rss_kib ()));
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"platform\": \"%s\", \"trials\": %d,\n\
-           \     \"wall_s_seq\": %.6f, \"wall_s\": %.6f, \"speedup\": %.3f,\n\
-           \     \"cycles\": %d, \"accesses\": %d,\n\
-           \     \"cycles_per_sec\": %.1f, \"accesses_per_sec\": %.1f,\n\
-           \     \"deterministic\": %b}%s\n"
-           r.r_name r.r_platform r.r_trials r.r_wall_seq r.r_wall_par
-           r.r_speedup r.r_cycles r.r_accesses r.r_cycles_per_sec
-           r.r_accesses_per_sec r.r_deterministic
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-(* The baseline file is read back with the shared minimal JSON reader
-   (Tp_util.Json, which started life here). *)
-
 module Json = Tp_util.Json
+
+let json_of_results ~jobs ~quality results =
+  let num_i i = Json.Num (float_of_int i) in
+  Json.Obj
+    [
+      ("schema", Json.Str "tpsim-bench/1");
+      ("jobs", num_i jobs);
+      ("quality", Json.Str quality);
+      ("max_rss_kib", num_i (max_rss_kib ()));
+      ( "experiments",
+        Json.Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("name", Json.Str r.r_name);
+                   ("platform", Json.Str r.r_platform);
+                   ("trials", num_i r.r_trials);
+                   ("wall_s_seq", Json.Num r.r_wall_seq);
+                   ("wall_s", Json.Num r.r_wall_par);
+                   ("speedup", Json.Num r.r_speedup);
+                   ("cycles", num_i r.r_cycles);
+                   ("accesses", num_i r.r_accesses);
+                   ("cycles_per_sec", Json.Num r.r_cycles_per_sec);
+                   ("accesses_per_sec", Json.Num r.r_accesses_per_sec);
+                   ("deterministic", Json.Bool r.r_deterministic);
+                 ])
+             results) );
+    ]
 
 (* ---- baseline gate ---------------------------------------------- *)
 
@@ -340,44 +342,44 @@ type regression = {
   g_drop_pct : float;
 }
 
+(* Fails closed: a baseline without an experiments array, or with an
+   entry lacking its name, platform or accesses/s, is an error rather
+   than a gate that passes everything. *)
 let check_baseline ~max_regress ~baseline results =
-  let base_exps =
-    match Json.member "experiments" baseline with
-    | Some (Json.Arr l) -> l
-    | _ -> []
+  let entry e =
+    match
+      ( Json.member "name" e,
+        Json.member "platform" e,
+        Json.member "accesses_per_sec" e )
+    with
+    | Some (Json.Str n), Some (Json.Str p), Some (Json.Num v) -> Some (n, p, v)
+    | _ -> None
   in
-  let lookup name platform =
-    List.find_map
-      (fun e ->
-        match
-          ( Json.member "name" e,
-            Json.member "platform" e,
-            Json.member "accesses_per_sec" e )
-        with
-        | Some (Json.Str n), Some (Json.Str p), Some (Json.Num v)
-          when n = name && p = platform ->
-            Some v
-        | _ -> None)
-      base_exps
+  let regression base r =
+    match
+      List.find_opt (fun (n, p, _) -> n = r.r_name && p = r.r_platform) base
+    with
+    | Some (_, _, v) when v > 0.0 ->
+        let drop = 100.0 *. (1.0 -. (r.r_accesses_per_sec /. v)) in
+        if drop > max_regress then
+          Some
+            {
+              g_name = r.r_name;
+              g_platform = r.r_platform;
+              g_current = r.r_accesses_per_sec;
+              g_baseline = v;
+              g_drop_pct = drop;
+            }
+        else None
+    | _ -> None
   in
-  List.filter_map
-    (fun r ->
-      match lookup r.r_name r.r_platform with
-      | None -> None
-      | Some base when base <= 0.0 -> None
-      | Some base ->
-          let drop = 100.0 *. (1.0 -. (r.r_accesses_per_sec /. base)) in
-          if drop > max_regress then
-            Some
-              {
-                g_name = r.r_name;
-                g_platform = r.r_platform;
-                g_current = r.r_accesses_per_sec;
-                g_baseline = base;
-                g_drop_pct = drop;
-              }
-          else None)
-    results
+  match Json.member "experiments" baseline with
+  | Some (Json.Arr l) ->
+      let base = List.filter_map entry l in
+      if List.length base < List.length l then
+        Error "an experiment entry lacks its name, platform or accesses_per_sec"
+      else Ok (List.filter_map (regression base) results)
+  | _ -> Error "no \"experiments\" array"
 
 (* ---- entry point ------------------------------------------------ *)
 
@@ -443,11 +445,13 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline ~max_regress () =
         ~finally:(fun () -> close_out oc)
         (fun () ->
           output_string oc
-            (json_of_results ~jobs ~quality:(quality_name q) results));
+            (Json.to_string
+               (json_of_results ~jobs ~quality:(quality_name q) results));
+          output_char oc '\n');
       Printf.eprintf "tpsim bench: wrote %s\n%!" f);
-  let regressions =
+  let gate =
     match baseline with
-    | None -> []
+    | None -> Ok []
     | Some f -> (
         match
           let ic = open_in f in
@@ -455,10 +459,19 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline ~max_regress () =
             ~finally:(fun () -> close_in_noerr ic)
             (fun () -> Json.parse (In_channel.input_all ic))
         with
-        | j -> check_baseline ~max_regress ~baseline:j results
-        | exception (Sys_error msg | Json.Bad msg) ->
-            Printf.eprintf "tpsim bench: cannot read baseline %s: %s\n%!" f msg;
-            [])
+        | j ->
+            Result.map_error
+              (Printf.sprintf "%s: %s" f)
+              (check_baseline ~max_regress ~baseline:j results)
+        | exception Sys_error msg -> Error msg
+        | exception Json.Bad msg -> Error (Printf.sprintf "%s: %s" f msg))
+  in
+  let regressions =
+    match gate with
+    | Ok g -> g
+    | Error msg ->
+        Printf.eprintf "tpsim bench: FAIL: baseline %s\n%!" msg;
+        []
   in
   List.iter
     (fun g ->
@@ -467,4 +480,7 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline ~max_regress () =
          (-%.1f%% > %.1f%% allowed)\n%!"
         g.g_name g.g_platform g.g_current g.g_baseline g.g_drop_pct max_regress)
     regressions;
-  if nondet <> [] || slow_replay <> [] || regressions <> [] then 1 else 0
+  if
+    nondet <> [] || slow_replay <> [] || regressions <> [] || Result.is_error gate
+  then 1
+  else 0
