@@ -264,14 +264,6 @@ let load_state t blob off =
 let dirty_lines t = t.n_dirty
 let valid_lines t = t.n_valid
 
-let lines_in_set t set =
-  let base = set * t.g.ways in
-  let c = ref 0 in
-  for w = 0 to t.g.ways - 1 do
-    if t.tags.(base + w) <> -1 then incr c
-  done;
-  !c
-
 let capacity_lines t = t.n_sets * t.g.ways
 
 let pp_geometry ppf g =

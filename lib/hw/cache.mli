@@ -114,9 +114,6 @@ val load_state : t -> Blob.t -> int -> int
 val set_of : t -> vaddr:int -> paddr:int -> int
 (** Set index the given address maps to (respects the indexing policy). *)
 
-val lines_in_set : t -> int -> int
-(** Valid lines currently in a set; for tests and diagnostics. *)
-
 val capacity_lines : t -> int
 (** Total number of lines the cache can hold. *)
 

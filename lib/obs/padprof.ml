@@ -93,6 +93,28 @@ let slack_percentiles im =
   if Histogram.count h = 0 then None
   else Some (Histogram.percentile h 50.0, Histogram.percentile h 99.0)
 
+(* ASCII distribution of [samples] over [0, hi] cycles: 16 equal bins,
+   40 characters for the fullest, each labelled with its centre.
+   Samples outside the range clamp into the edge bins. *)
+let plot ~hi ppf samples =
+  let bins = 16 and width = 40 in
+  let hi = float_of_int hi in
+  let counts = Array.make bins 0 in
+  List.iter
+    (fun s ->
+      let i = int_of_float (float_of_int s /. hi *. float_of_int bins) in
+      let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
+      counts.(i) <- counts.(i) + 1)
+    samples;
+  let m = Array.fold_left Stdlib.max 1 counts in
+  Array.iteri
+    (fun i c ->
+      Format.fprintf ppf "%10.2f | %s %d@."
+        ((float_of_int i +. 0.5) *. (hi /. float_of_int bins))
+        (String.make (c * width / m) '#')
+        c)
+    counts
+
 let report ?cycles_to_us ppf () =
   let ims = images () in
   if ims = [] then
@@ -145,14 +167,11 @@ let report ?cycles_to_us ppf () =
             im.im_samples
         in
         if padded <> [] && im.im_pad > 0 then begin
-          let hi = float_of_int (Stdlib.max 1 im.im_pad) in
-          let h = Tp_util.Histogram.create ~lo:0.0 ~hi ~bins:16 in
-          List.iter (fun s -> Tp_util.Histogram.add h (float_of_int s)) padded;
           Format.fprintf ppf
             "image #%d pad-slack distribution (pad_wait cycles, %d samples):@.%a@."
             im.im_ki (List.length padded)
-            (Tp_util.Histogram.pp ~width:40)
-            h
+            (plot ~hi:(Stdlib.max 1 im.im_pad))
+            padded
         end)
       ims;
     (* Unpadded-total distribution is the padding-determinism question
@@ -160,16 +179,11 @@ let report ?cycles_to_us ppf () =
     List.iter
       (fun im ->
         if im.im_pad = 0 && im.im_samples <> [] then begin
-          let hi = float_of_int (Stdlib.max 1 im.im_worst_total) in
-          let h = Tp_util.Histogram.create ~lo:0.0 ~hi ~bins:16 in
-          List.iter
-            (fun o -> Tp_util.Histogram.add h (float_of_int o.o_total))
-            im.im_samples;
           Format.fprintf ppf
             "image #%d switch-total distribution (no pad, %d samples):@.%a@."
             im.im_ki im.im_kept
-            (Tp_util.Histogram.pp ~width:40)
-            h
+            (plot ~hi:(Stdlib.max 1 im.im_worst_total))
+            (List.map (fun o -> o.o_total) im.im_samples)
         end)
       ims
   end

@@ -576,6 +576,78 @@ let test_padprof_slack_percentiles =
                 && contains_sub (Buffer.contents b) "slack p99"))
       | l -> Alcotest.failf "expected 1 image, got %d" (List.length l))
 
+(* The two ASCII distribution plots, byte for byte: samples that clamp
+   into both edge bins (below 0, at and above the range's top) and
+   empty bins between the occupied ones. *)
+let test_padprof_plot_block =
+  let expected =
+    String.concat "\n"
+      [
+        "image #2 pad-slack distribution (pad_wait cycles, 8 samples):";
+        "     50.00 | ######################################## 3";
+        "    150.00 | ########################## 2";
+        "    250.00 |  0";
+        "    350.00 |  0";
+        "    450.00 |  0";
+        "    550.00 |  0";
+        "    650.00 |  0";
+        "    750.00 |  0";
+        "    850.00 |  0";
+        "    950.00 |  0";
+        "   1050.00 |  0";
+        "   1150.00 |  0";
+        "   1250.00 |  0";
+        "   1350.00 |  0";
+        "   1450.00 |  0";
+        "   1550.00 | ######################################## 3";
+        "";
+        "image #5 switch-total distribution (no pad, 4 samples):";
+        "      9.38 | ######################################## 2";
+        "     28.12 |  0";
+        "     46.88 |  0";
+        "     65.62 |  0";
+        "     84.38 |  0";
+        "    103.12 |  0";
+        "    121.88 |  0";
+        "    140.62 |  0";
+        "    159.38 | #################### 1";
+        "    178.12 |  0";
+        "    196.88 |  0";
+        "    215.62 |  0";
+        "    234.38 |  0";
+        "    253.12 |  0";
+        "    271.88 |  0";
+        "    290.62 | #################### 1";
+        "";
+        "";
+      ]
+  in
+  with_obs ~counters:true (fun () ->
+      List.iter
+        (fun pad_wait ->
+          Padprof.record ~ki:2 ~pad:1600 ~padded:true ~total:1600 ~flush:0
+            ~pad_wait)
+        [ -200; 0; 99; 100; 150; 1599; 1600; 5000 ];
+      List.iter
+        (fun total ->
+          Padprof.record ~ki:5 ~pad:0 ~padded:false ~total ~flush:0
+            ~pad_wait:0)
+        [ 300; 150; 10; 0 ];
+      let b = Buffer.create 2048 in
+      let ppf = Format.formatter_of_buffer b in
+      Padprof.report ppf ();
+      Format.pp_print_flush ppf ();
+      let s = Buffer.contents b in
+      let rec find i =
+        if i + 7 > String.length s then Alcotest.fail "no plot block"
+        else if String.sub s i 7 = "image #" then i
+        else find (i + 1)
+      in
+      let i = find 0 in
+      Alcotest.(check string)
+        "plot block" expected
+        (String.sub s i (String.length s - i)))
+
 let test_padprof_no_padded_no_percentiles =
   with_obs ~counters:true (fun () ->
       Padprof.record ~ki:2 ~pad:0 ~padded:false ~total:300 ~flush:0 ~pad_wait:0;
@@ -644,6 +716,8 @@ let suite =
       test_padprof_slack_percentiles;
     Alcotest.test_case "padprof slack absent without padding" `Quick
       test_padprof_no_padded_no_percentiles;
+    Alcotest.test_case "padprof plot block pinned" `Quick
+      test_padprof_plot_block;
     QCheck_alcotest.to_alcotest qcheck_delta_non_negative;
     QCheck_alcotest.to_alcotest qcheck_snapshot_reset_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_histogram_bucket_invariants;

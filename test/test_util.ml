@@ -1,5 +1,5 @@
 (* Tests for Tp_util: PRNG determinism and distribution, statistics,
-   histogram, table rendering. *)
+   table rendering. *)
 
 open Tp_util
 
@@ -98,18 +98,6 @@ let test_stats_does_not_mutate () =
   ignore (Stats.median a);
   ignore (Stats.percentile a 50.0);
   Alcotest.(check (array (float 0.0))) "unchanged" [| 3.0; 1.0; 2.0 |] a
-
-let test_histogram_counts () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.6; 9.5; -3.0; 42.0 ];
-  Alcotest.(check int) "bin 0 (incl clamped low)" 2 (Histogram.count h 0);
-  Alcotest.(check int) "bin 1" 2 (Histogram.count h 1);
-  Alcotest.(check int) "bin 9 (incl clamped high)" 2 (Histogram.count h 9);
-  Alcotest.(check int) "total" 6 (Histogram.total h)
-
-let test_histogram_bin_center () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  Alcotest.(check (float 1e-9)) "center of bin 0" 0.5 (Histogram.bin_center h 0)
 
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -210,8 +198,6 @@ let suite =
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats geomean" `Quick test_stats_geomean;
     Alcotest.test_case "stats pure" `Quick test_stats_does_not_mutate;
-    Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
-    Alcotest.test_case "histogram centers" `Quick test_histogram_bin_center;
     Alcotest.test_case "table renders" `Quick test_table_renders;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
     QCheck_alcotest.to_alcotest qcheck_percentile_matches_compare_sort;
