@@ -1,5 +1,6 @@
 (* Tests for Tp_util: PRNG determinism and distribution, statistics,
-   table rendering. *)
+   table rendering; and the equal-width histogram binning that
+   Padprof's ASCII plots do locally. *)
 
 open Tp_util
 
@@ -98,6 +99,60 @@ let test_stats_does_not_mutate () =
   ignore (Stats.median a);
   ignore (Stats.percentile a 50.0);
   Alcotest.(check (array (float 0.0))) "unchanged" [| 3.0; 1.0; 2.0 |] a
+
+(* Equal-width histogram behind Padprof's plots: 16 bins over
+   [0, pad], out-of-range samples clamped into the edge bins.  Records
+   pad waits of image #2 with a 1600-cycle pad and returns the plot's
+   rows as (bin centre, count). *)
+let padprof_plot_rows pad_waits =
+  let rows = ref [] in
+  Test_obs.with_obs ~counters:true
+    (fun () ->
+      List.iter
+        (fun pad_wait ->
+          Tp_obs.Padprof.record ~ki:2 ~pad:1600 ~padded:true ~total:1600
+            ~flush:0 ~pad_wait)
+        pad_waits;
+      let s =
+        Format.asprintf "%a" (Tp_obs.Padprof.report ?cycles_to_us:None) ()
+      in
+      let lines = String.split_on_char '\n' s in
+      let rec after_header = function
+        | [] -> Alcotest.fail "no pad-slack plot"
+        | l :: rest ->
+            if String.length l > 9 && String.sub l 0 9 = "image #2 " then rest
+            else after_header rest
+      in
+      let parse l =
+        match String.split_on_char '|' l with
+        | [ centre; bar ] ->
+            let count =
+              List.filter (( <> ) "") (String.split_on_char ' ' bar)
+              |> List.rev |> List.hd |> int_of_string
+            in
+            (float_of_string (String.trim centre), count)
+        | _ -> Alcotest.failf "not a plot row: %S" l
+      in
+      rows :=
+        List.filteri (fun i _ -> i < 16) (after_header lines) |> List.map parse)
+    ();
+  !rows
+
+let test_histogram_counts () =
+  let rows = padprof_plot_rows [ 50; 150; 160; 1550; -300; 4200 ] in
+  let count i = snd (List.nth rows i) in
+  Alcotest.(check int) "bins" 16 (List.length rows);
+  Alcotest.(check int) "bin 0 (incl clamped low)" 2 (count 0);
+  Alcotest.(check int) "bin 1" 2 (count 1);
+  Alcotest.(check int) "bin 15 (incl clamped high)" 2 (count 15);
+  Alcotest.(check int) "total" 6
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 rows)
+
+let test_histogram_bin_center () =
+  let rows = padprof_plot_rows [ 800 ] in
+  let centre i = fst (List.nth rows i) in
+  Alcotest.(check (float 1e-9)) "center of bin 0" 50.0 (centre 0);
+  Alcotest.(check (float 1e-9)) "center of bin 15" 1550.0 (centre 15)
 
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -198,6 +253,8 @@ let suite =
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats geomean" `Quick test_stats_geomean;
     Alcotest.test_case "stats pure" `Quick test_stats_does_not_mutate;
+    Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
+    Alcotest.test_case "histogram centers" `Quick test_histogram_bin_center;
     Alcotest.test_case "table renders" `Quick test_table_renders;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
     QCheck_alcotest.to_alcotest qcheck_percentile_matches_compare_sort;
