@@ -46,7 +46,8 @@ let inject_arg =
     "Arm a one-shot kernel fault at injection point $(docv) (format \
      POINT[:HIT], e.g. clone.copy:2 for the third crossing); exercises \
      the kernel's error paths and the harness's recovery under a real \
-     experiment.  See `tpsim faults' for the point names."
+     experiment.  An unknown point name is warned about, with the known \
+     names listed."
   in
   Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"POINT" ~doc)
 
@@ -451,277 +452,6 @@ let all q ~seed p =
     p.Tp_hw.Platform.name;
   List.iter (fun (_, _, run) -> run q ~seed p) experiments
 
-(* Fresh scratch directory under the system temp dir.  /tmp, not
-   _build: Unix-domain socket paths (serve-smoke) are limited to ~107
-   bytes. *)
-let mkdtemp prefix =
-  let base = Filename.get_temp_dir_name () in
-  let rec go n =
-    let d =
-      Filename.concat base
-        (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) n)
-    in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (EEXIST, _, _) -> go (n + 1)
-  in
-  go 0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (ENOENT, _, _) -> ()
-
-let cmd_faults =
-  (* Systematic fail-at-step-N sweep: for every standard kernel
-     operation, inject every fault kind at every injection-point
-     crossing and check the global invariant suite afterwards.
-     Exits non-zero if any error path leaks state. *)
-  let run plats verbose =
-    setup_logging verbose;
-    let bad = ref 0 in
-    run_over plats (fun p ->
-        Format.printf "Fail-at-step-N sweep on %s:@." p.Tp_hw.Platform.name;
-        List.iter
-          (fun (c : Tp_fault_driver.Driver.case) ->
-            let outcomes = Tp_fault_driver.Driver.fail_at_each c in
-            let good =
-              List.length (List.filter Tp_fault_driver.Driver.ok outcomes)
-            in
-            Format.printf "  %-14s %3d injected faults, %3d left consistent@."
-              c.Tp_fault_driver.Driver.c_name (List.length outcomes) good;
-            List.iter
-              (fun (o : Tp_fault_driver.Driver.outcome) ->
-                if not (Tp_fault_driver.Driver.ok o) then begin
-                  incr bad;
-                  Format.printf
-                    "    FAIL %s:%d %s — fired=%b raised=%s@."
-                    o.Tp_fault_driver.Driver.o_point
-                    o.Tp_fault_driver.Driver.o_occurrence
-                    (Tp_kernel.Types.error_to_string
-                       o.Tp_fault_driver.Driver.o_error)
-                    o.Tp_fault_driver.Driver.o_fired
-                    (Option.value ~default:"<nothing>"
-                       o.Tp_fault_driver.Driver.o_raised);
-                  List.iter
-                    (Format.printf "      violated: %s@.")
-                    o.Tp_fault_driver.Driver.o_violations
-                end)
-              outcomes)
-          (Tp_fault_driver.Driver.standard_cases ~platform:p);
-        Format.printf "@.");
-    (* Crash-consistency sweep over the result store's persistence
-       path: fail every store_write/store_fsync/store_rename crossing
-       of a commit batch and check completed entries survive. *)
-    let scratch = mkdtemp "tpsim-faults" in
-    Fun.protect
-      ~finally:(fun () -> try rm_rf scratch with Unix.Unix_error _ -> ())
-      (fun () ->
-        Format.printf "Fail-at-step-N sweep over the result store:@.";
-        let outcomes =
-          Tp_store.Sweep.fail_at_each
-            ~dir:(Filename.concat scratch "store-sweep")
-        in
-        let good = List.length (List.filter Tp_store.Sweep.ok outcomes) in
-        Format.printf "  %-14s %3d injected faults, %3d left consistent@."
-          "store" (List.length outcomes) good;
-        List.iter
-          (fun (o : Tp_store.Sweep.outcome) ->
-            if not (Tp_store.Sweep.ok o) then begin
-              incr bad;
-              Format.printf "    FAIL %s:%d — fired=%b committed=%d@."
-                o.Tp_store.Sweep.o_point o.Tp_store.Sweep.o_occurrence
-                o.Tp_store.Sweep.o_fired o.Tp_store.Sweep.o_committed;
-              List.iter
-                (Format.printf "      violated: %s@.")
-                o.Tp_store.Sweep.o_violations
-            end)
-          outcomes;
-        Format.printf "@.";
-        (* Harness recovery surfaced as the same JSON the campaign
-           service reports: a fault injected mid-collection must be
-           recovered (not fatal), and a cycle budget must degrade the
-           result rather than abort it. *)
-        let p = List.hd plats in
-        let measure ~budget ~inject =
-          let b = Scenario.boot Scenario.Protected p in
-          let sender, receiver = Tp_attacks.Kernel_chan.prepare b in
-          let spec =
-            {
-              (Tp_attacks.Harness.default_spec p) with
-              Tp_attacks.Harness.samples = 200;
-              symbols = Tp_attacks.Kernel_chan.symbols;
-              budget =
-                { Tp_attacks.Harness.max_cycles = budget; max_wall_s = None };
-            }
-          in
-          (match inject with
-          | None -> ()
-          | Some hit ->
-              Tp_fault.Fault.arm ~point:Tp_attacks.Harness.point_chunk ~hit
-                (Tp_kernel.Types.Kernel_error
-                   Tp_kernel.Types.Insufficient_untyped));
-          let r =
-            Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec
-              ~rng:(Tp_util.Rng.create ~seed:1)
-          in
-          Tp_fault.Fault.disarm ();
-          r
-        in
-        Format.printf "Harness recovery status (%s, kernel channel):@."
-          p.Tp_hw.Platform.name;
-        let recovered = measure ~budget:None ~inject:(Some 2) in
-        Format.printf "  injected harness.chunk:2 -> %s@."
-          (Tp_attacks.Harness.status_json recovered);
-        if recovered.Tp_attacks.Harness.recovered_faults < 1 then begin
-          incr bad;
-          Format.printf "    FAIL: mid-collection fault was not recovered@."
-        end;
-        let degraded = measure ~budget:(Some 2_000_000) ~inject:None in
-        Format.printf "  cycle budget 2000000   -> %s@."
-          (Tp_attacks.Harness.status_json degraded);
-        if not degraded.Tp_attacks.Harness.degraded then begin
-          incr bad;
-          Format.printf "    FAIL: cycle budget did not degrade the result@."
-        end;
-        Format.printf "@.";
-        (* Torn-state sweep over whole-machine restore: the
-           snapshot_restore point is crossed once per component
-           loaded, so arming every crossing crashes the restore
-           between every pair of components.  Recovery is restoring
-           again — load_state overwrites everything it touches — and
-           the recovered machine must digest identically to the
-           snapshot, with no torn state surviving the crash. *)
-        Format.printf "Fail-at-step-N sweep over snapshot restore (%s):@."
-          p.Tp_hw.Platform.name;
-        let sb = Scenario.boot Scenario.Raw p in
-        let m = Tp_kernel.System.machine sb.Tp_kernel.Boot.sys in
-        let perturb () =
-          for i = 0 to 63 do
-            ignore
-              (Tp_hw.Machine.access m ~core:0 ~asid:0 ~global:false
-                 ~vaddr:(i * 4096) ~paddr:(i * 4096) ~kind:Tp_hw.Defs.Read
-                 () : int)
-          done
-        in
-        let snap = Tp_hw.Machine.snapshot m in
-        let want = Tp_hw.Machine.snapshot_digest snap in
-        perturb ();
-        let (), crossings =
-          Tp_fault.Fault.trace (fun () -> Tp_hw.Machine.restore m snap)
-        in
-        let steps = List.length crossings in
-        let torn = ref 0 and restore_fired = ref 0 in
-        for hit = 0 to steps - 1 do
-          perturb ();
-          Tp_fault.Fault.arm ~point:Tp_hw.Machine.point_restore ~hit
-            (Failure "injected restore crash");
-          (match Tp_hw.Machine.restore m snap with
-          | () -> ()
-          | exception Failure _ -> incr restore_fired);
-          Tp_fault.Fault.disarm ();
-          Tp_hw.Machine.restore m snap;
-          if Tp_hw.Machine.state_digest m <> want then incr torn
-        done;
-        Format.printf
-          "  %3d armed restore crossings, %3d crashed, %3d left torn state@."
-          steps !restore_fired !torn;
-        if !torn > 0 || !restore_fired <> steps then begin
-          incr bad;
-          Format.printf
-            "    FAIL: crash mid-restore not recovered bit-identically@."
-        end;
-        (* A fault striking the replay path mid-collection must be
-           recovered by the harness exactly like a live-slice kernel
-           fault: the trial degrades to recover-and-resume, never
-           aborts. *)
-        let rb = Scenario.boot Scenario.Protected p in
-        let chan = Tp_attacks.Cache_channels.l1d in
-        let sender, receiver = chan.Tp_attacks.Cache_channels.prepare rb in
-        let spec =
-          {
-            (Tp_attacks.Harness.default_spec p) with
-            Tp_attacks.Harness.samples = 200;
-            symbols = chan.Tp_attacks.Cache_channels.symbols;
-          }
-        in
-        Tp_fault.Fault.arm ~point:Tp_hw.Replay.point_step ~hit:3
-          (Tp_kernel.Types.Kernel_error Tp_kernel.Types.Insufficient_untyped);
-        let rr =
-          Tp_attacks.Harness.run_pair_result rb ~sender ~receiver spec
-            ~rng:(Tp_util.Rng.create ~seed:1)
-        in
-        let replay_fired = Tp_fault.Fault.fired () in
-        Tp_fault.Fault.disarm ();
-        Format.printf "  injected replay_step:3   -> %s@."
-          (Tp_attacks.Harness.status_json rr);
-        if not replay_fired then begin
-          incr bad;
-          Format.printf "    FAIL: replay_step fault never fired@."
-        end;
-        if rr.Tp_attacks.Harness.recovered_faults < 1 then begin
-          incr bad;
-          Format.printf "    FAIL: mid-replay fault was not recovered@."
-        end;
-        Format.printf "@.";
-        (* Crash-resume across the campaign engine's dispatch loop:
-           crash a tiny sweep at every job_dispatch crossing, resume
-           into the same store, and require the final digest to match
-           an uninterrupted run. *)
-        Format.printf "Crash-resume across job_dispatch:@.";
-        let job =
-          Tp_serve.Protocol.job ~id:"faults-resume"
-            ~platforms:[ "haswell" ] ~configs:[ "protected" ]
-            ~channels:[ "l1d"; "kernel" ] ~trials:2 ~samples:120 ()
-        in
-        let digest_of dir =
-          let st = Tp_store.Store.open_ ~dir in
-          Fun.protect
-            ~finally:(fun () -> Tp_store.Store.close st)
-            (fun () ->
-              match Tp_serve.Engine.run_job ~store:st ~jobs:1 job with
-              | Ok r -> r.Tp_serve.Protocol.r_digest
-              | Error e -> failwith e)
-        in
-        let reference = digest_of (Filename.concat scratch "ref") in
-        let crash_dir = Filename.concat scratch "crash" in
-        let fired = ref 0 in
-        for hit = 0 to 3 do
-          let st = Tp_store.Store.open_ ~dir:crash_dir in
-          Tp_fault.Fault.arm ~point:Tp_serve.Engine.point_dispatch ~hit
-            (Failure "injected dispatch crash");
-          (match Tp_serve.Engine.run_job ~store:st ~jobs:1 job with
-          | Ok _ | Error _ -> ()
-          | exception Failure _ -> incr fired);
-          Tp_fault.Fault.disarm ();
-          Tp_store.Store.close st
-        done;
-        let resumed = digest_of crash_dir in
-        Format.printf
-          "  4 armed dispatch crossings, %d crashed; resumed digest %s \
-           uninterrupted reference@."
-          !fired
-          (if resumed = reference then "==" else "<>");
-        if resumed <> reference then begin
-          incr bad;
-          Format.printf "    FAIL: crash-resume digest mismatch@."
-        end;
-        Format.printf "@.");
-    if !bad > 0 then begin
-      Format.printf "%d fault outcomes left the kernel inconsistent@." !bad;
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Fault-injection sweep: fail every kernel operation at every \
-          injection point and check the global invariants.")
-    Term.(const run $ platform_arg $ verbose_arg)
-
 let config_arg =
   let doc =
     "Scenario to lint: $(b,raw), $(b,full-flush), $(b,protected), \
@@ -788,6 +518,47 @@ let render_reports ~json ~sarif ~out reports =
         Format.pp_print_flush ppf ()
       end)
 
+(* The two tails every analysis verb shares: with --output, a
+   per-report summary on stderr (stdout carried the report itself);
+   with --expect, the verdict as an exit code for CI.  [verb] names
+   what a clean report does ("lints" / "certifies"). *)
+let report_summary ~what out reports =
+  match out with
+  | Some f ->
+      List.iter
+        (fun (r : Tp_analysis.Diag.report) ->
+          Printf.eprintf "tpsim: %s: %s\n%!" r.subject
+            (Tp_analysis.Diag.summary r))
+        reports;
+      Printf.eprintf "tpsim: wrote %s to %s\n%!" what f
+  | None -> ()
+
+let expect_gate ~verb expect reports =
+  match expect with
+  | None -> ()
+  | Some `Clean ->
+      let dirty =
+        List.filter (fun r -> not (Tp_analysis.Diag.clean r)) reports
+      in
+      if dirty <> [] then begin
+        List.iter
+          (fun (r : Tp_analysis.Diag.report) ->
+            Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
+              (Tp_analysis.Diag.summary r))
+          dirty;
+        exit 1
+      end
+  | Some `Findings ->
+      let clean = List.filter Tp_analysis.Diag.clean reports in
+      if clean <> [] then begin
+        List.iter
+          (fun (r : Tp_analysis.Diag.report) ->
+            Printf.eprintf "tpsim: expected findings but %s %s clean\n%!"
+              r.subject verb)
+          clean;
+        exit 1
+      end
+
 let cmd_lint =
   (* Static time-protection linter (plus the dynamic §4.1 audit): does
      the booted configuration actually establish the isolation it
@@ -817,39 +588,8 @@ let cmd_lint =
         plats
     in
     render_reports ~json ~sarif ~out reports;
-    (match out with
-    | Some f ->
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf "tpsim: %s: %s\n%!" r.subject
-              (Tp_analysis.Diag.summary r))
-          reports;
-        Printf.eprintf "tpsim: wrote lint report to %s\n%!" f
-    | None -> ());
-    match expect with
-    | None -> ()
-    | Some `Clean ->
-        let dirty =
-          List.filter (fun r -> not (Tp_analysis.Diag.clean r)) reports
-        in
-        if dirty <> [] then begin
-          List.iter
-            (fun (r : Tp_analysis.Diag.report) ->
-              Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
-                (Tp_analysis.Diag.summary r))
-            dirty;
-          exit 1
-        end
-    | Some `Findings ->
-        let clean = List.filter Tp_analysis.Diag.clean reports in
-        if clean <> [] then begin
-          List.iter
-            (fun (r : Tp_analysis.Diag.report) ->
-              Printf.eprintf
-                "tpsim: expected findings but %s lints clean\n%!" r.subject)
-            clean;
-          exit 1
-        end
+    report_summary ~what:"lint report" out reports;
+    expect_gate ~verb:"lints" expect reports
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1114,39 +854,8 @@ let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
           entries;
         Format.pp_print_flush ppf ()
       end);
-  (match out with
-  | Some f ->
-      List.iter
-        (fun (r : Tp_analysis.Diag.report) ->
-          Printf.eprintf "tpsim: %s: %s\n%!" r.subject
-            (Tp_analysis.Diag.summary r))
-        reports;
-      Printf.eprintf "tpsim: wrote kernel certification report to %s\n%!" f
-  | None -> ());
-  match expect with
-  | None -> ()
-  | Some `Clean ->
-      let dirty =
-        List.filter (fun r -> not (Tp_analysis.Diag.clean r)) reports
-      in
-      if dirty <> [] then begin
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
-              (Tp_analysis.Diag.summary r))
-          dirty;
-        exit 1
-      end
-  | Some `Findings ->
-      let clean = List.filter Tp_analysis.Diag.clean reports in
-      if clean <> [] then begin
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf
-              "tpsim: expected findings but %s certifies clean\n%!" r.subject)
-          clean;
-        exit 1
-      end
+  report_summary ~what:"kernel certification report" out reports;
+  expect_gate ~verb:"certifies" expect reports
 
 let cmd_certify =
   (* Abstract-interpretation leakage certifier: sound per-channel
@@ -1270,40 +979,8 @@ let cmd_certify =
             entries;
           Format.pp_print_flush ppf ()
         end);
-    (match out with
-    | Some f ->
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf "tpsim: %s: %s\n%!" r.subject
-              (Tp_analysis.Diag.summary r))
-          reports;
-        Printf.eprintf "tpsim: wrote certification report to %s\n%!" f
-    | None -> ());
-    match expect with
-    | None -> ()
-    | Some `Clean ->
-        let dirty =
-          List.filter (fun r -> not (Tp_analysis.Diag.clean r)) reports
-        in
-        if dirty <> [] then begin
-          List.iter
-            (fun (r : Tp_analysis.Diag.report) ->
-              Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
-                (Tp_analysis.Diag.summary r))
-            dirty;
-          exit 1
-        end
-    | Some `Findings ->
-        let clean = List.filter Tp_analysis.Diag.clean reports in
-        if clean <> [] then begin
-          List.iter
-            (fun (r : Tp_analysis.Diag.report) ->
-              Printf.eprintf
-                "tpsim: expected findings but %s certifies clean\n%!"
-                r.subject)
-            clean;
-          exit 1
-        end
+    report_summary ~what:"certification report" out reports;
+    expect_gate ~verb:"certifies" expect reports
     end
   in
   Cmd.v
@@ -1592,202 +1269,6 @@ let cmd_sweep =
       $ trial_timeout_arg $ wall_budget_arg $ retries_arg $ json_arg
       $ no_replay_arg)
 
-let cmd_serve_smoke =
-  (* End-to-end crash-resume gate, self-contained so CI can run it as
-     one command: reference run in-process, then daemon runs that are
-     SIGKILLed mid-sweep, resumed, and resubmitted, gating on digest
-     bit-identity and cache-hit latency. *)
-  let run verbose =
-    setup_logging verbose;
-    let dir = mkdtemp "tpsim-smoke" in
-    let socket = Filename.concat dir "sock" in
-    let store = Filename.concat dir "store" in
-    let exe = Sys.executable_name in
-    let fails = ref 0 in
-    let check name cond detail =
-      if cond then Printf.printf "  ok   %s\n%!" name
-      else begin
-        incr fails;
-        Printf.printf "  FAIL %s: %s\n%!" name detail
-      end
-    in
-    let spawn () =
-      Unix.create_process exe
-        [| exe; "serve"; "--socket"; socket; "--store"; store; "-j"; "1" |]
-        Unix.stdin Unix.stderr Unix.stderr
-    in
-    let job =
-      Tp_serve.Protocol.job ~id:"smoke" ~platforms:[ "haswell" ]
-        ~configs:[ "protected" ]
-        ~channels:[ "l1d"; "kernel" ]
-        ~trials:2 ~samples:150 ()
-    in
-    Printf.printf "serve-smoke: uninterrupted reference run (-j 1)\n%!";
-    let ref_digest =
-      let st = Tp_store.Store.open_ ~dir:(Filename.concat dir "ref") in
-      Fun.protect
-        ~finally:(fun () -> Tp_store.Store.close st)
-        (fun () ->
-          match Tp_serve.Engine.run_job ~store:st ~jobs:1 job with
-          | Ok r -> r.Tp_serve.Protocol.r_digest
-          | Error e ->
-              Printf.eprintf "serve-smoke: reference run rejected: %s\n%!" e;
-              exit 1)
-    in
-    Printf.printf "serve-smoke: daemon run, SIGKILL at first progress\n%!";
-    let pid1 = spawn () in
-    (match Tp_serve.Client.ping ~socket with
-    | Ok () -> ()
-    | Error e ->
-        Printf.eprintf "serve-smoke: daemon never came up: %s\n%!" e;
-        Unix.kill pid1 Sys.sigkill;
-        exit 1);
-    let killed = ref false in
-    let r1 =
-      Tp_serve.Client.submit ~socket
-        ~on_progress:(fun pr ->
-          if
-            (not !killed)
-            && pr.Tp_serve.Protocol.p_done < pr.Tp_serve.Protocol.p_total
-          then begin
-            killed := true;
-            Unix.kill pid1 Sys.sigkill
-          end)
-        job
-    in
-    ignore (Unix.waitpid [] pid1);
-    check "daemon SIGKILLed mid-sweep"
-      (!killed && Result.is_error r1)
-      "the job finished before the kill landed";
-    Printf.printf "serve-smoke: restarted daemon resumes the sweep\n%!";
-    let pid2 = spawn () in
-    (match Tp_serve.Client.submit ~socket job with
-    | Error e -> check "resumed submit" false e
-    | Ok r ->
-        check "resumed job completes"
-          (r.Tp_serve.Protocol.r_status = Tp_serve.Protocol.Complete)
-          (Tp_serve.Protocol.status_name r.Tp_serve.Protocol.r_status);
-        check "resume digest bit-identical to uninterrupted run"
-          (r.Tp_serve.Protocol.r_digest = ref_digest)
-          (r.Tp_serve.Protocol.r_digest ^ " <> " ^ ref_digest);
-        check "pre-crash trials answered from cache"
-          (r.Tp_serve.Protocol.r_cached >= 2)
-          (string_of_int r.Tp_serve.Protocol.r_cached);
-        check "no failed trials"
-          (r.Tp_serve.Protocol.r_failed = 0)
-          (string_of_int r.Tp_serve.Protocol.r_failed));
-    let t0 = Unix.gettimeofday () in
-    (match Tp_serve.Client.submit ~socket job with
-    | Error e -> check "resubmission" false e
-    | Ok r ->
-        let dt = Unix.gettimeofday () -. t0 in
-        check "resubmission fully cached"
-          (r.Tp_serve.Protocol.r_cached = r.Tp_serve.Protocol.r_total
-          && r.Tp_serve.Protocol.r_computed = 0)
-          (Printf.sprintf "%d/%d cached" r.Tp_serve.Protocol.r_cached
-             r.Tp_serve.Protocol.r_total);
-        check "resubmission digest stable"
-          (r.Tp_serve.Protocol.r_digest = ref_digest)
-          r.Tp_serve.Protocol.r_digest;
-        check "cache-hit latency under 1s" (dt < 1.0)
-          (Printf.sprintf "%.3fs" dt));
-    (match Tp_serve.Client.shutdown ~socket with
-    | Ok () -> ()
-    | Error e -> check "daemon shutdown" false e);
-    ignore (Unix.waitpid [] pid2);
-    (try rm_rf dir with Unix.Unix_error _ -> ());
-    if !fails > 0 then begin
-      Printf.printf "serve-smoke: %d checks FAILED\n%!" !fails;
-      exit 1
-    end
-    else Printf.printf "serve-smoke: PASS\n%!"
-  in
-  Cmd.v
-    (Cmd.info "serve-smoke"
-       ~doc:
-         "Crash-resume smoke test of the campaign service: start the \
-          daemon, SIGKILL it mid-sweep, restart, and gate on digest \
-          bit-identity with an uninterrupted run plus fully-cached \
-          resubmission.  This is the CI gate.")
-    Term.(const run $ verbose_arg)
-
-let cmd_replay_smoke =
-  (* Bit-identity A/B gate for record-once / replay-many: the same
-     small collection run twice — replay on, then forced fully live —
-     must produce byte-identical datasets and leave the machine in a
-     byte-identical state, per config and channel.  This is the CI
-     gate behind the sweep hot path's correctness claim. *)
-  let run plats verbose =
-    setup_logging verbose;
-    let fails = ref 0 in
-    let check name cond detail =
-      if cond then Printf.printf "  ok   %s\n%!" name
-      else begin
-        incr fails;
-        Printf.printf "  FAIL %s: %s\n%!" name detail
-      end
-    in
-    Fun.protect
-      ~finally:(fun () -> Tp_attacks.Harness.set_replay_enabled true)
-      (fun () ->
-        run_over plats (fun p ->
-            Printf.printf "replay-smoke: %s\n%!" p.Tp_hw.Platform.name;
-            List.iter
-              (fun (cfg, slug) ->
-                List.iter
-                  (fun (chan : Tp_attacks.Cache_channels.t) ->
-                    let collect replay_on =
-                      Tp_attacks.Harness.set_replay_enabled replay_on;
-                      let b = Scenario.boot cfg p in
-                      let sender, receiver =
-                        chan.Tp_attacks.Cache_channels.prepare b
-                      in
-                      let spec =
-                        {
-                          (Tp_attacks.Harness.default_spec p) with
-                          Tp_attacks.Harness.samples = 150;
-                          symbols = chan.Tp_attacks.Cache_channels.symbols;
-                        }
-                      in
-                      let r =
-                        Tp_attacks.Harness.run_pair_result b ~sender ~receiver
-                          spec ~rng:(Tp_util.Rng.create ~seed:7)
-                      in
-                      ( r,
-                        Tp_hw.Machine.state_digest
-                          (Tp_kernel.System.machine b.Tp_kernel.Boot.sys) )
-                    in
-                    let r_rep, m_rep = collect true in
-                    let r_live, m_live = collect false in
-                    let d_rep = r_rep.data and d_live = r_live.data in
-                    let name = Printf.sprintf "%s/%s" slug
-                        chan.Tp_attacks.Cache_channels.name in
-                    check (name ^ ": collection complete")
-                      (not (r_rep.degraded || r_live.degraded))
-                      (Tp_attacks.Harness.status_json r_rep);
-                    check (name ^ ": dataset bit-identical")
-                      (d_rep = d_live) "replayed dataset differs from live";
-                    check (name ^ ": machine state bit-identical")
-                      (m_rep = m_live) (m_rep ^ " <> " ^ m_live))
-                  [ Tp_attacks.Cache_channels.l1d;
-                    Tp_attacks.Cache_channels.tlb ])
-              [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ]);
-        if !fails > 0 then begin
-          Printf.printf "replay-smoke: %d checks FAILED\n%!" !fails;
-          exit 1
-        end
-        else Printf.printf "replay-smoke: PASS\n%!")
-  in
-  Cmd.v
-    (Cmd.info "replay-smoke"
-       ~doc:
-         "Bit-identity A/B smoke test of record-once / replay-many: \
-          run the same small collection with replay enabled and with \
-          $(b,--no-replay) semantics forced, and gate on the datasets \
-          and final machine states being byte-identical.  This is the \
-          CI gate.")
-    Term.(const run $ platform_arg $ verbose_arg)
-
 let cmd_top =
   let interval_arg =
     Arg.(
@@ -1830,179 +1311,13 @@ let cmd_top =
           the certified bound recorded with each trial).")
     Term.(ret (const run $ socket_arg $ interval_arg $ once_arg $ raw_arg))
 
-let cmd_top_smoke =
-  (* Telemetry end-to-end gate, self-contained like serve-smoke: boot
-     the daemon with an event log, run a small sweep, scrape the
-     metrics request, and assert the exposition carries every family
-     the dashboard renders plus a parseable JSONL lifecycle stream. *)
-  let out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:
-            "Copy the scraped metrics snapshot (metrics.txt) and the \
-             daemon's event log (events.jsonl) into $(docv), created \
-             as needed — the CI artifact path.")
-  in
-  let run out verbose =
-    setup_logging verbose;
-    let dir = mkdtemp "tpsim-topsmoke" in
-    let socket = Filename.concat dir "sock" in
-    let store = Filename.concat dir "store" in
-    let elog = Filename.concat dir "events.jsonl" in
-    let exe = Sys.executable_name in
-    let fails = ref 0 in
-    let check name cond detail =
-      if cond then Printf.printf "  ok   %s\n%!" name
-      else begin
-        incr fails;
-        Printf.printf "  FAIL %s: %s\n%!" name detail
-      end
-    in
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i =
-        i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-      in
-      nn = 0 || go 0
-    in
-    Printf.printf "top-smoke: daemon + small sweep + metrics scrape\n%!";
-    let pid =
-      Unix.create_process exe
-        [|
-          exe; "serve"; "--socket"; socket; "--store"; store; "-j"; "2";
-          "--event-log"; elog;
-        |]
-        Unix.stdin Unix.stderr Unix.stderr
-    in
-    (match Tp_serve.Client.ping ~socket with
-    | Ok () -> ()
-    | Error e ->
-        Printf.eprintf "top-smoke: daemon never came up: %s\n%!" e;
-        Unix.kill pid Sys.sigkill;
-        exit 1);
-    let job =
-      Tp_serve.Protocol.job ~id:"top-smoke" ~platforms:[ "haswell" ]
-        ~configs:[ "protected" ] ~channels:[ "l1d" ] ~trials:2 ~samples:120 ()
-    in
-    (match Tp_serve.Client.submit ~socket job with
-    | Error e -> check "sweep completes" false e
-    | Ok r ->
-        check "sweep completes"
-          (r.Tp_serve.Protocol.r_status = Tp_serve.Protocol.Complete)
-          (Tp_serve.Protocol.status_name r.Tp_serve.Protocol.r_status));
-    let metrics_text =
-      match Tp_serve.Client.metrics ~socket with
-      | Error e ->
-          check "metrics scrape answers" false e;
-          ""
-      | Ok text ->
-          check "metrics scrape answers" true "";
-          text
-    in
-    List.iter
-      (fun (what, family) ->
-        check
-          (Printf.sprintf "exposition carries %s" what)
-          (contains metrics_text family)
-          (family ^ " not found"))
-      [
-        ("engine latency histogram", "tpsim_engine_trial_us_bucket");
-        ("engine trial counters", "tpsim_engine_trials_total");
-        ("store hits", "tpsim_store_hits_total");
-        ("store misses", "tpsim_store_misses_total");
-        ("pool tasks", "tpsim_pool_tasks_total");
-        ("pool busy time", "tpsim_pool_busy_us_total");
-        ("drift counter type", "# TYPE tpsim_engine_mi_over_cert_total");
-        ("OpenMetrics terminator", "# EOF");
-      ];
-    let e = Tp_serve.Top.parse metrics_text in
-    check "exposition parses into samples" (e.Tp_serve.Top.e_samples <> [])
-      "no samples";
-    check "engine recorded the sweep's trials"
-      (Tp_serve.Top.total e "tpsim_engine_trials_total" >= 2.0)
-      (string_of_float (Tp_serve.Top.total e "tpsim_engine_trials_total"));
-    let frame = Tp_serve.Top.render ~now:(Unix.gettimeofday ()) e in
-    check "dashboard frame renders"
-      (contains frame "latency" && contains frame "store"
-     && contains frame "pool" && contains frame "leakage")
-      frame;
-    (match Tp_serve.Client.shutdown ~socket with
-    | Ok () -> ()
-    | Error e -> check "daemon shutdown" false e);
-    ignore (Unix.waitpid [] pid);
-    check "event log written" (Sys.file_exists elog) elog;
-    let events =
-      match open_in elog with
-      | exception Sys_error _ -> []
-      | ic ->
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              In_channel.input_lines ic
-              |> List.filter_map (fun l ->
-                     Option.bind
-                       (Tp_util.Json.parse_opt l)
-                       (fun j ->
-                         Option.bind
-                           (Tp_util.Json.member "event" j)
-                           Tp_util.Json.str)))
-    in
-    check "every event-log line is valid JSON with an event field"
-      (events <> []) "no parseable events";
-    List.iter
-      (fun ev ->
-        check
-          (Printf.sprintf "event log records %s" ev)
-          (List.mem ev events)
-          (String.concat "," events))
-      [ "daemon_start"; "job_received"; "job_done"; "shutdown" ];
-    (match out with
-    | None -> ()
-    | Some out ->
-        (if not (Sys.file_exists out) then
-           try Unix.mkdir out 0o755 with Unix.Unix_error _ -> ());
-        let save name data =
-          let oc = open_out (Filename.concat out name) in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc data)
-        in
-        save "metrics.txt" metrics_text;
-        (match open_in_bin elog with
-        | exception Sys_error _ -> ()
-        | ic ->
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> save "events.jsonl" (In_channel.input_all ic))));
-    (try rm_rf dir with Unix.Unix_error _ -> ());
-    if !fails > 0 then begin
-      Printf.printf "top-smoke: %d checks FAILED\n%!" !fails;
-      exit 1
-    end
-    else Printf.printf "top-smoke: PASS\n%!"
-  in
-  Cmd.v
-    (Cmd.info "top-smoke"
-       ~doc:
-         "Telemetry smoke test: boot the daemon with an event log, run \
-          a small sweep, scrape the metrics request, and gate on the \
-          OpenMetrics exposition carrying the engine/store/pool \
-          families the dashboard renders plus a parseable JSONL event \
-          log.  This is the CI gate.")
-    Term.(const run $ out_arg $ verbose_arg)
-
 let cmds =
   [
     cmd_platforms;
-    cmd_faults;
     cmd_bench;
     cmd_serve;
     cmd_sweep;
-    cmd_serve_smoke;
-    cmd_replay_smoke;
     cmd_top;
-    cmd_top_smoke;
     cmd_lint;
     cmd_ctcheck;
     cmd_certify;

@@ -285,9 +285,8 @@ let run_pair_result ?(placement = Same_core) b ~sender ~receiver spec ~rng =
     cert = Tp_analysis.Certify.certify_static b;
   }
 
-(* Collection metadata as one JSON object, so `tpsim faults` and the
-   campaign service report the degradation contract in the same
-   machine-readable shape. *)
+(* Collection metadata as one JSON object: the degradation contract
+   in a machine-readable shape. *)
 let status_json r =
   Printf.sprintf
     "{\"degraded\":%b,\"degraded_reason\":%s,\"recovered_faults\":%d,\"checkpoints\":%d,\"samples\":%d}"

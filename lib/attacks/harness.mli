@@ -122,8 +122,8 @@ val run_pair_result :
 val status_json : result -> string
 (** The collection metadata of a result — degraded flag and reason,
     recovered fault count, checkpoints, samples kept — as one JSON
-    object, the shape [tpsim faults] and the campaign-service
-    job-result JSON both report. *)
+    object, the shape the fault tests print when a recovery check
+    fails. *)
 
 val point_chunk : string
 (** ["harness.chunk"]: injection point crossed once per checkpointed

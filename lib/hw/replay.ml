@@ -25,7 +25,7 @@ let tag_clflush = 5
 let tag_add_cycles = 6
 let tag_idle = 7
 
-(* Crossed once per replayed stream, so `tpsim faults` can strike the
+(* Crossed once per replayed stream, so a fault test can strike the
    replay path and prove the trial loop degrades to live execution. *)
 let point_step = "replay_step"
 let () = Tp_fault.Fault.register point_step

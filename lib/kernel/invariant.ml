@@ -6,7 +6,7 @@
    (frame conservation, object disjointness, IRQ/scheduler sanity);
    here they are checked dynamically and any violation is reported as
    a human-readable string instead of an assertion failure, so tooling
-   (tpsim faults) can tabulate them. *)
+   (the fail-at-step-N driver) can tabulate them. *)
 
 let sprintf = Printf.sprintf
 

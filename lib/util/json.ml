@@ -24,6 +24,14 @@ let parse s =
     if !i < n && s.[!i] = c then incr i
     else fail (Printf.sprintf "expected '%c'" c)
   in
+  let literal word v =
+    let l = String.length word in
+    if !i + l <= n && String.sub s !i l = word then begin
+      i := !i + l;
+      v
+    end
+    else fail (Printf.sprintf "expected '%s'" word)
+  in
   let hex_digit c =
     match c with
     | '0' .. '9' -> Char.code c - Char.code '0'
@@ -136,15 +144,9 @@ let parse s =
             | _ -> fail "expected ',' or ']'"
           in
           Arr (elems [])
-    | Some 't' ->
-        i := !i + 4;
-        Bool true
-    | Some 'f' ->
-        i := !i + 5;
-        Bool false
-    | Some 'n' ->
-        i := !i + 4;
-        Null
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
     | Some _ ->
         let j = ref !i in
         while
@@ -175,8 +177,14 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let str = function Str s -> Some s | _ -> None
 let num = function Num f -> Some f | _ -> None
 
+(* [Float.of_int max_int] rounds up to 2^62, so the upper bound is
+   exclusive; [min_int] = -2^62 is exact. *)
 let int_ = function
-  | Num f -> Some (int_of_float (Float.round f))
+  | Num f
+    when Float.is_integer f
+         && f >= Float.of_int min_int
+         && f < Float.of_int max_int ->
+      Some (int_of_float f)
   | _ -> None
 
 let bool_ = function Bool b -> Some b | _ -> None

@@ -8,7 +8,8 @@
     printer for building documents from structured values.
 
     The parser accepts standard JSON with the escapes this repo's
-    printers emit (incl. [\uXXXX]); it rejects trailing garbage. *)
+    printers emit (incl. [\uXXXX]); it rejects trailing garbage and
+    misspelt or truncated [true] / [false] / [null] literals. *)
 
 type t =
   | Null
@@ -31,7 +32,9 @@ val member : string -> t -> t option
 val str : t -> string option
 val num : t -> float option
 val int_ : t -> int option
-(** [Num] rounded to the nearest integer. *)
+(** A [Num] that is finite, integral and within the [int] range;
+    [None] for anything else (so [2.5], [1e19] and non-numbers are
+    rejected, never rounded or wrapped). *)
 
 val bool_ : t -> bool option
 val arr : t -> t list option

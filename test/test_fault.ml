@@ -14,8 +14,8 @@ let boot () =
    point it crosses x every fault kind must propagate the error and
    leave every global invariant intact. *)
 
-let test_fail_at_each_step () =
-  let cases = Tp_fault_driver.Driver.standard_cases ~platform:haswell in
+let test_fail_at_each_step platform () =
+  let cases = Tp_fault_driver.Driver.standard_cases ~platform in
   Alcotest.(check bool) "has cases" true (cases <> []);
   List.iter
     (fun (c : Tp_fault_driver.Driver.case) ->
@@ -213,10 +213,46 @@ let test_harness_recovers_from_injected_fault () =
   Alcotest.(check bool) "complete" false r.Tp_attacks.Harness.degraded;
   Alcotest.(check bool) "checkpointed" true (r.Tp_attacks.Harness.checkpoints > 1)
 
+(* Collect 200 samples of a real channel pair with a one-shot kernel
+   fault armed at [point]:[hit].  The fault must fire and the harness
+   must recover it, dropping the faulted chunk's samples, not the
+   rest of the collection. *)
+let check_fault_recovered ~point ~hit b (sender, receiver) symbols =
+  let spec =
+    {
+      (Tp_attacks.Harness.default_spec haswell) with
+      Tp_attacks.Harness.samples = 200;
+      symbols;
+    }
+  in
+  Tp_fault.Fault.arm ~point ~hit (Types.Kernel_error Types.Insufficient_untyped);
+  let r =
+    Fun.protect ~finally:Tp_fault.Fault.disarm (fun () ->
+        let r =
+          Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec
+            ~rng:(Tp_util.Rng.create ~seed:1)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s:%d fired" point hit)
+          true (Tp_fault.Fault.fired ());
+        r)
+  in
+  let status = Tp_attacks.Harness.status_json r in
+  Alcotest.(check bool) ("fault recovered: " ^ status) true
+    (r.Tp_attacks.Harness.recovered_faults >= 1);
+  Alcotest.(check bool) ("collection carried on: " ^ status) true
+    (Array.length r.Tp_attacks.Harness.data.Tp_channel.Mi.input >= 150)
+
+let test_harness_recovers_chunk_fault () =
+  let b = Tp_core.Scenario.boot Tp_core.Scenario.Protected haswell in
+  check_fault_recovered ~point:Tp_attacks.Harness.point_chunk ~hit:2 b
+    (Tp_attacks.Kernel_chan.prepare b)
+    Tp_attacks.Kernel_chan.symbols
+
 let suite =
   [
     Alcotest.test_case "fail-at-each-step: all ops, all points, all faults"
-      `Slow test_fail_at_each_step;
+      `Slow (test_fail_at_each_step haswell);
     Alcotest.test_case "enumerate lists clone's injection points" `Quick
       test_enumerate_clone_steps;
     Alcotest.test_case "clone rollback releases ASID and frames" `Quick
@@ -234,4 +270,8 @@ let suite =
       test_budget_degrades_gracefully;
     Alcotest.test_case "harness checkpoint loop completes cleanly" `Quick
       test_harness_recovers_from_injected_fault;
+    Alcotest.test_case "fail-at-each-step on sabre" `Slow
+      (test_fail_at_each_step Tp_hw.Platform.sabre);
+    Alcotest.test_case "harness recovers an injected chunk fault" `Quick
+      test_harness_recovers_chunk_fault;
   ]

@@ -228,10 +228,9 @@ let test_record_streams_deterministic () =
 
 (* ---- harness-level bit-identity --------------------------------- *)
 
-let collect ~replay kind =
+let collect ~replay chan kind =
   Tp_attacks.Harness.set_replay_enabled replay;
   let b = Scenario.boot kind haswell in
-  let chan = Tp_attacks.Cache_channels.tlb in
   let sender, receiver = chan.Tp_attacks.Cache_channels.prepare b in
   let spec =
     {
@@ -255,16 +254,20 @@ let test_harness_replay_bit_identical () =
     ~finally:(fun () -> Tp_attacks.Harness.set_replay_enabled true)
     (fun () ->
       List.iter
-        (fun (kind, name) ->
-          let d_rep, m_rep = collect ~replay:true kind in
-          let d_live, m_live = collect ~replay:false kind in
-          Alcotest.(check bool)
-            (name ^ ": replayed dataset = live dataset")
-            true (d_rep = d_live);
-          Alcotest.(check string)
-            (name ^ ": replayed machine state = live machine state")
-            m_live m_rep)
-        [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ])
+        (fun (chan : Tp_attacks.Cache_channels.t) ->
+          List.iter
+            (fun (kind, cfg) ->
+              let name = cfg ^ "/" ^ chan.Tp_attacks.Cache_channels.name in
+              let d_rep, m_rep = collect ~replay:true chan kind in
+              let d_live, m_live = collect ~replay:false chan kind in
+              Alcotest.(check bool)
+                (name ^ ": replayed dataset = live dataset")
+                true (d_rep = d_live);
+              Alcotest.(check string)
+                (name ^ ": replayed machine state = live machine state")
+                m_live m_rep)
+            [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ])
+        Tp_attacks.Cache_channels.[ l1d; tlb ])
 
 (* The kernel-channel sender enters the kernel for symbols 0-2, so
    those recordings must poison themselves (replay can't reproduce a
@@ -292,6 +295,56 @@ let test_poisoning_self_disqualifies () =
           true (Replay.poisoned r))
     streams
 
+(* ---- crash consistency ------------------------------------------ *)
+
+(* Whole-machine restore crosses [Machine.point_restore] once per
+   component loaded, so arming each crossing in turn crashes the
+   restore between every pair of components.  Every crossing must
+   fire, and restoring again (the recovery) must leave no torn state:
+   the machine digests exactly as the snapshot. *)
+let test_torn_restore_recovered () =
+  let b = Scenario.boot Scenario.Raw haswell in
+  let m = Tp_kernel.System.machine b.Tp_kernel.Boot.sys in
+  let perturb () =
+    for i = 0 to 63 do
+      ignore
+        (Machine.access m ~core:0 ~asid:0 ~global:false ~vaddr:(i * 4096)
+           ~paddr:(i * 4096) ~kind:Defs.Read ()
+          : int)
+    done
+  in
+  let snap = Machine.snapshot m in
+  let want = Machine.snapshot_digest snap in
+  perturb ();
+  let (), crossings = Tp_fault.Fault.trace (fun () -> Machine.restore m snap) in
+  let steps = List.length crossings in
+  Alcotest.(check bool) "restore crosses the injection point" true (steps > 1);
+  for hit = 0 to steps - 1 do
+    perturb ();
+    Tp_fault.Fault.arm ~point:Machine.point_restore ~hit
+      (Failure "injected restore crash");
+    let crashed =
+      Fun.protect ~finally:Tp_fault.Fault.disarm (fun () ->
+          match Machine.restore m snap with
+          | () -> false
+          | exception Failure _ -> true)
+    in
+    Alcotest.(check bool) (Printf.sprintf "crossing %d fired" hit) true crashed;
+    Machine.restore m snap;
+    Alcotest.(check string)
+      (Printf.sprintf "re-restore after crash at %d = snapshot" hit)
+      want (Machine.state_digest m)
+  done
+
+(* A fault striking the replay path mid-collection is recovered by the
+   harness exactly like a live-slice kernel fault. *)
+let test_replay_step_fault_recovered () =
+  let b = Scenario.boot Scenario.Protected haswell in
+  let chan = Tp_attacks.Cache_channels.l1d in
+  Test_fault.check_fault_recovered ~point:Replay.point_step ~hit:3 b
+    (chan.Tp_attacks.Cache_channels.prepare b)
+    chan.Tp_attacks.Cache_channels.symbols
+
 let suite =
   [
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
@@ -307,4 +360,8 @@ let suite =
       test_harness_replay_bit_identical;
     Alcotest.test_case "kernel-chan sender self-disqualifies" `Quick
       test_poisoning_self_disqualifies;
+    Alcotest.test_case "torn restore recovered bit-identically" `Quick
+      test_torn_restore_recovered;
+    Alcotest.test_case "replay_step fault recovered" `Quick
+      test_replay_step_fault_recovered;
   ]

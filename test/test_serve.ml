@@ -663,6 +663,51 @@ let test_kcert_memo_matches_certify () =
         E.config_slugs)
     Tp_hw.Platform.[ haswell; sabre; armv8 ]
 
+(* Integer fields fail closed: a seed that is not an exact in-range
+   integer is rejected with the field named, never rounded (2.5 -> 3)
+   or wrapped (1e19 -> 0); jobs built by [P.job] still round-trip
+   through the wire text. *)
+let test_non_integral_seed_rejected () =
+  let base = P.job_to_json (P.job ()) in
+  let with_seed v =
+    match base with
+    | Tp_util.Json.Obj kvs ->
+        Tp_util.Json.Obj
+          (List.map (fun (k, x) -> if k = "seed" then (k, v) else (k, x)) kvs)
+    | _ -> Alcotest.fail "job_to_json is not an object"
+  in
+  List.iter
+    (fun (what, v) ->
+      match P.job_of_json (with_seed (Tp_util.Json.Num v)) with
+      | Ok j -> Alcotest.failf "seed %s accepted as %d" what j.P.j_seed
+      | Error e ->
+          Alcotest.(check bool)
+            ("seed " ^ what ^ " rejected naming the field")
+            true (contains_sub e "seed"))
+    [ ("1e19", 1e19); ("2.5", 2.5); ("inf", Float.infinity) ];
+  (match
+     P.job_of_json
+       (Tp_util.Json.parse
+          {|{"id":"x","platforms":["haswell"],"configs":["protected"],"channels":["l1d"],"trials":1,"seed":1e999,"samples":10,"max_retries":0}|})
+   with
+  | Ok _ -> Alcotest.fail "overflowing wire seed accepted"
+  | Error _ -> ());
+  List.iter
+    (fun j ->
+      let wire = Tp_util.Json.parse (Tp_util.Json.to_string (P.job_to_json j)) in
+      match P.job_of_json wire with
+      | Ok j' ->
+          Alcotest.(check bool) (j.P.j_id ^ " round-trips") true (j = j')
+      | Error e -> Alcotest.fail (j.P.j_id ^ ": " ^ e))
+    [
+      P.job ~id:"defaults" ();
+      job ();
+      P.job ~id:"negative-seed" ~seed:(-3) ();
+      P.job ~id:"wide-seed" ~seed:(1 lsl 40) ();
+      P.job ~id:"budgets" ~trial_cycle_budget:2_000_000 ~trial_timeout_s:1.5
+        ~wall_budget_s:30.0 ~max_retries:0 ~replay:false ();
+    ]
+
 let suite =
   [
     Alcotest.test_case "job wire round-trip" `Quick test_job_roundtrip;
@@ -701,4 +746,6 @@ let suite =
       test_kcert_memo_race_par_eq_seq;
     Alcotest.test_case "kcert memo matches direct certify" `Quick
       test_kcert_memo_matches_certify;
+    Alcotest.test_case "non-integral seed rejected" `Quick
+      test_non_integral_seed_rejected;
   ]

@@ -236,6 +236,21 @@ let qcheck_shuffle_preserves_multiset =
       Array.sort compare sb;
       sa = sb)
 
+(* Literals must match exactly: the campaign protocol reads socket
+   input through this parser, so a misspelt [true]/[false]/[null]
+   fails closed instead of parsing as the word it starts like. *)
+let test_json_bad_literals () =
+  List.iter
+    (fun s ->
+      match Tp_util.Json.parse s with
+      | v ->
+          Alcotest.failf "%S accepted as %s" s (Tp_util.Json.to_string v)
+      | exception Tp_util.Json.Bad _ -> ())
+    [ {|{"a":txyz}|}; "nope"; "[fxxxx]"; "tru" ];
+  Alcotest.(check string)
+    "exact literals still parse" {|[true,false,null]|}
+    (Tp_util.Json.to_string (Tp_util.Json.parse " [true, false ,null] "))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -260,4 +275,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_percentile_matches_compare_sort;
     QCheck_alcotest.to_alcotest qcheck_mean_bounds;
     QCheck_alcotest.to_alcotest qcheck_shuffle_preserves_multiset;
+    Alcotest.test_case "json rejects bad literals" `Quick
+      test_json_bad_literals;
   ]
