@@ -776,6 +776,67 @@ let test_ipc_global_mappings_cheaper_on_arm () =
     true
     (colour_ready > original)
 
+(* ------------------------------------------------------------------ *)
+(* Boot state pin *)
+
+(* Frame numbers choose cache sets, so the order in which boot hands
+   out frames is part of every result.  This pins, per platform and
+   scenario, the machine state after boot together with the root
+   Untyped's and every domain pool's free frames, in order. *)
+let untyped_free_list cap = (Retype.the_untyped cap).Types.u_free
+
+let boot_state_digest p kind =
+  let b = Tp_core.Scenario.boot kind p in
+  let buf = Buffer.create 65536 in
+  let add_frames cap =
+    List.iter
+      (fun f -> Buffer.add_string buf (string_of_int f); Buffer.add_char buf ',')
+      (untyped_free_list cap);
+    Buffer.add_char buf '|'
+  in
+  Buffer.add_string buf (Tp_hw.Machine.state_digest (System.machine b.Boot.sys));
+  add_frames b.Boot.root;
+  Array.iter (fun d -> add_frames d.Boot.dom_pool) b.Boot.domains;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_boot_digests =
+  [
+    ("haswell/raw", "c65cb0b80d20b4caf6425d352e249485");
+    ("haswell/full-flush", "4fef3918733a6ba12e4e7faf045a7dd7");
+    ("haswell/protected", "da77596ab85d2881e448647bbe2c9a65");
+    ("haswell/coloured-only", "1c813496eea58d2efe357d60bf8f9580");
+    ("haswell/no-pad", "da77596ab85d2881e448647bbe2c9a65");
+    ("haswell/no-prefetcher", "a9b0bd8c663a3f7927d12af930ec6289");
+    ("haswell/cat-llc", "c65cb0b80d20b4caf6425d352e249485");
+    ("sabre/raw", "b927637c1aea547f6585a551a7f825f0");
+    ("sabre/full-flush", "b927637c1aea547f6585a551a7f825f0");
+    ("sabre/protected", "26fc54bd56710995768f5d6e86e09e14");
+    ("sabre/coloured-only", "b45a5cf4886abf01ba966269b145ce6e");
+    ("sabre/no-pad", "26fc54bd56710995768f5d6e86e09e14");
+    ("sabre/no-prefetcher", "26fc54bd56710995768f5d6e86e09e14");
+    ("sabre/cat-llc", "b927637c1aea547f6585a551a7f825f0");
+    ("armv8/raw", "d1a27a6ca8feb09fb777570c1fdd072b");
+    ("armv8/full-flush", "d1a27a6ca8feb09fb777570c1fdd072b");
+    ("armv8/protected", "bba93947fc70c7ac07e70cb413a6d126");
+    ("armv8/coloured-only", "324b7ef533aa925487547675861a785e");
+    ("armv8/no-pad", "bba93947fc70c7ac07e70cb413a6d126");
+    ("armv8/no-prefetcher", "bba93947fc70c7ac07e70cb413a6d126");
+    ("armv8/cat-llc", "d1a27a6ca8feb09fb777570c1fdd072b");
+  ]
+
+let test_boot_state_pinned () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (slug, kind) ->
+          let key = p.Tp_hw.Platform.name ^ "/" ^ slug in
+          let got = boot_state_digest p kind in
+          match List.assoc_opt key pinned_boot_digests with
+          | Some want -> Alcotest.(check string) key want got
+          | None -> Alcotest.failf "no pinned digest for %s" key)
+        Tp_core.Scenario.slugs)
+    Tp_hw.Platform.all
+
 let suite =
   [
     Alcotest.test_case "colour split disjoint" `Quick test_colour_split_disjoint;
@@ -839,4 +900,5 @@ let suite =
     Alcotest.test_case "ipc arm colour-ready slower" `Quick
       test_ipc_global_mappings_cheaper_on_arm;
     QCheck_alcotest.to_alcotest qcheck_idle_matches_polling;
+    Alcotest.test_case "boot state pinned" `Quick test_boot_state_pinned;
   ]
