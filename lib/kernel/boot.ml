@@ -27,13 +27,10 @@ let boot ?(colour_percent = 100) ?(domains = 2) ~platform ~config () =
     (System.initial_kernel sys).Types.ki_running_on.(c) <- true
   done;
   (* All free memory becomes the root Untyped of the initial task. *)
-  let all_frames =
-    match Phys.alloc_many phys (Phys.free_frames phys) with
-    | Some fs -> fs
-    | None -> assert false
-  in
   let n_colours = Phys.n_colours phys in
-  let root = Retype.untyped_of_frames ~n_colours all_frames in
+  let root =
+    Retype.untyped_of_frames ~n_colours (Frameseq.of_array (Phys.alloc_all phys))
+  in
   let master = Clone.master_cap sys in
   let usable = Colour.fraction ~n_colours ~percent:colour_percent in
   let colour_splits =

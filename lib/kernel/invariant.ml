@@ -16,7 +16,7 @@ let rec frames_of_cap_tree cap =
   if not (Capability.is_valid cap) then 0
   else begin
     let own =
-      if Objects.is_owner cap then List.length (Types.obj_frames cap.Types.target)
+      if Objects.is_owner cap then Types.obj_frame_count cap.Types.target
       else 0
     in
     List.fold_left
@@ -84,7 +84,7 @@ let check ?expect_user_frames (b : Boot.booted) =
   Array.iter
     (fun dom ->
       let u = Retype.the_untyped dom.Boot.dom_pool in
-      List.iter
+      Frameseq.iter
         (fun f ->
           if
             not

@@ -31,10 +31,13 @@ let rec parent_untyped cap =
       | _ -> parent_untyped p
     end
 
-let return_frames cap frames =
+(* Returned frames go to the head of the parent's free frames. *)
+let return_seq cap frames =
   match parent_untyped cap with
-  | Some u -> u.Types.u_free <- frames @ u.Types.u_free
+  | Some u -> u.Types.u_free <- Frameseq.append frames u.Types.u_free
   | None -> ()
+
+let return_frames cap frames = return_seq cap (Frameseq.of_list frames)
 
 let destroy_object sys ~core cap =
   match cap.Types.target with
@@ -77,8 +80,8 @@ let destroy_object sys ~core cap =
   | Types.Obj_untyped u ->
       (* Free frames flow back to the parent; retyped children must
          have been deleted first (revocation order guarantees it). *)
-      return_frames cap u.Types.u_free;
-      u.Types.u_free <- []
+      return_seq cap u.Types.u_free;
+      u.Types.u_free <- Frameseq.empty
   | Types.Obj_irq_handler h -> h.Types.ih_kernel <- None
   | Types.Obj_sched_context sc ->
       (* Unbind from any thread still holding it. *)

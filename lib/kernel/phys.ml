@@ -4,8 +4,6 @@ type t = {
   free : bool array;
   mutable n_free : int;
   mutable boot_reserved : bool;
-  (* Next-candidate hint per colour keeps allocation O(1) amortised. *)
-  hint : int array;
 }
 
 let create p =
@@ -17,7 +15,6 @@ let create p =
     free = Array.make n_frames true;
     n_free = n_frames;
     boot_reserved = false;
-    hint = Array.make n_colours 0;
   }
 
 let n_frames t = t.n_frames
@@ -41,36 +38,16 @@ let () =
 let alloc t ?(colours = -1) () =
   Tp_fault.Fault.hit "phys.alloc";
   (* colours = -1 means "any colour" (all bits set). *)
-  let want c = colours land (1 lsl c) <> 0 in
   let rec scan f =
     if f >= t.n_frames then None
-    else if t.free.(f) && want (colour_of t f) then begin
+    else if t.free.(f) && Colour.mem colours (colour_of t f) then begin
       t.free.(f) <- false;
       t.n_free <- t.n_free - 1;
       Some f
     end
     else scan (f + 1)
   in
-  (* Start from the lowest colour hint among wanted colours. *)
-  let start =
-    let best = ref t.n_frames in
-    for c = 0 to t.n_colours - 1 do
-      if want c && t.hint.(c) < !best then best := t.hint.(c)
-    done;
-    if !best = t.n_frames then 0 else !best
-  in
-  match scan start with
-  | Some f ->
-      let c = colour_of t f in
-      t.hint.(c) <- f + 1;
-      Some f
-  | None -> (
-      match scan 0 with
-      | Some f ->
-          let c = colour_of t f in
-          t.hint.(c) <- f + 1;
-          Some f
-      | None -> None)
+  scan 0
 
 let alloc_many t ?(colours = -1) n =
   Tp_fault.Fault.hit "phys.alloc_many";
@@ -90,14 +67,26 @@ let alloc_many t ?(colours = -1) n =
   in
   go [] n
 
+let alloc_all t =
+  Tp_fault.Fault.hit "phys.alloc_many";
+  let frames = Array.make t.n_free 0 in
+  let k = ref 0 in
+  for f = 0 to t.n_frames - 1 do
+    if t.free.(f) then begin
+      t.free.(f) <- false;
+      frames.(!k) <- f;
+      incr k
+    end
+  done;
+  t.n_free <- 0;
+  frames
+
 let free t f =
   Tp_fault.Fault.hit "phys.free";
   assert (f >= 0 && f < t.n_frames);
   assert (not t.free.(f));
   t.free.(f) <- true;
-  t.n_free <- t.n_free + 1;
-  let c = colour_of t f in
-  if f < t.hint.(c) then t.hint.(c) <- f
+  t.n_free <- t.n_free + 1
 
 let free_frames t = t.n_free
 

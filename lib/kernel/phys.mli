@@ -29,6 +29,11 @@ val alloc : t -> ?colours:Colour.set -> unit -> int option
 val alloc_many : t -> ?colours:Colour.set -> int -> int list option
 (** All-or-nothing allocation of [n] frames. *)
 
+val alloc_all : t -> int array
+(** Allocate every free frame, lowest first, in one pass: what
+    [alloc_many] of all free frames returns.  Boot hands the result to
+    the root Untyped. *)
+
 val free : t -> int -> unit
 (** Return a frame.  Double-free is an assertion failure. *)
 

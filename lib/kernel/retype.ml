@@ -9,7 +9,7 @@ let () =
     [ "retype.take_frames"; "retype.register"; "retype.split" ]
 
 let colour_set_of ~n_colours frames =
-  List.fold_left
+  Frameseq.fold_left
     (fun s f -> Colour.add s (Colour.colour_of_frame ~n_colours f))
     Colour.empty frames
 
@@ -20,6 +20,7 @@ let untyped_of_frames ~n_colours frames =
       u_free = frames;
       u_retyped = [];
       u_colours = colour_set_of ~n_colours frames;
+      u_n_colours = n_colours;
     }
   in
   Capability.mk_root (Types.Obj_untyped u)
@@ -32,6 +33,7 @@ let mk_child_untyped parent_cap frames colours =
       u_free = frames;
       u_retyped = [];
       u_colours = colours;
+      u_n_colours = u.Types.u_n_colours;
     }
   in
   u.Types.u_retyped <- Types.Obj_untyped child :: u.Types.u_retyped;
@@ -53,41 +55,28 @@ let mk_child_untyped parent_cap frames colours =
 
 let split_colours parent_cap colours =
   let u = the_untyped parent_cap in
-  let n_colours =
-    (* Recover the colour count from the parent's colour set: colours
-       are dense from 0, so the max colour bound works for our pools. *)
-    match List.rev (Colour.to_list u.Types.u_colours) with
-    | [] -> raise (Types.Kernel_error Types.Insufficient_colours)
-    | c :: _ -> c + 1
-  in
+  let colour_of f = Colour.colour_of_frame ~n_colours:u.Types.u_n_colours f in
   let mine, rest =
-    List.partition
-      (fun f -> Colour.mem colours (Colour.colour_of_frame ~n_colours f))
-      u.Types.u_free
+    Frameseq.partition (fun f -> Colour.mem colours (colour_of f)) u.Types.u_free
   in
   List.iter
     (fun c ->
-      if
-        not
-          (List.exists
-             (fun f -> Colour.colour_of_frame ~n_colours f = c)
-             mine)
-      then raise (Types.Kernel_error Types.Insufficient_colours))
+      if not (Frameseq.exists (fun f -> colour_of f = c) mine) then
+        raise (Types.Kernel_error Types.Insufficient_colours))
     (Colour.to_list colours);
   Tp_fault.Fault.hit "retype.split";
   u.Types.u_free <- rest;
   mk_child_untyped parent_cap mine colours
 
+(* The first [n] free frames and the rest. *)
+let split_free u n =
+  if Frameseq.length u.Types.u_free < n then
+    raise (Types.Kernel_error Types.Insufficient_untyped);
+  Frameseq.split_at n u.Types.u_free
+
 let split_frames parent_cap ~frames =
   let u = the_untyped parent_cap in
-  if List.length u.Types.u_free < frames then
-    raise (Types.Kernel_error Types.Insufficient_untyped);
-  let rec take n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | f :: rest -> take (n - 1) (f :: acc) rest
-  in
-  let mine, rest = take frames [] u.Types.u_free in
+  let mine, rest = split_free u frames in
   Tp_fault.Fault.hit "retype.split";
   u.Types.u_free <- rest;
   mk_child_untyped parent_cap mine u.Types.u_colours
@@ -99,40 +88,22 @@ let split_frames parent_cap ~frames =
 let take_frames_txn txn cap n =
   let u = the_untyped cap in
   Tp_fault.Fault.hit "retype.take_frames";
-  if List.length u.Types.u_free < n then
-    raise (Types.Kernel_error Types.Insufficient_untyped);
-  let rec take n acc rest =
-    if n = 0 then (List.rev acc, rest)
-    else begin
-      match rest with
-      | [] -> assert false
-      | f :: rest -> take (n - 1) (f :: acc) rest
-    end
-  in
-  let mine, rest = take n [] u.Types.u_free in
+  let mine, rest = split_free u n in
   u.Types.u_free <- rest;
-  Txn.defer txn (fun () -> u.Types.u_free <- mine @ u.Types.u_free);
-  mine
+  Txn.defer txn (fun () -> u.Types.u_free <- Frameseq.append mine u.Types.u_free);
+  Frameseq.to_list mine
 
 let take_frames cap n = Txn.run (fun txn -> take_frames_txn txn cap n)
 
 let take_frames_where cap ~pred n =
   let u = the_untyped cap in
   Tp_fault.Fault.hit "retype.take_frames";
-  let matching, rest = List.partition pred u.Types.u_free in
-  if List.length matching < n then
+  let matching, rest = Frameseq.partition pred u.Types.u_free in
+  if Frameseq.length matching < n then
     raise (Types.Kernel_error Types.Insufficient_untyped);
-  let rec take k acc rest =
-    if k = 0 then (List.rev acc, rest)
-    else begin
-      match rest with
-      | [] -> assert false
-      | f :: rest -> take (k - 1) (f :: acc) rest
-    end
-  in
-  let mine, leftover = take n [] matching in
-  u.Types.u_free <- leftover @ rest;
-  mine
+  let mine, leftover = Frameseq.split_at n matching in
+  u.Types.u_free <- Frameseq.append leftover rest;
+  Frameseq.to_list mine
 
 let register cap obj =
   let u = the_untyped cap in
@@ -234,4 +205,4 @@ let retype_kernel_memory cap ~platform =
     (Types.Obj_kernel_memory
        { Types.km_id = Types.fresh_id (); km_frames = frames; km_image = None })
 
-let untyped_free_frames cap = List.length (the_untyped cap).Types.u_free
+let untyped_free_frames cap = Frameseq.length (the_untyped cap).Types.u_free

@@ -7,8 +7,10 @@
     capabilities derived from the Untyped's capability, so revoking the
     Untyped reclaims everything carved from it. *)
 
-val untyped_of_frames : n_colours:int -> int list -> Types.cap
-(** Wrap raw frames as a root Untyped capability (boot-time only). *)
+val untyped_of_frames : n_colours:int -> Frameseq.t -> Types.cap
+(** Wrap raw frames as a root Untyped capability (boot-time only).
+    [n_colours] is the platform's colour count; child Untypeds inherit
+    it, so {!split_colours} colours frames the way the caches do. *)
 
 val split_colours : Types.cap -> Colour.set -> Types.cap
 (** Carve a child Untyped containing exactly the parent's free frames

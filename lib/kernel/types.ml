@@ -80,9 +80,10 @@ and cap = {
 
 and untyped = {
   u_id : int;
-  mutable u_free : int list;  (** free frames owned by this untyped *)
+  mutable u_free : Frameseq.t;  (** free frames owned by this untyped *)
   mutable u_retyped : obj list;  (** objects carved out of it *)
   u_colours : Colour.set;  (** colours of the frames it holds *)
+  u_n_colours : int;  (** the platform's colour count, for [u_colours] *)
 }
 
 and frame = {
@@ -214,18 +215,18 @@ let fresh_id () =
 let id_mark () = !(Domain.DLS.get id_counter)
 let set_id_mark v = Domain.DLS.get id_counter := v
 
-let obj_frames = function
-  | Obj_untyped u -> u.u_free
-  | Obj_frame f -> [ f.f_frame ]
-  | Obj_tcb t -> t.t_frames
-  | Obj_endpoint e -> e.ep_frames
-  | Obj_notification n -> n.nf_frames
-  | Obj_vspace _ -> []
-  | Obj_kernel_image k -> Array.to_list k.ki_frames
-  | Obj_kernel_memory m -> m.km_frames
-  | Obj_irq_handler _ -> []
-  | Obj_sched_context sc -> sc.sc_frames
-  | Obj_cnode cn -> cn.cn_frames
+let obj_frame_count = function
+  | Obj_untyped u -> Frameseq.length u.u_free
+  | Obj_frame _ -> 1
+  | Obj_tcb t -> List.length t.t_frames
+  | Obj_endpoint e -> List.length e.ep_frames
+  | Obj_notification n -> List.length n.nf_frames
+  | Obj_vspace _ -> 0
+  | Obj_kernel_image k -> Array.length k.ki_frames
+  | Obj_kernel_memory m -> List.length m.km_frames
+  | Obj_irq_handler _ -> 0
+  | Obj_sched_context sc -> List.length sc.sc_frames
+  | Obj_cnode cn -> List.length cn.cn_frames
 
 let obj_kind_name = function
   | Obj_untyped _ -> "Untyped"

@@ -459,6 +459,38 @@ let test_set_priority_requeues () =
   Alcotest.(check bool) "still queued at new prio" true
     (Sched.is_queued (System.sched b.Boot.sys) ~core:0 target)
 
+(* 75 % of Haswell's 8 colours gives domains {0,1,2} and {3,4,5}.  A
+   sub-pool of the second must still colour frames modulo 8: guessing
+   the count from the pool's highest colour (6) hands sub-domain {3}
+   frames of its sibling's colour 5. *)
+let test_subdivide_partial_colour_boot () =
+  let b =
+    Boot.boot ~colour_percent:75 ~platform:haswell
+      ~config:(Config.protected_ haswell) ()
+  in
+  let n_colours = System.n_colours b.Boot.sys in
+  let d1 = b.Boot.domains.(1) in
+  Alcotest.(check (list int)) "domain 1 colours" [ 3; 4; 5 ]
+    (Colour.to_list d1.Boot.dom_colours);
+  let subs = Boot.subdivide b d1 ~parts:3 ~core:0 in
+  Alcotest.(check int) "three sub-domains" 3 (List.length subs);
+  List.iter
+    (fun s ->
+      let free = (Retype.the_untyped s.Boot.dom_pool).Types.u_free in
+      let foreign =
+        Frameseq.fold_left
+          (fun n f ->
+            if Colour.mem s.Boot.dom_colours (Colour.colour_of_frame ~n_colours f)
+            then n
+            else n + 1)
+          0 free
+      in
+      Alcotest.(check int)
+        (Format.asprintf "sub-domain %a foreign frames" Colour.pp s.Boot.dom_colours)
+        0 foreign;
+      Alcotest.(check bool) "sub-pool not empty" true (Frameseq.length free > 0))
+    subs
+
 let test_exec_respects_priority () =
   let b = boot_protected () in
   let order = ref [] in
@@ -517,4 +549,6 @@ let suite =
     Alcotest.test_case "poll clears word" `Quick test_poll_clears_word;
     Alcotest.test_case "set_priority requeues" `Quick test_set_priority_requeues;
     Alcotest.test_case "exec respects priority" `Quick test_exec_respects_priority;
+    Alcotest.test_case "subdivide keeps colours on a partial-colour boot" `Quick
+      test_subdivide_partial_colour_boot;
   ]

@@ -116,7 +116,8 @@ let test_phys_exhaustion () =
 (* Capabilities and retype *)
 
 let mk_untyped ?(frames = 64) () =
-  Retype.untyped_of_frames ~n_colours:8 (List.init frames (fun i -> 100 + i))
+  Retype.untyped_of_frames ~n_colours:8
+    (Frameseq.of_list (List.init frames (fun i -> 100 + i)))
 
 let test_retype_takes_frames () =
   let u = mk_untyped () in
@@ -132,13 +133,13 @@ let test_retype_exhaustion () =
       Retype.retype_endpoint u)
 
 let test_split_colours () =
-  let u = Retype.untyped_of_frames ~n_colours:8 (List.init 64 Fun.id) in
+  let u = Retype.untyped_of_frames ~n_colours:8 (Frameseq.of_list (List.init 64 Fun.id)) in
   let red = Retype.split_colours u (Colour.of_list [ 0; 1 ]) in
   Alcotest.(check int) "red got 16 frames" 16 (Retype.untyped_free_frames red);
   Alcotest.(check int) "parent kept 48" 48 (Retype.untyped_free_frames u);
   (* All remaining parent frames avoid colours 0 and 1. *)
   let parent = Retype.the_untyped u in
-  List.iter
+  Frameseq.iter
     (fun f ->
       Alcotest.(check bool) "colour excluded" true
         (Colour.colour_of_frame ~n_colours:8 f >= 2))
@@ -146,7 +147,7 @@ let test_split_colours () =
 
 let test_split_colours_insufficient () =
   (* Frames 0..7 cover colours 0..7 once; taking colour 0 twice fails. *)
-  let u = Retype.untyped_of_frames ~n_colours:8 [ 1; 2; 3 ] in
+  let u = Retype.untyped_of_frames ~n_colours:8 (Frameseq.of_list [ 1; 2; 3 ]) in
   expect_error Types.Insufficient_colours (fun () ->
       Retype.split_colours u (Colour.of_list [ 0 ]))
 
@@ -191,7 +192,7 @@ let test_boot_protected_disjoint_colours () =
   (* Every frame in each pool matches the pool's colour set. *)
   let check_pool d =
     let u = Retype.the_untyped d.Boot.dom_pool in
-    List.iter
+    Frameseq.iter
       (fun f ->
         Alcotest.(check bool) "frame colour in set" true
           (Colour.mem d.Boot.dom_colours (Colour.colour_of_frame ~n_colours:8 f)))
@@ -783,7 +784,7 @@ let test_ipc_global_mappings_cheaper_on_arm () =
    out frames is part of every result.  This pins, per platform and
    scenario, the machine state after boot together with the root
    Untyped's and every domain pool's free frames, in order. *)
-let untyped_free_list cap = (Retype.the_untyped cap).Types.u_free
+let untyped_free_list cap = Frameseq.to_list (Retype.the_untyped cap).Types.u_free
 
 let boot_state_digest p kind =
   let b = Tp_core.Scenario.boot kind p in
@@ -836,6 +837,192 @@ let test_boot_state_pinned () =
           | None -> Alcotest.failf "no pinned digest for %s" key)
         Tp_core.Scenario.slugs)
     Tp_hw.Platform.all
+
+(* ------------------------------------------------------------------ *)
+(* Frame-sequence model *)
+
+(* Untyped free frames are a [Frameseq.t]; their order semantics are
+   those of the plain [int list] they replaced.  Random sequences of
+   takes, rollbacks (prepend), colour partitions, head splits and
+   revokes (append) run against the kernel and against that list
+   model; both must yield the same frames in the same order and the
+   same errors.  [on_child] aims an op at the newest carved child. *)
+type fs_op =
+  | Fs_take of { on_child : bool; n : int }
+  | Fs_take_colour of { on_child : bool; colour : int; n : int }
+  | Fs_rollback of { on_child : bool }
+  | Fs_split_colours of Colour.set
+  | Fs_split_at of int
+  | Fs_return
+
+let fs_op_to_string = function
+  | Fs_take { on_child; n } -> Printf.sprintf "take%s %d" (if on_child then "@child" else "") n
+  | Fs_take_colour { on_child; colour; n } ->
+      Printf.sprintf "take-colour%s %d %d" (if on_child then "@child" else "") colour n
+  | Fs_rollback { on_child } -> Printf.sprintf "rollback%s" (if on_child then "@child" else "")
+  | Fs_split_colours cs -> Format.asprintf "split-colours %a" Colour.pp cs
+  | Fs_split_at n -> Printf.sprintf "split-at %d" n
+  | Fs_return -> "return"
+
+let fs_case_arbitrary =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map2 (fun on_child n -> Fs_take { on_child; n }) bool (int_range 0 12));
+        ( 3,
+          map3
+            (fun on_child colour n -> Fs_take_colour { on_child; colour; n })
+            bool (int_range 0 7) (int_range 0 6) );
+        (2, map (fun on_child -> Fs_rollback { on_child }) bool);
+        (2, map (fun cs -> Fs_split_colours cs) (int_range 0 255));
+        (2, map (fun n -> Fs_split_at n) (int_range 0 40));
+        (2, return Fs_return);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (frames, ops) ->
+      Printf.sprintf "frames [%s]; ops [%s]"
+        (String.concat ";" (List.map string_of_int frames))
+        (String.concat "; " (List.map fs_op_to_string ops)))
+    (pair (list_size (int_range 0 80) (int_range 0 63)) (list_size (int_range 0 25) op))
+
+let fs_injected = Types.Kernel_error Types.Zombie_object
+let fs_colour f = Colour.colour_of_frame ~n_colours:8 f
+
+(* Each op observes its result, then the free frames of the root and
+   of every live child, newest first. *)
+let fs_run_kernel (frames, ops) =
+  let sys = System.create haswell Config.raw in
+  let root = Retype.untyped_of_frames ~n_colours:8 (Frameseq.of_list frames) in
+  let children = ref [] in
+  let target on_child =
+    match !children with c :: _ when on_child -> c | _ -> root
+  in
+  let free cap = Frameseq.to_list (Retype.the_untyped cap).Types.u_free in
+  let run f = match f () with fs -> Ok fs | exception e -> Error e in
+  let carve f =
+    let cap = f () in
+    children := cap :: !children;
+    free cap
+  in
+  List.map
+    (fun op ->
+      let out =
+        match op with
+        | Fs_take { on_child; n } -> run (fun () -> Retype.take_frames (target on_child) n)
+        | Fs_take_colour { on_child; colour; n } ->
+            run (fun () ->
+                Retype.take_frames_where (target on_child)
+                  ~pred:(fun f -> fs_colour f = colour) n)
+        | Fs_rollback { on_child } ->
+            (* The retype takes a frame, then fails to register. *)
+            Tp_fault.Fault.arm ~point:"retype.register" fs_injected;
+            Fun.protect ~finally:Tp_fault.Fault.disarm (fun () ->
+                run (fun () ->
+                    ignore (Retype.retype_tcb (target on_child) ~core:0 ~prio:0);
+                    []))
+        | Fs_split_colours cs -> run (fun () -> carve (fun () -> Retype.split_colours root cs))
+        | Fs_split_at n -> run (fun () -> carve (fun () -> Retype.split_frames root ~frames:n))
+        | Fs_return ->
+            (match !children with
+            | c :: rest ->
+                Objects.delete sys ~core:0 c;
+                children := rest
+            | [] -> ());
+            Ok []
+      in
+      (out, free root :: List.map free !children))
+    ops
+
+let fs_run_model (frames, ops) =
+  let root = ref frames in
+  let children = ref [] in
+  let target on_child =
+    match !children with c :: _ when on_child -> c | _ -> root
+  in
+  let rec split n = function
+    | l when n = 0 -> ([], l)
+    | [] -> ([], [])
+    | f :: l ->
+        let a, b = split (n - 1) l in
+        (f :: a, b)
+  in
+  let take r n =
+    if List.length !r < n then Error (Types.Kernel_error Types.Insufficient_untyped)
+    else begin
+      let mine, rest = split n !r in
+      r := rest;
+      Ok mine
+    end
+  in
+  let carve mine = children := ref mine :: !children in
+  List.map
+    (fun op ->
+      let out =
+        match op with
+        | Fs_take { on_child; n } -> take (target on_child) n
+        | Fs_take_colour { on_child; colour; n } ->
+            let r = target on_child in
+            let matching, rest = List.partition (fun f -> fs_colour f = colour) !r in
+            if List.length matching < n then
+              Error (Types.Kernel_error Types.Insufficient_untyped)
+            else begin
+              let mine, leftover = split n matching in
+              r := leftover @ rest;
+              Ok mine
+            end
+        | Fs_rollback { on_child } ->
+            if !(target on_child) = [] then
+              Error (Types.Kernel_error Types.Insufficient_untyped)
+            else Error fs_injected
+        | Fs_split_colours cs ->
+            let mine, rest = List.partition (fun f -> Colour.mem cs (fs_colour f)) !root in
+            if
+              List.for_all
+                (fun c -> List.exists (fun f -> fs_colour f = c) mine)
+                (Colour.to_list cs)
+            then begin
+              root := rest;
+              carve mine;
+              Ok mine
+            end
+            else Error (Types.Kernel_error Types.Insufficient_colours)
+        | Fs_split_at n ->
+            Result.map
+              (fun mine ->
+                carve mine;
+                mine)
+              (take root n)
+        | Fs_return ->
+            (match !children with
+            | c :: rest ->
+                root := !c @ !root;
+                children := rest
+            | [] -> ());
+            Ok []
+      in
+      (out, !root :: List.map ( ! ) !children))
+    ops
+
+let qcheck_frameseq_model =
+  QCheck.Test.make ~name:"frame sequence matches the int-list model" ~count:300
+    fs_case_arbitrary (fun case ->
+      let show = function
+        | Ok fs, pools ->
+            Printf.sprintf "ok [%s] / %s"
+              (String.concat ";" (List.map string_of_int fs))
+              (String.concat " | "
+                 (List.map (fun p -> String.concat ";" (List.map string_of_int p)) pools))
+        | Error e, _ -> "error " ^ Printexc.to_string e
+      in
+      let got = fs_run_kernel case and want = fs_run_model case in
+      List.iteri
+        (fun i (g, w) ->
+          if g <> w then
+            QCheck.Test.fail_reportf "op %d: kernel %s, model %s" i (show g) (show w))
+        (List.combine got want);
+      true)
 
 let suite =
   [
@@ -901,4 +1088,5 @@ let suite =
       test_ipc_global_mappings_cheaper_on_arm;
     QCheck_alcotest.to_alcotest qcheck_idle_matches_polling;
     Alcotest.test_case "boot state pinned" `Quick test_boot_state_pinned;
+    QCheck_alcotest.to_alcotest qcheck_frameseq_model;
   ]
