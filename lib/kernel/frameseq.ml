@@ -41,7 +41,9 @@ let exists p s =
   go s.off
 
 let partition p s =
-  (* Mark first, then fill two exactly-sized arrays. *)
+  (* Mark first, then fill two exactly-sized arrays: a pool keeps only
+     its own frames alive, and no oversized scratch arrays churn the
+     major heap (trimming copies made boot measurably slower). *)
   let keep = Bytes.make s.len '\000' in
   let n_yes = ref 0 in
   for i = 0 to s.len - 1 do

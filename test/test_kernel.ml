@@ -784,15 +784,13 @@ let test_ipc_global_mappings_cheaper_on_arm () =
    out frames is part of every result.  This pins, per platform and
    scenario, the machine state after boot together with the root
    Untyped's and every domain pool's free frames, in order. *)
-let untyped_free_list cap = Frameseq.to_list (Retype.the_untyped cap).Types.u_free
-
 let boot_state_digest p kind =
   let b = Tp_core.Scenario.boot kind p in
   let buf = Buffer.create 65536 in
   let add_frames cap =
     List.iter
       (fun f -> Buffer.add_string buf (string_of_int f); Buffer.add_char buf ',')
-      (untyped_free_list cap);
+      (Frameseq.to_list (Retype.the_untyped cap).Types.u_free);
     Buffer.add_char buf '|'
   in
   Buffer.add_string buf (Tp_hw.Machine.state_digest (System.machine b.Boot.sys));
