@@ -70,6 +70,12 @@ let bench_machine ~counters =
            (Tp_hw.Machine.access m ~core:0 ~asid:1 ~vaddr:!pos ~paddr:!pos
               ~kind:Tp_hw.Defs.Read ())))
 
+(* A whole haswell machine: allocating and initialising every
+   component's state, the fixed cost each boot pays. *)
+let bench_create =
+  Test.make ~name:"machine.create"
+    (Staged.stage (fun () -> ignore (Tp_hw.Machine.create p)))
+
 let bench_snapshot =
   let m = Tp_hw.Machine.create p in
   Test.make ~name:"machine.snapshot"
@@ -184,6 +190,7 @@ let () =
       bench_tlb;
       bench_machine ~counters:false;
       bench_machine ~counters:true;
+      bench_create;
       bench_snapshot;
       bench_restore;
       bench_replay_step;

@@ -1,9 +1,11 @@
 type geometry = { history_bits : int; pht_entries : int }
 
+(* Every mutable model word lives in [b], laid out as [pht | history]:
+   the 2-bit saturating counters (0..3; >=2 predicts taken), then the
+   global history register. *)
 type t = {
   g : geometry;
-  pht : int array; (* 2-bit saturating counters, 0..3; >=2 predicts taken *)
-  mutable history : int;
+  b : int array;
   (* Observability only: never read by the model itself. *)
   st : Tp_obs.Counter.set;
   st_predicted : Tp_obs.Counter.t;
@@ -29,42 +31,33 @@ let create ?(name = "bhb") g =
   let st_predicted = Tp_obs.Counter.counter st "predicted" in
   let st_mispredicted = Tp_obs.Counter.counter st "mispredicted" in
   let st_flushes = Tp_obs.Counter.counter st "flushes" in
-  { g; pht = Array.make g.pht_entries init_counter; history = 0; st;
-    st_predicted; st_mispredicted; st_flushes }
+  let b = Array.make (g.pht_entries + 1) init_counter in
+  b.(g.pht_entries) <- 0;
+  { g; b; st; st_predicted; st_mispredicted; st_flushes }
 
 let counters t = t.st
 
 type result = Predicted | Mispredicted
 
-let index t addr = index_of t.g ~history:t.history addr
+let history t = t.b.(t.g.pht_entries)
 
 let branch t ~addr ~taken =
-  let i = index t addr in
-  let c = t.pht.(i) in
+  let h = history t in
+  let i = index_of t.g ~history:h addr in
+  let c = t.b.(i) in
   let predicted_taken = c >= taken_threshold in
   let result = if predicted_taken = taken then Predicted else Mispredicted in
   (match result with
   | Predicted -> Tp_obs.Counter.incr t.st_predicted
   | Mispredicted -> Tp_obs.Counter.incr t.st_mispredicted);
-  t.pht.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
-  t.history <-
-    ((t.history lsl 1) lor (if taken then 1 else 0))
-    land ((1 lsl t.g.history_bits) - 1);
+  t.b.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  t.b.(t.g.pht_entries) <-
+    ((h lsl 1) lor (if taken then 1 else 0)) land ((1 lsl t.g.history_bits) - 1);
   result
 
 let flush t =
   Tp_obs.Counter.incr t.st_flushes;
-  Array.fill t.pht 0 (Array.length t.pht) init_counter;
-  t.history <- 0
+  Array.fill t.b 0 t.g.pht_entries init_counter;
+  t.b.(t.g.pht_entries) <- 0
 
-let state_words t = Array.length t.pht + 1 + Blob.counters_words t.st
-
-let save_state t blob off =
-  let off = Blob.save_ints blob off t.pht in
-  blob.{off} <- t.history;
-  Blob.save_counters blob (off + 1) t.st
-
-let load_state t blob off =
-  let off = Blob.load_ints blob off t.pht in
-  t.history <- blob.{off};
-  Blob.load_counters blob (off + 1) t.st
+let parts t = [ Blob.Words t.b; Blob.Counters t.st ]

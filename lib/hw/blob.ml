@@ -1,71 +1,71 @@
-(* Flat integer state blobs for machine snapshots and replay streams.
+(* Flat integer state blobs for machine snapshots and replay streams,
+   and the parts a machine's live state is made of.
 
-   One contiguous [Bigarray.Array1] of native ints holds the saved
-   state of every component: int arrays verbatim, bool arrays as 0/1,
-   floats as two 32-bit halves of their IEEE-754 bit pattern (an OCaml
-   int is 63-bit, so a full [Int64] does not fit in one word).  The
-   helpers thread a write/read offset so component save/load functions
-   compose by concatenation. *)
+   A snapshot is the concatenation of a machine's parts: word arrays
+   verbatim, floats as two 32-bit halves of their IEEE-754 bit pattern
+   (an OCaml int is 63-bit, so a full [Int64] does not fit in one
+   word), counter sets as their values in declaration order. *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let create n : t = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 let length (b : t) = Bigarray.Array1.dim b
 
-(* In-bounds by construction: callers size the blob with the matching
-   [state_words] sum before saving, and load walks the same layout. *)
-
-let save_ints (b : t) off (a : int array) =
-  let n = Array.length a in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set b (off + i) (Array.unsafe_get a i)
-  done;
-  off + n
-
-let load_ints (b : t) off (a : int array) =
-  let n = Array.length a in
-  for i = 0 to n - 1 do
-    Array.unsafe_set a i (Bigarray.Array1.unsafe_get b (off + i))
-  done;
-  off + n
-
-let save_bools (b : t) off (a : bool array) =
-  let n = Array.length a in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set b (off + i) (if Array.unsafe_get a i then 1 else 0)
-  done;
-  off + n
-
-let load_bools (b : t) off (a : bool array) =
-  let n = Array.length a in
-  for i = 0 to n - 1 do
-    Array.unsafe_set a i (Bigarray.Array1.unsafe_get b (off + i) <> 0)
-  done;
-  off + n
-
-let save_float (b : t) off f =
-  let bits = Int64.bits_of_float f in
-  b.{off} <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-  b.{off + 1} <- Int64.to_int (Int64.shift_right_logical bits 32);
-  off + 2
-
-let load_float (b : t) off =
-  let lo = Int64.logand (Int64.of_int b.{off}) 0xFFFFFFFFL in
-  let hi = Int64.shift_left (Int64.of_int b.{off + 1}) 32 in
-  Int64.float_of_bits (Int64.logor hi lo)
+type part =
+  | Words of int array
+  | Floats of float array
+  | Counters of Tp_obs.Counter.set
 
 let float_words = 2
 
-let save_counters (b : t) off st = save_ints b off (Tp_obs.Counter.values st)
+let part_words = function
+  | Words w -> Array.length w
+  | Floats a -> float_words * Array.length a
+  | Counters st -> Tp_obs.Counter.length st
 
-let load_counters (b : t) off st =
-  let n = Tp_obs.Counter.length st in
-  let tmp = Array.make n 0 in
-  let off = load_ints b off tmp in
-  Tp_obs.Counter.set_values st tmp;
-  off
+(* In bounds by construction: callers size the blob with the matching
+   [part_words] sum before saving, and load walks the same layout. *)
 
-let counters_words st = Tp_obs.Counter.length st
+let save_ints (b : t) off a =
+  for i = 0 to Array.length a - 1 do
+    Bigarray.Array1.unsafe_set b (off + i) (Array.unsafe_get a i)
+  done;
+  off + Array.length a
+
+let load_ints (b : t) off a =
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set a i (Bigarray.Array1.unsafe_get b (off + i))
+  done;
+  off + Array.length a
+
+let save_part b off = function
+  | Words w -> save_ints b off w
+  | Floats a ->
+      Array.iteri
+        (fun i f ->
+          let bits = Int64.bits_of_float f in
+          let o = off + (float_words * i) in
+          b.{o} <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+          b.{o + 1} <- Int64.to_int (Int64.shift_right_logical bits 32))
+        a;
+      off + (float_words * Array.length a)
+  | Counters st -> save_ints b off (Tp_obs.Counter.values st)
+
+let load_part b off = function
+  | Words w -> load_ints b off w
+  | Floats a ->
+      for i = 0 to Array.length a - 1 do
+        let o = off + (float_words * i) in
+        let lo = Int64.logand (Int64.of_int b.{o}) 0xFFFFFFFFL in
+        let hi = Int64.shift_left (Int64.of_int b.{o + 1}) 32 in
+        a.(i) <- Int64.float_of_bits (Int64.logor hi lo)
+      done;
+      off + (float_words * Array.length a)
+  | Counters st ->
+      let vs = Array.make (Tp_obs.Counter.length st) 0 in
+      let off = load_ints b off vs in
+      Tp_obs.Counter.set_values st vs;
+      off
 
 let digest_sub (b : t) ~len =
   let bytes = Bytes.create (8 * len) in

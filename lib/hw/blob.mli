@@ -1,40 +1,50 @@
-(** Flat integer state blobs.
+(** Flat integer state blobs, and the parts of a machine's state.
 
-    The storage format shared by {!Machine.snapshot} and {!Replay}
-    streams: one contiguous [Bigarray.Array1] of native ints.  Each
-    component saves into (and loads from) the blob at a threaded
-    offset, so whole-machine layouts are plain concatenation; int
-    arrays are stored verbatim, bool arrays as 0/1 and floats as two
-    32-bit halves of their bit pattern (native ints are 63-bit). *)
+    A blob is the storage format of {!Machine.snapshot}s and {!Replay}
+    streams: one contiguous [Bigarray.Array1] of native ints.
+
+    Every mutable model word of a component lives in a {!part}: the
+    component's own word array (which its hot paths read and write in
+    place), a float array (only {!Interconnect}'s load estimators) or
+    its performance-counter set.  {!Machine} lists the parts of all its
+    components in one fixed order, and that order is the snapshot
+    format: a snapshot is the concatenation of every part's words, and
+    the state digests the replay and boot-pinning gates compare are
+    taken over it.  Reordering parts, or the words inside a component's
+    array, changes every digest.
+
+    Live word arrays are ordinary [int array]s, not blobs: OCaml charges
+    off-heap [Bigarray] memory to the major GC at a higher rate than
+    heap blocks, so a machine whose live state were blobs would make
+    every boot drive extra major collections. *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val create : int -> t
+(** Uninitialised. *)
+
 val length : t -> int
 
-(** Each [save_*] writes at [off] and returns the offset past what it
-    wrote; [load_*] walks the same layout back. *)
+type part =
+  | Words of int array
+  | Floats of float array
+      (** each float stored as two words: the low and high 32 bits of
+          its IEEE-754 bit pattern (a native int is 63-bit) *)
+  | Counters of Tp_obs.Counter.set
+      (** counter values are machine state for snapshot purposes:
+          restoring must roll them back too, or a replayed trial's
+          counter-derived metrics would diverge from a fresh run's *)
 
-val save_ints : t -> int -> int array -> int
-val load_ints : t -> int -> int array -> int
-val save_bools : t -> int -> bool array -> int
-val load_bools : t -> int -> bool array -> int
+val part_words : part -> int
+(** Size of the part in blob words. *)
 
-val save_float : t -> int -> float -> int
-val load_float : t -> int -> float
-(** [load_float b off] reads the two words at [off] (no offset
-    threading: callers advance by {!float_words}). *)
+val save_part : t -> int -> part -> int
+(** [save_part b off p] writes [p] at [off] and returns the offset past
+    it. *)
 
-val float_words : int
-
-val save_counters : t -> int -> Tp_obs.Counter.set -> int
-val load_counters : t -> int -> Tp_obs.Counter.set -> int
-(** Counter values are machine state for snapshot purposes: restoring
-    a snapshot must also roll the observability counters back, or a
-    replayed trial's counter-derived metrics would diverge from a
-    fresh run's. *)
-
-val counters_words : Tp_obs.Counter.set -> int
+val load_part : t -> int -> part -> int
+(** [load_part b off p] overwrites [p] from the words at [off] (as
+    {!save_part} wrote them) and returns the offset past them. *)
 
 val digest : t -> string
 (** MD5 (hex) over the blob's words in little-endian byte order. *)

@@ -5,23 +5,24 @@ type geometry = { size : int; ways : int; line : int; indexing : indexing }
 let sets g = g.size / (g.ways * g.line)
 let colours g = max 1 (sets g * g.line / Defs.page_size)
 
+(* Every mutable model word lives in [b], laid out as
+   [tags | dirty | age | clock n_dirty n_valid ev_line ev_dirty]: three
+   [lines]-long regions indexed by set * ways + way (tag -1 = invalid,
+   dirty 0/1), then the scalars.  [ev_line]/[ev_dirty] are the victim
+   of the last allocating miss, so the allocation-free access variants
+   can report evictions without boxing a result. *)
 type t = {
   g : geometry;
   n_sets : int;
   n_ways : int; (* copy of g.ways, one load instead of two on the hot path *)
   way_mask : int; (* (1 lsl ways) - 1 *)
   line_bits : int;
-  (* Flat arrays indexed by set * ways + way. tag = -1 means invalid. *)
-  tags : int array;
-  dirty : bool array;
-  age : int array;
-  mutable clock : int;
-  mutable n_dirty : int;
-  mutable n_valid : int;
-  (* Victim of the last allocating miss, so the allocation-free access
-     variants can report evictions without boxing a result. *)
-  mutable ev_line : int;
-  mutable ev_dirty : bool;
+  lines : int;
+  b : int array;
+  (* Word offsets of the dirty and age regions and of the scalars. *)
+  dirty0 : int;
+  age0 : int;
+  sc : int;
   (* Observability only: never read by the model itself. *)
   st : Tp_obs.Counter.set;
   st_hits : Tp_obs.Counter.t;
@@ -32,6 +33,16 @@ type t = {
   st_flushes : Tp_obs.Counter.t;
   st_flush_writebacks : Tp_obs.Counter.t;
 }
+
+let[@inline] get (b : int array) i = Array.unsafe_get b i
+let[@inline] set (b : int array) i v = Array.unsafe_set b i v
+
+(* Scalar words, relative to [sc]. *)
+let clock = 0
+let n_dirty = 1
+let n_valid = 2
+let ev_line = 3
+let ev_dirty = 4
 
 let create ?(name = "cache") g =
   assert (Defs.is_pow2 g.size && Defs.is_pow2 g.ways && Defs.is_pow2 g.line);
@@ -48,20 +59,22 @@ let create ?(name = "cache") g =
   let st_invals = Tp_obs.Counter.counter st "invalidations" in
   let st_flushes = Tp_obs.Counter.counter st "flushes" in
   let st_flush_writebacks = Tp_obs.Counter.counter st "flush_writebacks" in
+  let b = Array.make ((3 * n) + 5) 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set b i (-1)
+  done;
+  b.((3 * n) + ev_line) <- -1;
   {
     g;
     n_sets;
     n_ways = g.ways;
     way_mask = (1 lsl g.ways) - 1;
     line_bits = Defs.log2 g.line;
-    tags = Array.make n (-1);
-    dirty = Array.make n false;
-    age = Array.make n 0;
-    clock = 0;
-    n_dirty = 0;
-    n_valid = 0;
-    ev_line = -1;
-    ev_dirty = false;
+    lines = n;
+    b;
+    dirty0 = n;
+    age0 = 2 * n;
+    sc = 3 * n;
     st;
     st_hits;
     st_misses;
@@ -85,58 +98,63 @@ let set_of t ~vaddr ~paddr =
 let tag_of t ~paddr = paddr lsr t.line_bits
 
 (* Way search, unrolled for the associativities the platforms actually
-   use.  unsafe_get is safe by construction: the arrays hold
-   [n_sets * ways] entries, [set] is masked by the pow-2 [n_sets - 1]
-   and [w < ways], so [base + w] cannot escape. *)
+   use.  Unchecked reads are safe by construction: the tag region holds
+   [n_sets * ways] words, [set] is masked by the pow-2 [n_sets - 1] and
+   [w < ways], so [base + w] cannot escape. *)
 let find_way t set tag =
-  let tags = t.tags in
+  let b = t.b in
   let base = set * t.n_ways in
   match t.n_ways with
-  | 1 -> if Array.unsafe_get tags base = tag then base else -1
+  | 1 -> if get b base = tag then base else -1
   | 2 ->
-      if Array.unsafe_get tags base = tag then base
-      else if Array.unsafe_get tags (base + 1) = tag then base + 1
+      if get b base = tag then base
+      else if get b (base + 1) = tag then base + 1
       else -1
   | 4 ->
-      if Array.unsafe_get tags base = tag then base
-      else if Array.unsafe_get tags (base + 1) = tag then base + 1
-      else if Array.unsafe_get tags (base + 2) = tag then base + 2
-      else if Array.unsafe_get tags (base + 3) = tag then base + 3
+      if get b base = tag then base
+      else if get b (base + 1) = tag then base + 1
+      else if get b (base + 2) = tag then base + 2
+      else if get b (base + 3) = tag then base + 3
       else -1
   | 8 ->
-      if Array.unsafe_get tags base = tag then base
-      else if Array.unsafe_get tags (base + 1) = tag then base + 1
-      else if Array.unsafe_get tags (base + 2) = tag then base + 2
-      else if Array.unsafe_get tags (base + 3) = tag then base + 3
-      else if Array.unsafe_get tags (base + 4) = tag then base + 4
-      else if Array.unsafe_get tags (base + 5) = tag then base + 5
-      else if Array.unsafe_get tags (base + 6) = tag then base + 6
-      else if Array.unsafe_get tags (base + 7) = tag then base + 7
+      if get b base = tag then base
+      else if get b (base + 1) = tag then base + 1
+      else if get b (base + 2) = tag then base + 2
+      else if get b (base + 3) = tag then base + 3
+      else if get b (base + 4) = tag then base + 4
+      else if get b (base + 5) = tag then base + 5
+      else if get b (base + 6) = tag then base + 6
+      else if get b (base + 7) = tag then base + 7
       else -1
   | ways ->
-      let rec go w =
-        if w = ways then -1
-        else if Array.unsafe_get tags (base + w) = tag then base + w
-        else go (w + 1)
-      in
-      go 0
+      let stop = base + ways in
+      let i = ref base in
+      while !i < stop && get b !i <> tag do
+        incr i
+      done;
+      if !i < stop then !i else -1
 
 (* LRU victim within the ways allowed by [mask] (a bitmask over way
    indices).  The first invalid allowed way wins outright — LRU order
    among invalid ways is meaningless, so there is no reason to keep
    scanning once one is found. *)
 let lru_way t set mask =
-  let base = set * t.n_ways in
-  let tags = t.tags and age = t.age in
-  let best = ref (-1) in
+  let b = t.b and age0 = t.age0 and ways = t.n_ways in
+  let base = set * ways in
+  let best = ref (-1) and best_age = ref max_int in
   let found = ref (-1) in
   let w = ref 0 in
-  while !found < 0 && !w < t.n_ways do
-    (if mask land (1 lsl !w) <> 0 then begin
+  while !found < 0 && !w < ways do
+    (if (mask lsr !w) land 1 <> 0 then begin
        let i = base + !w in
-       if Array.unsafe_get tags i = -1 then found := i
-       else if !best < 0 || Array.unsafe_get age i < Array.unsafe_get age !best
-       then best := i
+       if get b i = -1 then found := i
+       else begin
+         let a = get b (age0 + i) in
+         if a < !best_age then begin
+           best := i;
+           best_age := a
+         end
+       end
      end);
     incr w
   done;
@@ -146,125 +164,107 @@ let lru_way t set mask =
     !best
   end
 
-let touch t i =
-  t.clock <- t.clock + 1;
-  Array.unsafe_set t.age i t.clock
+let[@inline] touch t i =
+  let b = t.b in
+  let c = get b (t.sc + clock) + 1 in
+  set b (t.sc + clock) c;
+  set b (t.age0 + i) c
 
-let alloc t set tag ~dirty ~mask ~obs =
-  let i = lru_way t set mask in
-  let old = Array.unsafe_get t.tags i in
-  let evicted_dirty = old <> -1 && Array.unsafe_get t.dirty i in
-  t.ev_dirty <- evicted_dirty;
-  t.ev_line <- (if old = -1 then -1 else old lsl t.line_bits);
-  if evicted_dirty then begin
-    if obs then Tp_obs.Counter.incr_unchecked t.st_writebacks;
-    t.n_dirty <- t.n_dirty - 1
-  end;
-  if old = -1 then t.n_valid <- t.n_valid + 1;
-  Array.unsafe_set t.tags i tag;
-  Array.unsafe_set t.dirty i dirty;
-  if dirty then t.n_dirty <- t.n_dirty + 1;
+(* Add [d] to scalar word [k]. *)
+let[@inline] bump t k d =
+  let b = t.b in
+  set b (t.sc + k) (get b (t.sc + k) + d)
+
+let alloc t s tag ~dirty ~mask ~obs =
+  let b = t.b in
+  let i = lru_way t s mask in
+  let old = get b i in
+  let evicted_dirty = old <> -1 && get b (t.dirty0 + i) <> 0 in
+  set b (t.sc + ev_dirty) (Bool.to_int evicted_dirty);
+  set b (t.sc + ev_line) (if old = -1 then -1 else old lsl t.line_bits);
+  if evicted_dirty && obs then Tp_obs.Counter.incr_unchecked t.st_writebacks;
+  if evicted_dirty <> dirty then
+    bump t n_dirty (Bool.to_int dirty - Bool.to_int evicted_dirty);
+  if old = -1 then bump t n_valid 1;
+  set b i tag;
+  set b (t.dirty0 + i) (Bool.to_int dirty);
   touch t i
 
 (* Allocation-free access: returns [true] on hit; on miss the victim is
-   left in [ev_line]/[ev_dirty] ({!last_evicted}/{!last_evicted_dirty})
-   instead of a boxed [Miss] record.  One counters_on check covers
-   every recording of the access. *)
+   left in the [ev_line]/[ev_dirty] words ({!last_evicted}/
+   {!last_evicted_dirty}) instead of a boxed [Miss] record.  One
+   counters_on check covers every recording of the access. *)
 let access_masked_fast t ~alloc_ways ~vaddr ~paddr ~write =
   let mask = alloc_ways land t.way_mask in
   assert (mask <> 0);
   let obs = Tp_obs.Ctl.counters_on () in
-  let set = set_of t ~vaddr ~paddr in
+  let s = set_of t ~vaddr ~paddr in
   let tag = tag_of t ~paddr in
-  let i = find_way t set tag in
+  let i = find_way t s tag in
   if i >= 0 then begin
     if obs then Tp_obs.Counter.incr_unchecked t.st_hits;
     touch t i;
-    if write && not (Array.unsafe_get t.dirty i) then begin
-      Array.unsafe_set t.dirty i true;
-      t.n_dirty <- t.n_dirty + 1
+    if write && get t.b (t.dirty0 + i) = 0 then begin
+      set t.b (t.dirty0 + i) 1;
+      bump t n_dirty 1
     end;
     true
   end
   else begin
     if obs then Tp_obs.Counter.incr_unchecked t.st_misses;
-    alloc t set tag ~dirty:write ~mask ~obs;
+    alloc t s tag ~dirty:write ~mask ~obs;
     false
   end
 
 let access_fast t ~vaddr ~paddr ~write =
   access_masked_fast t ~alloc_ways:max_int ~vaddr ~paddr ~write
 
-let last_evicted t = t.ev_line
-let last_evicted_dirty t = t.ev_dirty
+let last_evicted t = get t.b (t.sc + ev_line)
+let last_evicted_dirty t = get t.b (t.sc + ev_dirty) <> 0
 
 let probe t ~vaddr ~paddr =
-  let set = set_of t ~vaddr ~paddr in
-  find_way t set (tag_of t ~paddr) >= 0
+  let s = set_of t ~vaddr ~paddr in
+  find_way t s (tag_of t ~paddr) >= 0
 
 let insert_clean_fast t ~vaddr ~paddr =
-  let set = set_of t ~vaddr ~paddr in
+  let s = set_of t ~vaddr ~paddr in
   let tag = tag_of t ~paddr in
-  let i = find_way t set tag in
+  let i = find_way t s tag in
   if i >= 0 then true
   else begin
     Tp_obs.Counter.incr t.st_prefetch_fills;
-    alloc t set tag ~dirty:false ~mask:t.way_mask
+    alloc t s tag ~dirty:false ~mask:t.way_mask
       ~obs:(Tp_obs.Ctl.counters_on ());
     false
   end
 
 let invalidate_line t ~vaddr ~paddr =
-  let set = set_of t ~vaddr ~paddr in
-  let i = find_way t set (tag_of t ~paddr) in
+  let s = set_of t ~vaddr ~paddr in
+  let i = find_way t s (tag_of t ~paddr) in
   if i >= 0 then begin
     Tp_obs.Counter.incr t.st_invals;
-    if t.dirty.(i) then t.n_dirty <- t.n_dirty - 1;
-    t.dirty.(i) <- false;
-    t.tags.(i) <- -1;
-    t.n_valid <- t.n_valid - 1
+    if get t.b (t.dirty0 + i) <> 0 then bump t n_dirty (-1);
+    set t.b (t.dirty0 + i) 0;
+    set t.b i (-1);
+    bump t n_valid (-1)
   end
 
 let flush t =
-  let wb = t.n_dirty in
+  let wb = get t.b (t.sc + n_dirty) in
   Tp_obs.Counter.incr t.st_flushes;
   Tp_obs.Counter.add t.st_flush_writebacks wb;
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.age 0 (Array.length t.age) 0;
-  t.n_dirty <- 0;
-  t.n_valid <- 0;
+  Array.fill t.b 0 t.lines (-1);
+  Array.fill t.b t.dirty0 (2 * t.lines) 0;
+  set t.b (t.sc + n_dirty) 0;
+  set t.b (t.sc + n_valid) 0;
   wb
 
-let state_words t =
-  (3 * Array.length t.tags) + 5 + Blob.counters_words t.st
+let parts t = [ Blob.Words t.b; Blob.Counters t.st ]
 
-let save_state t blob off =
-  let off = Blob.save_ints blob off t.tags in
-  let off = Blob.save_bools blob off t.dirty in
-  let off = Blob.save_ints blob off t.age in
-  blob.{off} <- t.clock;
-  blob.{off + 1} <- t.n_dirty;
-  blob.{off + 2} <- t.n_valid;
-  blob.{off + 3} <- t.ev_line;
-  blob.{off + 4} <- (if t.ev_dirty then 1 else 0);
-  Blob.save_counters blob (off + 5) t.st
+let dirty_lines t = get t.b (t.sc + n_dirty)
+let valid_lines t = get t.b (t.sc + n_valid)
 
-let load_state t blob off =
-  let off = Blob.load_ints blob off t.tags in
-  let off = Blob.load_bools blob off t.dirty in
-  let off = Blob.load_ints blob off t.age in
-  t.clock <- blob.{off};
-  t.n_dirty <- blob.{off + 1};
-  t.n_valid <- blob.{off + 2};
-  t.ev_line <- blob.{off + 3};
-  t.ev_dirty <- blob.{off + 4} <> 0;
-  Blob.load_counters blob (off + 5) t.st
-
-let dirty_lines t = t.n_dirty
-let valid_lines t = t.n_valid
-
-let capacity_lines t = t.n_sets * t.g.ways
+let capacity_lines t = t.lines
 
 let pp_geometry ppf g =
   Format.fprintf ppf "%dKiB %d-way %dB-line (%d sets, %d colours, %s-indexed)"

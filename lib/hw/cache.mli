@@ -98,18 +98,8 @@ val dirty_lines : t -> int
 val valid_lines : t -> int
 (** Current number of valid lines. *)
 
-(** {2 Snapshot}
-
-    Every component exposes the same triple: [state_words] sizes its
-    slice of a machine snapshot blob, [save_state]/[load_state] write
-    and read that slice at a threaded offset and return the offset
-    past it.  The saved state covers {e everything} mutable — tags,
-    dirty bits, ages, LRU clock, derived occupancy counts and the
-    performance counters — so a restore is bit-identical. *)
-
-val state_words : t -> int
-val save_state : t -> Blob.t -> int -> int
-val load_state : t -> Blob.t -> int -> int
+val parts : t -> Blob.part list
+(** Every mutable model word, in snapshot order (see {!Blob.part}). *)
 
 val set_of : t -> vaddr:int -> paddr:int -> int
 (** Set index the given address maps to (respects the indexing policy). *)

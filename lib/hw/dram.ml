@@ -2,7 +2,7 @@ type config = { banks : int; row_bits : int; t_hit : int; t_miss : int }
 
 type t = {
   cfg : config;
-  open_rows : int array; (* -1 = closed *)
+  open_rows : int array; (* per bank; -1 = closed.  All the model state. *)
   (* Observability only: never read by the model itself. *)
   st : Tp_obs.Counter.set;
   st_row_hits : Tp_obs.Counter.t;
@@ -57,14 +57,6 @@ let access t ~paddr =
 
 let close_all t =
   Tp_obs.Counter.incr t.st_precharge_all;
-  Array.fill t.open_rows 0 (Array.length t.open_rows) (-1)
+  Array.fill t.open_rows 0 t.cfg.banks (-1)
 
-let state_words t = Array.length t.open_rows + Blob.counters_words t.st
-
-let save_state t blob off =
-  let off = Blob.save_ints blob off t.open_rows in
-  Blob.save_counters blob off t.st
-
-let load_state t blob off =
-  let off = Blob.load_ints blob off t.open_rows in
-  Blob.load_counters blob off t.st
+let parts t = [ Blob.Words t.open_rows; Blob.Counters t.st ]

@@ -1,13 +1,17 @@
 type mode = Open | Partitioned | Mba of float
 
+(* Every mutable model word lives in [b], laid out as
+   [last | run_start | mode tag]: per core the cycle of its previous
+   transaction and the start of its current activity run, then the
+   mode (0 Open, 1 Partitioned, 2 Mba).  The float state sits beside
+   it: the EWMA rates and the Mba limit (0.0 in the other modes). *)
 type t = {
   cores : int;
   rate : float array; (* per-core issue rate, transactions/cycle (EWMA) *)
   slow_rate : float array; (* long-horizon average, the MBA meter *)
-  last : int array; (* per-core cycle of the previous transaction *)
-  run_start : int array; (* start of the core's current activity run *)
+  b : int array;
+  limit : float array; (* one element *)
   service : float; (* bus service rate, transactions/cycle *)
-  mutable mode : mode;
   (* Observability only: never read by the model itself. *)
   st : Tp_obs.Counter.set;
   st_transactions : Tp_obs.Counter.t;
@@ -31,30 +35,44 @@ let active_window = 3_000
    preempted, sleeping, compute-bound). *)
 let run_gap = 50_000
 
+let mode_word t = 2 * t.cores
+
+let set_mode t m =
+  let tag, l =
+    match m with Open -> (0, 0.0) | Partitioned -> (1, 0.0) | Mba l -> (2, l)
+  in
+  t.b.(mode_word t) <- tag;
+  t.limit.(0) <- l
+
+let set_partitioned t p = set_mode t (if p then Partitioned else Open)
+
 let create ?(name = "bus") ~cores ~window ~slots_per_window () =
   assert (cores > 0 && window > 0 && slots_per_window > 0);
   let st = Tp_obs.Counter.make_set name in
   let st_transactions = Tp_obs.Counter.counter st "transactions" in
   let st_stalled = Tp_obs.Counter.counter st "stalled" in
   let st_stall_cycles = Tp_obs.Counter.counter st "stall_cycles" in
-  {
-    cores;
-    rate = Array.make cores 0.0;
-    slow_rate = Array.make cores 0.0;
-    last = Array.make cores (-1);
-    run_start = Array.make cores (-1);
-    service = float_of_int slots_per_window /. float_of_int window;
-    mode = Open;
-    st;
-    st_transactions;
-    st_stalled;
-    st_stall_cycles;
-  }
+  let t =
+    {
+      cores;
+      rate = Array.make cores 0.0;
+      slow_rate = Array.make cores 0.0;
+      b = Array.make ((2 * cores) + 1) (-1);
+      limit = [| 0.0 |];
+      service = float_of_int slots_per_window /. float_of_int window;
+      st;
+      st_transactions;
+      st_stalled;
+      st_stall_cycles;
+    }
+  in
+  set_mode t Open;
+  t
 
 let counters t = t.st
 
-let set_mode t m = t.mode <- m
-let set_partitioned t b = t.mode <- (if b then Partitioned else Open)
+let last t core = t.b.(core)
+let run_start t core = t.b.(t.cores + core)
 
 (* Cores have independent clocks, so each core's issue rate is derived
    from its own inter-transaction gaps; the queueing delay of a
@@ -65,10 +83,10 @@ let set_partitioned t b = t.mode <- (if b then Partitioned else Open)
 let record t ~core ~now =
   assert (core >= 0 && core < t.cores);
   let dt =
-    if t.last.(core) < 0 then max_int else Stdlib.max 1 (now - t.last.(core))
+    if last t core < 0 then max_int else Stdlib.max 1 (now - last t core)
   in
-  if dt > run_gap then t.run_start.(core) <- now;
-  t.last.(core) <- now;
+  if dt > run_gap then t.b.(t.cores + core) <- now;
+  t.b.(core) <- now;
   let inst = if dt = max_int then 0.0 else 1.0 /. float_of_int dt in
   (* The fast estimator tracks the within-burst issue rate: a gap
      longer than the queueing horizon means the core was descheduled
@@ -87,25 +105,25 @@ let record t ~core ~now =
     for j = 0 to t.cores - 1 do
       if
         j = core
-        || (t.last.(j) >= 0
-           && now >= t.run_start.(j) - active_window
-           && now <= t.last.(j) + active_window)
+        || (last t j >= 0
+           && now >= run_start t j - active_window
+           && now <= last t j + active_window)
       then acc := !acc +. t.rate.(j)
     done;
     !acc
   in
   let delay =
-    match t.mode with
-    | Partitioned ->
+    match t.b.(mode_word t) with
+    | 1 (* Partitioned *) ->
         let offered = t.rate.(core) *. float_of_int t.cores in
         let overload = offered -. t.service in
         if overload > 0.0 then int_of_float (overload /. t.service *. delay_scale)
         else 0
-    | Open ->
+    | 0 (* Open *) ->
         let overload = live_sum () -. t.service in
         if overload > 0.0 then int_of_float (overload /. t.service *. delay_scale)
         else 0
-    | Mba limit ->
+    | _ (* Mba *) ->
         (* Approximate enforcement: the MBA meter is a slow average, so a
            core pays its throttle penalty only when its {e sustained}
            rate exceeds the cap — instantaneous bursts pass straight
@@ -113,7 +131,7 @@ let record t ~core ~now =
            contention term computed from everyone's instantaneous rate
            remains.  That residue is why the paper's footnote 5 deems
            MBA insufficient against covert channels. *)
-        let cap = limit *. t.service in
+        let cap = t.limit.(0) *. t.service in
         let throttle =
           let over = t.slow_rate.(core) -. cap in
           if over > 0.0 then
@@ -140,45 +158,8 @@ let window_traffic t ~core =
 let drain t =
   Array.fill t.rate 0 t.cores 0.0;
   Array.fill t.slow_rate 0 t.cores 0.0;
-  Array.fill t.last 0 t.cores (-1);
-  Array.fill t.run_start 0 t.cores (-1)
+  Array.fill t.b 0 (2 * t.cores) (-1)
 
-let state_words t =
-  (2 * t.cores * Blob.float_words) (* rate, slow_rate *)
-  + (2 * t.cores) (* last, run_start *)
-  + 1 + Blob.float_words (* mode tag + Mba limit *)
-  + Blob.counters_words t.st
-
-let save_floats blob off a =
-  Array.fold_left (fun off f -> Blob.save_float blob off f) off a
-
-let load_floats blob off (a : float array) =
-  let o = ref off in
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- Blob.load_float blob !o;
-    o := !o + Blob.float_words
-  done;
-  !o
-
-let save_state t blob off =
-  let off = save_floats blob off t.rate in
-  let off = save_floats blob off t.slow_rate in
-  let off = Blob.save_ints blob off t.last in
-  let off = Blob.save_ints blob off t.run_start in
-  let tag, limit =
-    match t.mode with Open -> (0, 0.0) | Partitioned -> (1, 0.0) | Mba l -> (2, l)
-  in
-  blob.{off} <- tag;
-  let off = Blob.save_float blob (off + 1) limit in
-  Blob.save_counters blob off t.st
-
-let load_state t blob off =
-  let off = load_floats blob off t.rate in
-  let off = load_floats blob off t.slow_rate in
-  let off = Blob.load_ints blob off t.last in
-  let off = Blob.load_ints blob off t.run_start in
-  let tag = blob.{off} in
-  let limit = Blob.load_float blob (off + 1) in
-  t.mode <-
-    (match tag with 0 -> Open | 1 -> Partitioned | _ -> Mba limit);
-  Blob.load_counters blob (off + 1 + Blob.float_words) t.st
+let parts t =
+  Blob.
+    [ Floats t.rate; Floats t.slow_rate; Words t.b; Floats t.limit; Counters t.st ]

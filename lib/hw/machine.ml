@@ -8,11 +8,11 @@ type core_state = {
   btb : Btb.t;
   bhb : Bhb.t;
   prefetcher : Prefetcher.t option;
-  mutable cycles : int;
-  (* Cycles the last TLB walk already charged to [cycles] itself, so
-     [access] can report a total latency without double-charging and
-     without boxing a result tuple on the per-access path. *)
-  mutable walk_charged : int;
+  (* The core's own model words: [cycles walk_charged].  The second is
+     the cycles the last TLB walk already charged to [cycles] itself,
+     so [access] can report a total latency without double-charging
+     and without boxing a result tuple on the per-access path. *)
+  w : int array;
   (* Core-level performance counters (observability only; the model
      never reads them back, see Tp_obs.Ctl). *)
   st : Tp_obs.Counter.set;
@@ -32,7 +32,19 @@ type t = {
   llc : Cache.t;
   dram : Dram.t;
   bus : Interconnect.t;
+  (* Every mutable model word, in snapshot order. *)
+  parts : Blob.part list;
 }
+
+let counter_sets t =
+  List.filter_map
+    (function Blob.Counters st -> Some st | Blob.Words _ | Blob.Floats _ -> None)
+    t.parts
+
+let[@inline] cycles_of c = Array.unsafe_get c.w 0
+let[@inline] set_cycles c v = Array.unsafe_set c.w 0 v
+let[@inline] walk_charged c = Array.unsafe_get c.w 1
+let[@inline] set_walk_charged c v = Array.unsafe_set c.w 1 v
 
 (* Flush cost model, calibrated so the Table 2 shapes hold: invalidating
    a line costs a few cycles of tag-walk, writing back a dirty line a
@@ -74,8 +86,7 @@ let create platform =
                 ~slots:platform.prefetcher_slots
                 ~degree:platform.prefetcher_degree ())
          else None);
-      cycles = 0;
-      walk_charged = 0;
+      w = Array.make 2 0;
       st;
       st_accesses;
       st_l2tlb_hits;
@@ -87,72 +98,59 @@ let create platform =
       st_flush_cycles;
     }
   in
-  let t =
-    {
-      platform;
-      cores = Array.init platform.cores mk_core;
-      llc = Cache.create ~name:"llc" platform.llc;
-      dram = Dram.create ~name:"dram" platform.dram;
-      (* Memory-bus service rate scaled to the platform: 1.3x the rate of
-         a single latency-bound DRAM stream, so one stream fits and two
-         concurrent ones contend. *)
-      bus =
-        (let stream_latency =
-           platform.lat_l1 + platform.lat_l2 + platform.lat_llc
-           + platform.dram.Dram.t_hit
-         in
-         Interconnect.create ~cores:platform.cores
-           ~window:(10 * stream_latency) ~slots_per_window:13 ());
-    }
+  let cores = Array.init platform.cores mk_core in
+  let llc = Cache.create ~name:"llc" platform.llc in
+  let dram = Dram.create ~name:"dram" platform.dram in
+  (* Memory-bus service rate scaled to the platform: 1.3x the rate of
+     a single latency-bound DRAM stream, so one stream fits and two
+     concurrent ones contend. *)
+  let bus =
+    let stream_latency =
+      platform.lat_l1 + platform.lat_l2 + platform.lat_llc
+      + platform.dram.Dram.t_hit
+    in
+    Interconnect.create ~cores:platform.cores ~window:(10 * stream_latency)
+      ~slots_per_window:13 ()
   in
+  let opt parts = function Some x -> parts x | None -> [] in
+  let core_parts c =
+    List.concat
+      [
+        [ Blob.Words c.w; Blob.Counters c.st ];
+        Cache.parts c.l1d;
+        Cache.parts c.l1i;
+        opt Cache.parts c.l2;
+        Tlb.parts c.itlb;
+        Tlb.parts c.dtlb;
+        Tlb.parts c.l2tlb;
+        Btb.parts c.btb;
+        Bhb.parts c.bhb;
+        opt Prefetcher.parts c.prefetcher;
+      ]
+  in
+  let parts =
+    List.concat_map core_parts (Array.to_list cores)
+    @ Cache.parts llc @ Dram.parts dram @ Interconnect.parts bus
+  in
+  let t = { platform; cores; llc; dram; bus; parts } in
   (* Publish this machine's counter sets; a later machine with the same
      topology replaces them, so the registry always describes the most
      recent boot (what `tpsim stats` dumps). *)
-  Array.iter
-    (fun c ->
-      Tp_obs.Counter.register c.st;
-      Tp_obs.Counter.register (Cache.counters c.l1d);
-      Tp_obs.Counter.register (Cache.counters c.l1i);
-      (match c.l2 with
-      | Some l2 -> Tp_obs.Counter.register (Cache.counters l2)
-      | None -> ());
-      Tp_obs.Counter.register (Tlb.counters c.itlb);
-      Tp_obs.Counter.register (Tlb.counters c.dtlb);
-      Tp_obs.Counter.register (Tlb.counters c.l2tlb);
-      Tp_obs.Counter.register (Btb.counters c.btb);
-      Tp_obs.Counter.register (Bhb.counters c.bhb);
-      match c.prefetcher with
-      | Some pf -> Tp_obs.Counter.register (Prefetcher.counters pf)
-      | None -> ())
-    t.cores;
-  Tp_obs.Counter.register (Cache.counters t.llc);
-  Tp_obs.Counter.register (Dram.counters t.dram);
-  Tp_obs.Counter.register (Interconnect.counters t.bus);
+  List.iter Tp_obs.Counter.register (counter_sets t);
   t
 
 let platform t = t.platform
 let n_cores t = Array.length t.cores
 
-let counter_sets t =
-  let core_sets c =
-    [ c.st; Cache.counters c.l1d; Cache.counters c.l1i ]
-    @ (match c.l2 with Some l2 -> [ Cache.counters l2 ] | None -> [])
-    @ [ Tlb.counters c.itlb; Tlb.counters c.dtlb; Tlb.counters c.l2tlb;
-        Btb.counters c.btb; Bhb.counters c.bhb ]
-    @
-    match c.prefetcher with
-    | Some pf -> [ Prefetcher.counters pf ]
-    | None -> []
-  in
-  List.concat_map core_sets (Array.to_list t.cores)
-  @ [ Cache.counters t.llc; Dram.counters t.dram; Interconnect.counters t.bus ]
-
 let core t i =
   assert (i >= 0 && i < Array.length t.cores);
   t.cores.(i)
 
-let cycles t ~core:i = (core t i).cycles
-let add_cycles t ~core:i n = (core t i).cycles <- (core t i).cycles + n
+let cycles t ~core:i = cycles_of (core t i)
+
+let add_cycles t ~core:i n =
+  let c = core t i in
+  set_cycles c (cycles_of c + n)
 
 (* Invalidate a physical line from every core's private caches; the
    shared LLC is inclusive, so an LLC eviction must purge inner copies.
@@ -185,7 +183,7 @@ let shared_access t ~core_id ~llc_ways ~paddr ~write =
   else begin
     let evicted_dirty = Cache.last_evicted_dirty t.llc in
     back_invalidate t (Cache.last_evicted t.llc);
-    let bus_delay = Interconnect.record t.bus ~core:core_id ~now:c.cycles in
+    let bus_delay = Interconnect.record t.bus ~core:core_id ~now:(cycles_of c) in
     let wb = if evicted_dirty then wb_cost_per_line else 0 in
     p.Platform.lat_llc + Dram.access t.dram ~paddr + wb + bus_delay
   end
@@ -210,13 +208,13 @@ let issue_prefetches t ~core_id ~llc_ways pf_addrs =
     0 pf_addrs
 
 (* Returns the latency to report; cycles of it already charged by the
-   walk's own memory accesses are left in [c.walk_charged] (a scratch
-   field rather than a result tuple: this path runs once per simulated
-   access and must not allocate). *)
+   walk's own memory accesses are left in the core's walk_charged word
+   (scratch state rather than a result tuple: this path runs once per
+   simulated access and must not allocate). *)
 let tlb_latency t ~core_id ~asid ~vpn ~kind ~global ~walk =
   let c = core t core_id in
   let p = t.platform in
-  c.walk_charged <- 0;
+  set_walk_charged c 0;
   let first = match kind with Defs.Fetch -> c.itlb | Defs.Read | Defs.Write -> c.dtlb in
   match Tlb.access first ~asid ~vpn ~global with
   | Tlb.Hit -> 0
@@ -233,7 +231,7 @@ let tlb_latency t ~core_id ~asid ~vpn ~kind ~global ~walk =
                  small fixed TLB-refill overhead comes on top. *)
               let w = f () in
               Tp_obs.Counter.add c.st_walk_cycles w;
-              c.walk_charged <- w;
+              set_walk_charged c w;
               w + 10
           | None ->
               Tp_obs.Counter.add c.st_walk_cycles p.Platform.tlb_walk;
@@ -249,7 +247,7 @@ let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
   Tp_obs.Counter.incr c.st_accesses;
   let vpn = Defs.page_of vaddr in
   let lat_tlb = tlb_latency t ~core_id ~asid ~vpn ~kind ~global ~walk in
-  let already_charged = c.walk_charged in
+  let already_charged = walk_charged c in
   let l1 = match kind with Defs.Fetch -> c.l1i | Defs.Read | Defs.Write -> c.l1d in
   let lat =
     if Cache.access_fast l1 ~vaddr ~paddr ~write then p.Platform.lat_l1
@@ -284,7 +282,7 @@ let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
     end
   in
   let total = lat_tlb + lat in
-  c.cycles <- c.cycles + total - already_charged;
+  set_cycles c (cycles_of c + total - already_charged);
   total
 
 let cond_branch t ~core:core_id ~asid ~vaddr ~paddr ~taken =
@@ -296,7 +294,7 @@ let cond_branch t ~core:core_id ~asid ~vaddr ~paddr ~taken =
     | Bhb.Predicted -> 0
     | Bhb.Mispredicted -> p.Platform.mispredict_penalty
   in
-  c.cycles <- c.cycles + penalty;
+  set_cycles c (cycles_of c + penalty);
   fetch + penalty
 
 let jump t ~core:core_id ~asid ~vaddr ~paddr ~target =
@@ -308,7 +306,7 @@ let jump t ~core:core_id ~asid ~vaddr ~paddr ~target =
     | Btb.Predicted -> 0
     | Btb.Mispredicted -> p.Platform.mispredict_penalty
   in
-  c.cycles <- c.cycles + penalty;
+  set_cycles c (cycles_of c + penalty);
   fetch + penalty
 
 (* A flush instruction walks the whole tag array (cost per capacity
@@ -322,7 +320,7 @@ let clflush t ~core:core_id ~paddr =
   Cache.invalidate_line t.llc ~vaddr:la ~paddr:la;
   let c = core t core_id in
   Tp_obs.Counter.incr c.st_clflushes;
-  c.cycles <- c.cycles + clflush_cost;
+  set_cycles c (cycles_of c + clflush_cost);
   clflush_cost
 
 let flush_cache_cost cache =
@@ -339,9 +337,9 @@ let flush_step t ~core:core_id step =
     Tp_obs.Counter.incr c.st_flush_ops;
     Tp_obs.Counter.add c.st_flush_cycles cost;
     if Tp_obs.Trace.enabled () then
-      Tp_obs.Trace.span ~core:core_id ~cat:"hw" ~name:what ~ts:c.cycles
+      Tp_obs.Trace.span ~core:core_id ~cat:"hw" ~name:what ~ts:(cycles_of c)
         ~dur:cost ();
-    c.cycles <- c.cycles + cost;
+    set_cycles c (cycles_of c + cost);
     cost
   in
   match step with
@@ -374,7 +372,7 @@ let flush_step t ~core:core_id step =
       charge "flush_bp" bp_flush_cost
   | Flush.Dram_close ->
       Dram.close_all t.dram;
-      c.cycles <- c.cycles + dram_close_cost;
+      set_cycles c (cycles_of c + dram_close_cost);
       dram_close_cost
 
 let l1d t ~core:i = (core t i).l1d
@@ -397,9 +395,9 @@ let set_prefetcher_enabled t ~core:i b =
 
 (* ---- whole-machine snapshot / restore --------------------------- *)
 
-(* Crossed once per component restored, so the fail-at-step-N driver
-   can crash a restore between any two components.  Recovery is simply
-   restoring again: load_state overwrites everything it touches, so a
+(* Crossed once per part restored, so the fail-at-step-N driver can
+   crash a restore between any two parts.  Recovery is simply
+   restoring again: loading a part overwrites all of it, so a
    re-restore from the same snapshot is idempotent and no torn state
    survives. *)
 let point_restore = "snapshot_restore"
@@ -411,66 +409,15 @@ type snapshot = {
   mutable snap_digest : string option; (* computed lazily, cached *)
 }
 
-let core_state_words c =
-  2 (* cycles, walk_charged *)
-  + Blob.counters_words c.st
-  + Cache.state_words c.l1d + Cache.state_words c.l1i
-  + (match c.l2 with Some l2 -> Cache.state_words l2 | None -> 0)
-  + Tlb.state_words c.itlb + Tlb.state_words c.dtlb + Tlb.state_words c.l2tlb
-  + Btb.state_words c.btb + Bhb.state_words c.bhb
-  +
-  match c.prefetcher with Some pf -> Prefetcher.state_words pf | None -> 0
+(* The one walk over the machine's state: [f] is handed each part and
+   its offset in the snapshot layout. *)
+let fold_parts t f = List.fold_left f 0 t.parts
 
-let snapshot_words t =
-  Array.fold_left (fun acc c -> acc + core_state_words c) 0 t.cores
-  + Cache.state_words t.llc + Dram.state_words t.dram
-  + Interconnect.state_words t.bus
-
-let save_core c blob off =
-  blob.{off} <- c.cycles;
-  blob.{off + 1} <- c.walk_charged;
-  let off = Blob.save_counters blob (off + 2) c.st in
-  let off = Cache.save_state c.l1d blob off in
-  let off = Cache.save_state c.l1i blob off in
-  let off =
-    match c.l2 with Some l2 -> Cache.save_state l2 blob off | None -> off
-  in
-  let off = Tlb.save_state c.itlb blob off in
-  let off = Tlb.save_state c.dtlb blob off in
-  let off = Tlb.save_state c.l2tlb blob off in
-  let off = Btb.save_state c.btb blob off in
-  let off = Bhb.save_state c.bhb blob off in
-  match c.prefetcher with
-  | Some pf -> Prefetcher.save_state pf blob off
-  | None -> off
-
-let load_core c blob off =
-  Tp_fault.Fault.hit point_restore;
-  c.cycles <- blob.{off};
-  c.walk_charged <- blob.{off + 1};
-  let off = Blob.load_counters blob (off + 2) c.st in
-  let off = Cache.load_state c.l1d blob off in
-  let off = Cache.load_state c.l1i blob off in
-  let off =
-    match c.l2 with Some l2 -> Cache.load_state l2 blob off | None -> off
-  in
-  let off = Tlb.load_state c.itlb blob off in
-  let off = Tlb.load_state c.dtlb blob off in
-  let off = Tlb.load_state c.l2tlb blob off in
-  let off = Btb.load_state c.btb blob off in
-  let off = Bhb.load_state c.bhb blob off in
-  match c.prefetcher with
-  | Some pf -> Prefetcher.load_state pf blob off
-  | None -> off
+let snapshot_words t = fold_parts t (fun off p -> off + Blob.part_words p)
 
 let snapshot t =
-  let n = snapshot_words t in
-  let blob = Blob.create n in
-  let off = Array.fold_left (fun off c -> save_core c blob off) 0 t.cores in
-  let off = Cache.save_state t.llc blob off in
-  let off = Dram.save_state t.dram blob off in
-  let off = Interconnect.save_state t.bus blob off in
-  assert (off = n);
+  let blob = Blob.create (snapshot_words t) in
+  ignore (fold_parts t (Blob.save_part blob) : int);
   {
     snap_platform = t.platform.Platform.name;
     snap_data = blob;
@@ -485,15 +432,11 @@ let restore t s =
          s.snap_platform t.platform.Platform.name);
   if Blob.length s.snap_data <> snapshot_words t then
     invalid_arg "Machine.restore: snapshot size does not match this machine";
-  let blob = s.snap_data in
-  let off = Array.fold_left (fun off c -> load_core c blob off) 0 t.cores in
-  Tp_fault.Fault.hit point_restore;
-  let off = Cache.load_state t.llc blob off in
-  Tp_fault.Fault.hit point_restore;
-  let off = Dram.load_state t.dram blob off in
-  Tp_fault.Fault.hit point_restore;
-  let off = Interconnect.load_state t.bus blob off in
-  ignore (off : int)
+  ignore
+    (fold_parts t (fun off p ->
+         Tp_fault.Fault.hit point_restore;
+         Blob.load_part s.snap_data off p)
+      : int)
 
 let snapshot_digest s =
   match s.snap_digest with

@@ -111,13 +111,21 @@ val set_prefetcher_enabled : t -> core:int -> bool -> unit
 
 (** {1 Snapshot / restore}
 
-    O(state) capture of the {e entire} microarchitectural state — all
-    caches' tags/dirty/age, TLBs, BTB/BHB, prefetcher trackers, DRAM
-    row buffers, interconnect load estimators, per-core cycle counters
-    and every performance-counter value — into one contiguous flat
-    int blob.  Restoring rolls the machine back bit-identically, which
-    is what lets a trial loop execute a victim once and replay it per
-    attacker variant ({!Replay}).  Snapshots are machine-shaped, not
+    O(state) capture of the {e entire} microarchitectural state into
+    one contiguous flat int blob.  Every mutable model word of the
+    machine lives in a {!Blob.part}: each component's word array (cache
+    tags/dirty/age, TLBs, BTB/BHB, prefetcher trackers, DRAM row
+    buffers, interconnect load state), the per-core cycle counters,
+    the interconnect's float estimators and every performance-counter
+    set.  The machine lists its parts in one fixed order — per core
+    [core, L1-D, L1-I, L2, ITLB, DTLB, L2-TLB, BTB, BHB, prefetcher],
+    then LLC, DRAM, bus — and that order is the snapshot format the
+    digests below depend on.  Snapshot, restore and digest are one
+    fold over the list.
+
+    Restoring rolls the machine back bit-identically, which is what
+    lets a trial loop execute a victim once and replay it per attacker
+    variant ({!Replay}).  Snapshots are machine-shaped, not
     machine-bound: a snapshot taken on one machine restores onto any
     other machine of the same platform. *)
 
@@ -126,13 +134,10 @@ type snapshot
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** @raise Invalid_argument if the snapshot's platform or state size
-    does not match this machine.  Crossing {!point_restore} once per
-    component, so fault injection can crash a restore midway; a
-    re-restore from the same snapshot is idempotent, so recovery
-    leaves no torn state. *)
-
-val snapshot_words : t -> int
-(** Size of this machine's snapshot in words. *)
+    does not match this machine.  Crosses {!point_restore} once per
+    part, so fault injection can crash a restore between any two
+    parts; a re-restore from the same snapshot is idempotent, so
+    recovery leaves no torn state. *)
 
 val snapshot_digest : snapshot -> string
 (** Content digest (MD5 hex) of the snapshot blob; computed lazily and
@@ -143,8 +148,8 @@ val state_digest : t -> string
     bit-identity oracle used by the replay gates. *)
 
 val point_restore : string
-(** ["snapshot_restore"]: fault-injection point crossed once per
-    component during {!restore}. *)
+(** ["snapshot_restore"]: fault-injection point crossed once per part
+    during {!restore}. *)
 
 (** {1 Cost-model constants}
 

@@ -1,15 +1,12 @@
-type tracker = {
-  mutable ptag : int; (* partial page tag, 2 bits; -1 = invalid *)
-  mutable last_line : int; (* last line offset seen within the page *)
-  mutable dir : int; (* +1 / -1 *)
-  mutable confidence : int; (* saturates at [confirm] *)
-}
-
+(* Every mutable model word lives in [b]: one four-word tracker per
+   slot, [ptag last_line dir confidence] (ptag: partial page tag, 2
+   bits, -1 = invalid; last_line: last line offset seen within the
+   page; dir: +1 / -1; confidence: saturates at [confirm]), then the
+   [enabled] flag (0/1). *)
 type t = {
   slots : int;
   degree : int;
-  table : tracker array;
-  mutable enabled : bool;
+  b : int array;
   (* Observability only: never read by the model itself. *)
   st : Tp_obs.Counter.set;
   st_issued : Tp_obs.Counter.t;
@@ -21,6 +18,28 @@ type t = {
 let confirm = 2
 let partial_tag_bits = 2
 
+let[@inline] get (b : int array) i = Array.unsafe_get b i
+let[@inline] set (b : int array) i v = Array.unsafe_set b i v
+
+(* Tracker fields, relative to [4 * slot], which is in bounds by
+   construction ([slot_of] masks by the pow-2 [slots - 1]). *)
+let ptag = 0
+let last_line = 1
+let dir = 2
+let confidence = 3
+
+let reset_trackers t =
+  for s = 0 to t.slots - 1 do
+    let o = 4 * s in
+    t.b.(o + ptag) <- -1;
+    t.b.(o + last_line) <- 0;
+    t.b.(o + dir) <- 1;
+    t.b.(o + confidence) <- 0
+  done
+
+let set_enabled t e = set t.b (4 * t.slots) (Bool.to_int e)
+let enabled t = get t.b (4 * t.slots) <> 0
+
 let create ?(name = "prefetcher") ~slots ~degree () =
   assert (Defs.is_pow2 slots);
   assert (degree > 0);
@@ -29,19 +48,21 @@ let create ?(name = "prefetcher") ~slots ~degree () =
   let st_allocs = Tp_obs.Counter.counter st "tracker_allocs" in
   let st_filtered = Tp_obs.Counter.counter st "alloc_filtered" in
   let st_resets = Tp_obs.Counter.counter st "hard_resets" in
-  {
-    slots;
-    degree;
-    table =
-      Array.init slots (fun _ ->
-          { ptag = -1; last_line = 0; dir = 1; confidence = 0 });
-    enabled = true;
-    st;
-    st_issued;
-    st_allocs;
-    st_filtered;
-    st_resets;
-  }
+  let t =
+    {
+      slots;
+      degree;
+      b = Array.make ((4 * slots) + 1) 0;
+      st;
+      st_issued;
+      st_allocs;
+      st_filtered;
+      st_resets;
+    }
+  in
+  reset_trackers t;
+  set_enabled t true;
+  t
 
 let counters t = t.st
 
@@ -54,35 +75,35 @@ let counters t = t.st
 let slot_of t ~page =
   (page lxor (page lsr 4) lxor (page lsr 9)) land (t.slots - 1)
 
-let set_enabled t b = t.enabled <- b
-let enabled t = t.enabled
-
 let on_access t ~paddr ~line =
-  if not t.enabled then []
+  if not (enabled t) then []
   else begin
+    let b = t.b in
     let page = paddr / Defs.page_size in
     let line_off = Defs.page_offset paddr / line in
-    let slot = slot_of t ~page in
-    let ptag = (page lsr Defs.log2 t.slots) land ((1 lsl partial_tag_bits) - 1) in
-    let tr = t.table.(slot) in
+    let o = 4 * slot_of t ~page in
+    let tag = (page lsr Defs.log2 t.slots) land ((1 lsl partial_tag_bits) - 1) in
     let lines_per_page = Defs.page_size / line in
-    if tr.ptag = ptag then begin
-      let delta = line_off - tr.last_line in
-      if delta = tr.dir && delta <> 0 then
-        tr.confidence <- min confirm (tr.confidence + 1)
-      else if delta = -tr.dir && delta <> 0 then begin
-        tr.dir <- -tr.dir;
-        tr.confidence <- 1
+    if get b (o + ptag) = tag then begin
+      let d = get b (o + dir) in
+      let delta = line_off - get b (o + last_line) in
+      if delta = d && delta <> 0 then
+        set b (o + confidence) (min confirm (get b (o + confidence) + 1))
+      else if delta = -d && delta <> 0 then begin
+        set b (o + dir) (-d);
+        set b (o + confidence) 1
       end
-      else if delta <> 0 then tr.confidence <- max 0 (tr.confidence - 1);
-      tr.last_line <- line_off;
-      if tr.confidence >= confirm then begin
+      else if delta <> 0 then
+        set b (o + confidence) (max 0 (get b (o + confidence) - 1));
+      set b (o + last_line) line_off;
+      if get b (o + confidence) >= confirm then begin
         (* Confirmed stream: prefetch [degree] lines ahead, staying
            within the page (real prefetchers stop at page boundaries). *)
+        let d = get b (o + dir) in
         let rec fetch k acc =
           if k > t.degree then List.rev acc
           else begin
-            let next = line_off + (k * tr.dir) in
+            let next = line_off + (k * d) in
             if next < 0 || next >= lines_per_page then List.rev acc
             else begin
               let pf = (page * Defs.page_size) + (next * line) in
@@ -105,63 +126,32 @@ let on_access t ~paddr ~line =
          confidence re-allocates instantly, while an intact one costs
          extra unprefetched accesses to displace — a per-page timing
          difference the next domain can read back. *)
-      if tr.ptag <> -1 && tr.confidence > 0 then begin
+      if get b (o + ptag) <> -1 && get b (o + confidence) > 0 then begin
         Tp_obs.Counter.incr t.st_filtered;
-        tr.confidence <- tr.confidence - 1;
+        set b (o + confidence) (get b (o + confidence) - 1);
         []
       end
       else begin
         Tp_obs.Counter.incr t.st_allocs;
-        tr.ptag <- ptag;
-        tr.last_line <- line_off;
-        tr.dir <- 1;
-        tr.confidence <- 0;
+        set b (o + ptag) tag;
+        set b (o + last_line) line_off;
+        set b (o + dir) 1;
+        set b (o + confidence) 0;
         []
       end
     end
   end
 
 let trained_slots t =
-  Array.fold_left
-    (fun acc tr -> if tr.ptag <> -1 && tr.confidence >= confirm then acc + 1 else acc)
-    0 t.table
+  let n = ref 0 in
+  for s = 0 to t.slots - 1 do
+    let o = 4 * s in
+    if t.b.(o + ptag) <> -1 && t.b.(o + confidence) >= confirm then incr n
+  done;
+  !n
 
 let hard_reset t =
   Tp_obs.Counter.incr t.st_resets;
-  Array.iter
-    (fun tr ->
-      tr.ptag <- -1;
-      tr.last_line <- 0;
-      tr.dir <- 1;
-      tr.confidence <- 0)
-    t.table
+  reset_trackers t
 
-let state_words t = (4 * Array.length t.table) + 1 + Blob.counters_words t.st
-
-let save_state t blob off =
-  let n = Array.length t.table in
-  for i = 0 to n - 1 do
-    let tr = t.table.(i) in
-    let o = off + (4 * i) in
-    blob.{o} <- tr.ptag;
-    blob.{o + 1} <- tr.last_line;
-    blob.{o + 2} <- tr.dir;
-    blob.{o + 3} <- tr.confidence
-  done;
-  let off = off + (4 * n) in
-  blob.{off} <- (if t.enabled then 1 else 0);
-  Blob.save_counters blob (off + 1) t.st
-
-let load_state t blob off =
-  let n = Array.length t.table in
-  for i = 0 to n - 1 do
-    let tr = t.table.(i) in
-    let o = off + (4 * i) in
-    tr.ptag <- blob.{o};
-    tr.last_line <- blob.{o + 1};
-    tr.dir <- blob.{o + 2};
-    tr.confidence <- blob.{o + 3}
-  done;
-  let off = off + (4 * n) in
-  t.enabled <- blob.{off} <> 0;
-  Blob.load_counters blob (off + 1) t.st
+let parts t = [ Blob.Words t.b; Blob.Counters t.st ]

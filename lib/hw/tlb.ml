@@ -1,14 +1,19 @@
 type geometry = { entries : int; ways : int }
 
+(* Every mutable model word lives in [b], laid out as
+   [vpns | asids | globals | age | clock n_valid]: four [entries]-long
+   regions indexed by set * ways + way (vpn -1 = invalid, global 0/1),
+   then the scalars. *)
 type t = {
   g : geometry;
   n_sets : int;
-  vpns : int array; (* -1 = invalid *)
-  asids : int array;
-  globals : bool array;
-  age : int array;
-  mutable clock : int;
-  mutable n_valid : int;
+  b : int array;
+  (* Word offsets of the asid, global and age regions and of the
+     scalars. *)
+  asid0 : int;
+  global0 : int;
+  age0 : int;
+  sc : int;
   (* Observability only: never read by the model itself. *)
   st : Tp_obs.Counter.set;
   st_hits : Tp_obs.Counter.t;
@@ -17,24 +22,33 @@ type t = {
   st_asid_flushes : Tp_obs.Counter.t;
 }
 
+let[@inline] get (b : int array) i = Array.unsafe_get b i
+let[@inline] set (b : int array) i v = Array.unsafe_set b i v
+
+(* Scalar words, relative to [sc]. *)
+let clock = 0
+let n_valid = 1
+
 let create ?(name = "tlb") g =
   assert (Defs.is_pow2 g.entries && Defs.is_pow2 g.ways);
   assert (g.entries >= g.ways);
   let n_sets = g.entries / g.ways in
+  let n = g.entries in
   let st = Tp_obs.Counter.make_set name in
   let st_hits = Tp_obs.Counter.counter st "hits" in
   let st_misses = Tp_obs.Counter.counter st "misses" in
   let st_flushes = Tp_obs.Counter.counter st "flushes" in
   let st_asid_flushes = Tp_obs.Counter.counter st "asid_flushes" in
+  let b = Array.make ((4 * n) + 2) 0 in
+  Array.fill b 0 (2 * n) (-1);
   {
     g;
     n_sets;
-    vpns = Array.make g.entries (-1);
-    asids = Array.make g.entries (-1);
-    globals = Array.make g.entries false;
-    age = Array.make g.entries 0;
-    clock = 0;
-    n_valid = 0;
+    b;
+    asid0 = n;
+    global0 = 2 * n;
+    age0 = 3 * n;
+    sc = 4 * n;
     st;
     st_hits;
     st_misses;
@@ -51,61 +65,67 @@ type result = Hit | Miss
 
 let set_of t vpn = vpn land (t.n_sets - 1)
 
-(* unsafe_get is in bounds by construction: the arrays hold
-   [n_sets * ways] entries, [set] is masked by the pow-2 [n_sets - 1]
+(* Unchecked reads are in bounds by construction: each region holds
+   [n_sets * ways] words, [set] is masked by the pow-2 [n_sets - 1]
    and [w < ways]. *)
 let find t ~asid ~vpn =
+  let b = t.b and global0 = t.global0 and asid0 = t.asid0 in
   let base = set_of t vpn * t.g.ways in
-  let vpns = t.vpns and globals = t.globals and asids = t.asids in
-  let ways = t.g.ways in
-  let rec go w =
-    if w = ways then -1
-    else begin
-      let i = base + w in
-      if
-        Array.unsafe_get vpns i = vpn
-        && (Array.unsafe_get globals i || Array.unsafe_get asids i = asid)
-      then i
-      else go (w + 1)
-    end
-  in
-  go 0
+  let stop = base + t.g.ways in
+  let i = ref base in
+  while
+    !i < stop
+    && not
+         (get b !i = vpn
+         && (get b (global0 + !i) <> 0 || get b (asid0 + !i) = asid))
+  do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 (* First invalid way wins outright (LRU among invalids is
    meaningless); otherwise lowest age. *)
 let lru_way t set =
+  let b = t.b and age0 = t.age0 in
   let base = set * t.g.ways in
-  let vpns = t.vpns and age = t.age in
-  if Array.unsafe_get vpns base = -1 then base
+  if get b base = -1 then base
   else begin
-    let best = ref base in
+    let best = ref base and best_age = ref (get b (age0 + base)) in
     let found = ref (-1) in
     let w = ref 1 in
     while !found < 0 && !w < t.g.ways do
       let i = base + !w in
-      if Array.unsafe_get vpns i = -1 then found := i
-      else if Array.unsafe_get age i < Array.unsafe_get age !best then best := i;
+      if get b i = -1 then found := i
+      else begin
+        let a = get b (age0 + i) in
+        if a < !best_age then begin
+          best := i;
+          best_age := a
+        end
+      end;
       incr w
     done;
     if !found >= 0 then !found else !best
   end
 
 let access t ~asid ~vpn ~global =
+  let b = t.b in
   let i = find t ~asid ~vpn in
-  t.clock <- t.clock + 1;
+  let now = get b (t.sc + clock) + 1 in
+  set b (t.sc + clock) now;
   if i >= 0 then begin
     Tp_obs.Counter.incr t.st_hits;
-    Array.unsafe_set t.age i t.clock;
+    set b (t.age0 + i) now;
     Hit
   end
   else begin
     Tp_obs.Counter.incr t.st_misses;
     let i = lru_way t (set_of t vpn) in
-    if Array.unsafe_get t.vpns i = -1 then t.n_valid <- t.n_valid + 1;
-    Array.unsafe_set t.vpns i vpn;
-    Array.unsafe_set t.asids i asid;
-    Array.unsafe_set t.globals i global;
-    Array.unsafe_set t.age i t.clock;
+    if get b i = -1 then set b (t.sc + n_valid) (get b (t.sc + n_valid) + 1);
+    set b i vpn;
+    set b (t.asid0 + i) asid;
+    set b (t.global0 + i) (Bool.to_int global);
+    set b (t.age0 + i) now;
     Miss
   end
 
@@ -113,39 +133,24 @@ let probe t ~asid ~vpn = find t ~asid ~vpn >= 0
 
 let flush_all t =
   Tp_obs.Counter.incr t.st_flushes;
-  Array.fill t.vpns 0 (Array.length t.vpns) (-1);
-  Array.fill t.globals 0 (Array.length t.globals) false;
-  t.n_valid <- 0
+  Array.fill t.b 0 t.g.entries (-1);
+  Array.fill t.b t.global0 t.g.entries 0;
+  set t.b (t.sc + n_valid) 0
 
 let flush_asid t asid =
+  let b = t.b in
   Tp_obs.Counter.incr t.st_asid_flushes;
-  Array.iteri
-    (fun i vpn ->
-      if vpn <> -1 && (not t.globals.(i)) && t.asids.(i) = asid then begin
-        t.vpns.(i) <- -1;
-        t.n_valid <- t.n_valid - 1
-      end)
-    t.vpns
+  for i = 0 to t.g.entries - 1 do
+    if
+      get b i <> -1
+      && get b (t.global0 + i) = 0
+      && get b (t.asid0 + i) = asid
+    then begin
+      set b i (-1);
+      set b (t.sc + n_valid) (get b (t.sc + n_valid) - 1)
+    end
+  done
 
-let valid_entries t = t.n_valid
+let valid_entries t = get t.b (t.sc + n_valid)
 
-let state_words t =
-  (4 * Array.length t.vpns) + 2 + Blob.counters_words t.st
-
-let save_state t blob off =
-  let off = Blob.save_ints blob off t.vpns in
-  let off = Blob.save_ints blob off t.asids in
-  let off = Blob.save_bools blob off t.globals in
-  let off = Blob.save_ints blob off t.age in
-  blob.{off} <- t.clock;
-  blob.{off + 1} <- t.n_valid;
-  Blob.save_counters blob (off + 2) t.st
-
-let load_state t blob off =
-  let off = Blob.load_ints blob off t.vpns in
-  let off = Blob.load_ints blob off t.asids in
-  let off = Blob.load_bools blob off t.globals in
-  let off = Blob.load_ints blob off t.age in
-  t.clock <- blob.{off};
-  t.n_valid <- blob.{off + 1};
-  Blob.load_counters blob (off + 2) t.st
+let parts t = [ Blob.Words t.b; Blob.Counters t.st ]

@@ -42,10 +42,5 @@ val valid_entries : t -> int
 
 val sets : t -> int
 
-(** {2 Snapshot} — see {!Cache.state_words}: sizes, saves and restores
-    this component's complete mutable state (including its performance
-    counters) in a machine snapshot blob at a threaded offset. *)
-
-val state_words : t -> int
-val save_state : t -> Blob.t -> int -> int
-val load_state : t -> Blob.t -> int -> int
+val parts : t -> Blob.part list
+(** Every mutable model word, in snapshot order (see {!Blob.part}). *)

@@ -84,36 +84,30 @@ let decode (sel, a, b) =
 
 let all_ways = lnot 0
 
-let run_live m ops =
-  let root = ref (-1) and leaf = ref (-1) in
-  let walk () =
-    let lat =
-      Machine.access m ~core:0 ~asid:0 ~global:true ~vaddr:!root ~paddr:!root
-        ~kind:Defs.Read ()
-    in
-    if !leaf >= 0 then
-      lat
-      + Machine.access m ~core:0 ~asid:0 ~global:true ~vaddr:!leaf ~paddr:!leaf
-          ~kind:Defs.Read ()
-    else lat
-  in
-  List.map
-    (fun op ->
-      match decode op with
-      | `Access (kind, vaddr, root_pa, leaf_pa) ->
-          root := root_pa;
-          leaf := leaf_pa;
-          Machine.access m ~core:0 ~asid:1 ~global:false ~llc_ways:all_ways
-            ~walk ~vaddr ~paddr:vaddr ~kind ()
-      | `Cond_branch (vaddr, taken) ->
-          Machine.cond_branch m ~core:0 ~asid:1 ~vaddr ~paddr:vaddr ~taken
-      | `Jump (vaddr, target) ->
-          Machine.jump m ~core:0 ~asid:1 ~vaddr ~paddr:vaddr ~target
-      | `Clflush paddr -> Machine.clflush m ~core:0 ~paddr
-      | `Add_cycles n ->
-          Machine.add_cycles m ~core:0 n;
-          n)
-    ops
+(* One op on [core]; returns its latency. *)
+let live_op m ~core op =
+  match decode op with
+  | `Access (kind, vaddr, root_pa, leaf_pa) ->
+      let walk () =
+        let read pa =
+          Machine.access m ~core ~asid:0 ~global:true ~vaddr:pa ~paddr:pa
+            ~kind:Defs.Read ()
+        in
+        let lat = read root_pa in
+        if leaf_pa >= 0 then lat + read leaf_pa else lat
+      in
+      Machine.access m ~core ~asid:1 ~global:false ~llc_ways:all_ways ~walk
+        ~vaddr ~paddr:vaddr ~kind ()
+  | `Cond_branch (vaddr, taken) ->
+      Machine.cond_branch m ~core ~asid:1 ~vaddr ~paddr:vaddr ~taken
+  | `Jump (vaddr, target) ->
+      Machine.jump m ~core ~asid:1 ~vaddr ~paddr:vaddr ~target
+  | `Clflush paddr -> Machine.clflush m ~core ~paddr
+  | `Add_cycles n ->
+      Machine.add_cycles m ~core n;
+      n
+
+let run_live m ops = List.map (live_op m ~core:0) ops
 
 let record ops =
   let r = Replay.create () in
@@ -179,6 +173,59 @@ let qcheck_replay_budget_stops =
       | `Budget -> !n <= List.length ops && Machine.cycles m ~core:0 >= budget
       | `Done_idle -> !n = List.length ops
       | `Incomplete -> false)
+
+(* Two-core op streams that also switch the bus mode and the
+   prefetchers, so every part of the machine's state — both cores'
+   components, the interconnect's float estimators and its Mba limit —
+   is live.  Each op is (core, (selector, a, b)); selectors 7 and 8
+   are the switches, the rest decode as above. *)
+let multi_ops_gen =
+  QCheck.(
+    list_of_size
+      Gen.(int_range 1 80)
+      (pair (int_bound 1)
+         (triple (int_bound 8) (int_bound 1_000_000) (int_bound 1_000_000))))
+
+let run_multi m ops =
+  List.map
+    (fun (core, ((sel, a, b) as op)) ->
+      match sel with
+      | 7 ->
+          Interconnect.set_mode (Machine.bus m)
+            (match b mod 3 with
+            | 0 -> Interconnect.Open
+            | 1 -> Interconnect.Partitioned
+            | _ -> Interconnect.Mba (float_of_int (1 + (a mod 9)) /. 10.0));
+          0
+      | 8 ->
+          Machine.set_prefetcher_enabled m ~core (b land 1 = 1);
+          0
+      | _ -> live_op m ~core op)
+    ops
+
+(* (a) snapshot -> perturb -> restore digests as the snapshot; (b) the
+   snapshot restored onto a fresh machine forks it: the same suffix
+   then runs with the same per-op latencies on both and leaves them in
+   the same state. *)
+let qcheck_snapshot_fork =
+  QCheck.Test.make
+    ~name:"snapshot round-trip and fork, two cores, every platform" ~count:30
+    QCheck.(triple (int_bound 2) multi_ops_gen multi_ops_gen)
+    (fun (pi, pre, suffix) ->
+      let p = [| haswell; sabre; Platform.armv8 |].(pi) in
+      let m = Machine.create p in
+      ignore (run_multi m pre : int list);
+      let snap = Machine.snapshot m in
+      let want = Machine.snapshot_digest snap in
+      ignore (run_multi m suffix : int list);
+      Machine.restore m snap;
+      let round_trip = Machine.state_digest m = want in
+      let fork = Machine.create p in
+      Machine.restore fork snap;
+      let lats = run_multi m suffix in
+      let lats_fork = run_multi fork suffix in
+      round_trip && lats = lats_fork
+      && Machine.state_digest m = Machine.state_digest fork)
 
 (* ---- stream lifecycle ------------------------------------------- *)
 
@@ -364,4 +411,5 @@ let suite =
       test_torn_restore_recovered;
     Alcotest.test_case "replay_step fault recovered" `Quick
       test_replay_step_fault_recovered;
+    QCheck_alcotest.to_alcotest qcheck_snapshot_fork;
   ]
