@@ -2,7 +2,7 @@
    every experiment.
 
    The per-access path — Cache.access_*fast, Tlb.access, Machine.access
-   — dominates every experiment's runtime, so this suite pins its cost:
+   and, above it, a live Uctx.read — dominates every experiment's runtime, so this suite pins its cost:
    run it before and after touching lib/hw to see what a change does to
    simulator throughput.  The working set alternates between an
    L1-resident sweep (hit path) and a strided sweep larger than the
@@ -69,6 +69,37 @@ let bench_machine ~counters =
          ignore
            (Tp_hw.Machine.access m ~core:0 ~asid:1 ~vaddr:!pos ~paddr:!pos
               ~kind:Tp_hw.Defs.Read ())))
+
+(* One live [Uctx.read] on the kernel channel receiver's pattern,
+   haswell raw: the receiver's three passes over L2-sized buffers
+   (probe in a stride-permuted order, evict, re-prime in reverse), so
+   L1 misses, L2 hits and misses and the IRQ poll after every access
+   are all in the figure.  The layer above [machine.access]: the
+   difference is the kernel's translation, walk lines and poll. *)
+let bench_uctx_read =
+  let open Tp_kernel in
+  let b = Boot.boot ~platform:p ~config:Config.raw ~domains:2 () in
+  let sys = b.Boot.sys in
+  let d1 = b.Boot.domains.(1) in
+  let g = Option.get p.Tp_hw.Platform.l2 in
+  let line = g.Tp_hw.Cache.line in
+  let pages = g.Tp_hw.Cache.size / Tp_hw.Defs.page_size in
+  let rbuf = Boot.alloc_pages b d1 ~pages in
+  let evict_buf = Boot.alloc_pages b d1 ~pages in
+  let tcb = Boot.spawn b d1 (fun _ -> ()) in
+  Sched.remove (System.sched sys) ~core:0 tcb;
+  let ctx = Uctx.make sys ~core:0 tcb ~slice_end:max_int in
+  let lines = pages * Tp_hw.Defs.page_size / line in
+  let perm i = i * 37 mod lines in
+  let k = ref 0 in
+  Test.make ~name:"uctx.read (kernel-receiver sweep)"
+    (Staged.stage (fun () ->
+         let i = !k mod lines in
+         (match !k / lines mod 3 with
+         | 0 -> Uctx.read ctx (rbuf + (perm i * line))
+         | 1 -> Uctx.read ctx (evict_buf + (perm i * line))
+         | _ -> Uctx.read ctx (rbuf + (perm (lines - 1 - i) * line)));
+         incr k))
 
 (* A whole haswell machine: allocating and initialising every
    component's state, the fixed cost each boot pays. *)
@@ -190,6 +221,7 @@ let () =
       bench_tlb;
       bench_machine ~counters:false;
       bench_machine ~counters:true;
+      bench_uctx_read;
       bench_create;
       bench_snapshot;
       bench_restore;

@@ -99,19 +99,17 @@ let record t ~core ~now =
     ((1.0 -. slow_alpha) *. t.slow_rate.(core)) +. (slow_alpha *. inst);
   (* Sum of the offered rates of cores whose current activity run
      covers this instant: a run is [run_start, last], padded by the
-     queue-drain window on both sides. *)
-  let live_sum () =
-    let acc = ref 0.0 in
-    for j = 0 to t.cores - 1 do
-      if
-        j = core
-        || (last t j >= 0
-           && now >= run_start t j - active_window
-           && now <= last t j + active_window)
-      then acc := !acc +. t.rate.(j)
-    done;
-    !acc
-  in
+     queue-drain window on both sides.  Summed inline (the Partitioned
+     mode ignores it) so the per-transaction path allocates nothing. *)
+  let live_sum = ref 0.0 in
+  for j = 0 to t.cores - 1 do
+    if
+      j = core
+      || (last t j >= 0
+         && now >= run_start t j - active_window
+         && now <= last t j + active_window)
+    then live_sum := !live_sum +. t.rate.(j)
+  done;
   let delay =
     match t.b.(mode_word t) with
     | 1 (* Partitioned *) ->
@@ -120,7 +118,7 @@ let record t ~core ~now =
         if overload > 0.0 then int_of_float (overload /. t.service *. delay_scale)
         else 0
     | 0 (* Open *) ->
-        let overload = live_sum () -. t.service in
+        let overload = !live_sum -. t.service in
         if overload > 0.0 then int_of_float (overload /. t.service *. delay_scale)
         else 0
     | _ (* Mba *) ->
@@ -138,7 +136,7 @@ let record t ~core ~now =
             int_of_float (over /. t.service *. delay_scale *. 2.0)
           else 0
         in
-        let overload = live_sum () -. t.service in
+        let overload = !live_sum -. t.service in
         throttle
         + (if overload > 0.0 then
              int_of_float (overload /. t.service *. delay_scale)

@@ -162,14 +162,14 @@ let add_cycles t ~core:i n =
    over-approximation only loses a little timing fidelity. *)
 let back_invalidate t line_paddr =
   if line_paddr >= 0 then
-    Array.iter
-      (fun c ->
-        Cache.invalidate_line c.l1d ~vaddr:line_paddr ~paddr:line_paddr;
-        Cache.invalidate_line c.l1i ~vaddr:line_paddr ~paddr:line_paddr;
-        match c.l2 with
-        | Some l2 -> Cache.invalidate_line l2 ~vaddr:line_paddr ~paddr:line_paddr
-        | None -> ())
-      t.cores
+    for i = 0 to Array.length t.cores - 1 do
+      let c = t.cores.(i) in
+      Cache.invalidate_line c.l1d ~vaddr:line_paddr ~paddr:line_paddr;
+      Cache.invalidate_line c.l1i ~vaddr:line_paddr ~paddr:line_paddr;
+      match c.l2 with
+      | Some l2 -> Cache.invalidate_line l2 ~vaddr:line_paddr ~paddr:line_paddr
+      | None -> ()
+    done
 
 (* Access the shared levels (LLC then DRAM) for one physical line;
    returns latency.  LLC misses are memory-bus transactions — the
@@ -188,65 +188,37 @@ let shared_access t ~core_id ~llc_ways ~paddr ~write =
     p.Platform.lat_llc + Dram.access t.dram ~paddr + wb + bus_delay
   end
 
-(* Issue prefetches suggested by the stream prefetcher: insert into the
-   private L2 and the (inclusive) LLC. *)
-let issue_prefetches t ~core_id ~llc_ways pf_addrs =
-  let c = core t core_id in
-  Tp_obs.Counter.add c.st_prefetch_lines (List.length pf_addrs);
-  List.fold_left
-    (fun cost pf ->
-      (match c.l2 with
-      | Some l2 -> ignore (Cache.insert_clean_fast l2 ~vaddr:pf ~paddr:pf)
-      | None -> ());
-      (* Prefetches allocate under the issuing core's CAT class too. *)
-      if
-        not
-          (Cache.access_masked_fast t.llc ~alloc_ways:llc_ways ~vaddr:pf
-             ~paddr:pf ~write:false)
-      then back_invalidate t (Cache.last_evicted t.llc);
-      cost + prefetch_issue_cost)
-    0 pf_addrs
+(* Issue the [n] prefetches the stream prefetcher just suggested:
+   insert into the private L2 and the (inclusive) LLC. *)
+let issue_prefetches t c ~llc_ways pf n =
+  Tp_obs.Counter.add c.st_prefetch_lines n;
+  for i = 0 to n - 1 do
+    let a = Prefetcher.suggestion pf i in
+    (match c.l2 with
+    | Some l2 -> ignore (Cache.insert_clean_fast l2 ~vaddr:a ~paddr:a)
+    | None -> ());
+    (* Prefetches allocate under the issuing core's CAT class too. *)
+    if
+      not
+        (Cache.access_masked_fast t.llc ~alloc_ways:llc_ways ~vaddr:a ~paddr:a
+           ~write:false)
+    then back_invalidate t (Cache.last_evicted t.llc)
+  done;
+  n * prefetch_issue_cost
 
-(* Returns the latency to report; cycles of it already charged by the
-   walk's own memory accesses are left in the core's walk_charged word
-   (scratch state rather than a result tuple: this path runs once per
-   simulated access and must not allocate). *)
-let tlb_latency t ~core_id ~asid ~vpn ~kind ~global ~walk =
-  let c = core t core_id in
-  let p = t.platform in
-  set_walk_charged c 0;
-  let first = match kind with Defs.Fetch -> c.itlb | Defs.Read | Defs.Write -> c.dtlb in
-  match Tlb.access first ~asid ~vpn ~global with
-  | Tlb.Hit -> 0
-  | Tlb.Miss -> begin
-      match Tlb.access c.l2tlb ~asid ~vpn ~global with
-      | Tlb.Hit ->
-          Tp_obs.Counter.incr c.st_l2tlb_hits;
-          l2_tlb_hit_extra
-      | Tlb.Miss -> begin
-          Tp_obs.Counter.incr c.st_tlb_walks;
-          match walk with
-          | Some f ->
-              (* The walk's PT reads charge the core as they run; a
-                 small fixed TLB-refill overhead comes on top. *)
-              let w = f () in
-              Tp_obs.Counter.add c.st_walk_cycles w;
-              set_walk_charged c w;
-              w + 10
-          | None ->
-              Tp_obs.Counter.add c.st_walk_cycles p.Platform.tlb_walk;
-              p.Platform.tlb_walk
-        end
-    end
-
-let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
-    ~vaddr ~paddr ~kind () =
+(* The one access path, live and replayed alike.  It runs once per
+   simulated access and allocates nothing: a TLB walk's page-table
+   lines arrive as two ints ([root_pa], and [leaf_pa] or -1), and the
+   latency the walk already charged is left in the core's walk_charged
+   word instead of a result tuple. *)
+let rec access_pt t ~core:core_id ~asid ~global ~llc_ways ~root_pa ~leaf_pa
+    ~vaddr ~paddr ~kind =
   let c = core t core_id in
   let p = t.platform in
   let write = match kind with Defs.Write -> true | Defs.Read | Defs.Fetch -> false in
   Tp_obs.Counter.incr c.st_accesses;
   let vpn = Defs.page_of vaddr in
-  let lat_tlb = tlb_latency t ~core_id ~asid ~vpn ~kind ~global ~walk in
+  let lat_tlb = tlb_latency t c ~core_id ~asid ~vpn ~kind ~global ~root_pa ~leaf_pa in
   let already_charged = walk_charged c in
   let l1 = match kind with Defs.Fetch -> c.l1i | Defs.Read | Defs.Write -> c.l1d in
   let lat =
@@ -260,10 +232,8 @@ let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
             let pf_cost =
               match c.prefetcher with
               | Some pf ->
-                  let suggestions =
-                    Prefetcher.on_access pf ~paddr ~line:p.Platform.line
-                  in
-                  issue_prefetches t ~core_id ~llc_ways suggestions
+                  issue_prefetches t c ~llc_ways pf
+                    (Prefetcher.on_access pf ~paddr ~line:p.Platform.line)
               | None -> 0
             in
             if Cache.access_fast l2 ~vaddr:paddr ~paddr ~write:false then
@@ -285,10 +255,54 @@ let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
   set_cycles c (cycles_of c + total - already_charged);
   total
 
+(* Returns the latency to report; cycles of it already charged by the
+   walk's own memory accesses are left in the core's walk_charged word. *)
+and tlb_latency t c ~core_id ~asid ~vpn ~kind ~global ~root_pa ~leaf_pa =
+  set_walk_charged c 0;
+  let first = match kind with Defs.Fetch -> c.itlb | Defs.Read | Defs.Write -> c.dtlb in
+  match Tlb.access first ~asid ~vpn ~global with
+  | Tlb.Hit -> 0
+  | Tlb.Miss -> begin
+      match Tlb.access c.l2tlb ~asid ~vpn ~global with
+      | Tlb.Hit ->
+          Tp_obs.Counter.incr c.st_l2tlb_hits;
+          l2_tlb_hit_extra
+      | Tlb.Miss ->
+          Tp_obs.Counter.incr c.st_tlb_walks;
+          if root_pa >= 0 then begin
+            (* The walk reads the root then the leaf PT line through the
+               kernel's physical window (they are data to the walker);
+               those reads charge the core as they run, and a small
+               fixed TLB-refill overhead comes on top. *)
+            let root = pt_read t ~core_id root_pa in
+            let w = if leaf_pa >= 0 then root + pt_read t ~core_id leaf_pa else root in
+            Tp_obs.Counter.add c.st_walk_cycles w;
+            set_walk_charged c w;
+            w + 10
+          end
+          else begin
+            let w = t.platform.Platform.tlb_walk in
+            Tp_obs.Counter.add c.st_walk_cycles w;
+            w
+          end
+    end
+
+and pt_read t ~core_id pa =
+  access_pt t ~core:core_id ~asid:0 ~global:true ~llc_ways:max_int ~root_pa:(-1)
+    ~leaf_pa:(-1) ~vaddr:pa ~paddr:pa ~kind:Defs.Read
+
+let access t ~core ~asid ?(global = false) ?(llc_ways = max_int) ~vaddr ~paddr
+    ~kind () =
+  access_pt t ~core ~asid ~global ~llc_ways ~root_pa:(-1) ~leaf_pa:(-1) ~vaddr
+    ~paddr ~kind
+
 let cond_branch t ~core:core_id ~asid ~vaddr ~paddr ~taken =
   let c = core t core_id in
   let p = t.platform in
-  let fetch = access t ~core:core_id ~asid ~vaddr ~paddr ~kind:Defs.Fetch () in
+  let fetch =
+    access_pt t ~core:core_id ~asid ~global:false ~llc_ways:max_int ~root_pa:(-1)
+      ~leaf_pa:(-1) ~vaddr ~paddr ~kind:Defs.Fetch
+  in
   let penalty =
     match Bhb.branch c.bhb ~addr:vaddr ~taken with
     | Bhb.Predicted -> 0
@@ -300,7 +314,10 @@ let cond_branch t ~core:core_id ~asid ~vaddr ~paddr ~taken =
 let jump t ~core:core_id ~asid ~vaddr ~paddr ~target =
   let c = core t core_id in
   let p = t.platform in
-  let fetch = access t ~core:core_id ~asid ~vaddr ~paddr ~kind:Defs.Fetch () in
+  let fetch =
+    access_pt t ~core:core_id ~asid ~global:false ~llc_ways:max_int ~root_pa:(-1)
+      ~leaf_pa:(-1) ~vaddr ~paddr ~kind:Defs.Fetch
+  in
   let penalty =
     match Btb.branch c.btb ~addr:vaddr ~target with
     | Btb.Predicted -> 0

@@ -36,28 +36,45 @@ val add_cycles : t -> core:int -> int -> unit
 
 (** {1 Execution} *)
 
+val access_pt :
+  t ->
+  core:int ->
+  asid:int ->
+  global:bool ->
+  llc_ways:int ->
+  root_pa:int ->
+  leaf_pa:int ->
+  vaddr:int ->
+  paddr:int ->
+  kind:Defs.access_kind ->
+  int
+(** Perform one memory access; returns its latency in cycles, which has
+    already been added to the core's clock.  [global] marks the page's
+    TLB entry as a global mapping (kernel windows in the unmodified
+    kernel).  [llc_ways] is the issuer's CAT class-of-service mask:
+    LLC misses may only allocate into those ways ([max_int]: all).
+    [root_pa] and [leaf_pa] are the physical addresses of the root and
+    leaf page-table lines a walk of this page reads ([-1]: none).  On a
+    full TLB miss the walk reads them through the cache hierarchy, so
+    page-table cache footprints, and hence van-Schaik-style PT side
+    channels, emerge; with [root_pa = -1] a flat platform walk cost is
+    charged instead.  Live user accesses ({!Tp_kernel.System.user_access})
+    and replayed ones ({!Replay.replay}) both come through here with
+    the same lines, and the call allocates nothing. *)
+
 val access :
   t ->
   core:int ->
   asid:int ->
   ?global:bool ->
   ?llc_ways:int ->
-  ?walk:(unit -> int) ->
   vaddr:int ->
   paddr:int ->
   kind:Defs.access_kind ->
   unit ->
   int
-(** Perform one memory access; returns its latency in cycles, which has
-    already been added to the core's clock.  [global] marks the page's
-    TLB entry as a global mapping (kernel windows in the unmodified
-    kernel).  [llc_ways] is the issuer's CAT class-of-service mask:
-    LLC misses may only allocate into those ways (default: all).
-    [walk] performs the page-table walk on a full TLB miss and returns
-    its latency — the caller supplies it so the walk's memory accesses
-    hit the real page-table lines (making page-table cache footprints,
-    and hence van-Schaik-style PT side channels, emerge); without it a
-    flat platform walk cost is charged. *)
+(** {!access_pt} with no page-table lines (a flat walk cost), [global]
+    defaulting to [false] and [llc_ways] to all ways. *)
 
 val cond_branch :
   t -> core:int -> asid:int -> vaddr:int -> paddr:int -> taken:bool -> int

@@ -7,6 +7,10 @@ type t = {
   slots : int;
   degree : int;
   b : int array;
+  (* The lines the last [on_access] suggested, as many as it returned.
+     Scratch, not model state: it is consumed before the next access,
+     so it is no snapshot part. *)
+  out : int array;
   (* Observability only: never read by the model itself. *)
   st : Tp_obs.Counter.set;
   st_issued : Tp_obs.Counter.t;
@@ -53,6 +57,7 @@ let create ?(name = "prefetcher") ~slots ~degree () =
       slots;
       degree;
       b = Array.make ((4 * slots) + 1) 0;
+      out = Array.make degree 0;
       st;
       st_issued;
       st_allocs;
@@ -75,8 +80,10 @@ let counters t = t.st
 let slot_of t ~page =
   (page lxor (page lsr 4) lxor (page lsr 9)) land (t.slots - 1)
 
+let suggestion t i = t.out.(i)
+
 let on_access t ~paddr ~line =
-  if not (enabled t) then []
+  if not (enabled t) then 0
   else begin
     let b = t.b in
     let page = paddr / Defs.page_size in
@@ -100,22 +107,17 @@ let on_access t ~paddr ~line =
         (* Confirmed stream: prefetch [degree] lines ahead, staying
            within the page (real prefetchers stop at page boundaries). *)
         let d = get b (o + dir) in
-        let rec fetch k acc =
-          if k > t.degree then List.rev acc
-          else begin
-            let next = line_off + (k * d) in
-            if next < 0 || next >= lines_per_page then List.rev acc
-            else begin
-              let pf = (page * Defs.page_size) + (next * line) in
-              fetch (k + 1) (pf :: acc)
-            end
-          end
-        in
-        let pfs = fetch 1 [] in
-        Tp_obs.Counter.add t.st_issued (List.length pfs);
-        pfs
+        let n = ref 0 in
+        let next = ref (line_off + d) in
+        while !n < t.degree && !next >= 0 && !next < lines_per_page do
+          set t.out !n ((page * Defs.page_size) + (!next * line));
+          incr n;
+          next := !next + d
+        done;
+        Tp_obs.Counter.add t.st_issued !n;
+        !n
       end
-      else []
+      else 0
     end
     else begin
       (* Allocation filter: an incumbent stream with confidence resists
@@ -129,7 +131,7 @@ let on_access t ~paddr ~line =
       if get b (o + ptag) <> -1 && get b (o + confidence) > 0 then begin
         Tp_obs.Counter.incr t.st_filtered;
         set b (o + confidence) (get b (o + confidence) - 1);
-        []
+        0
       end
       else begin
         Tp_obs.Counter.incr t.st_allocs;
@@ -137,7 +139,7 @@ let on_access t ~paddr ~line =
         set b (o + last_line) line_off;
         set b (o + dir) 1;
         set b (o + confidence) 0;
-        []
+        0
       end
     end
   end

@@ -40,10 +40,16 @@ val slot_of : t -> page:int -> int
     bits, so page colouring cannot partition the table (exposed for
     tests). *)
 
-val on_access : t -> paddr:int -> line:int -> int list
+val on_access : t -> paddr:int -> line:int -> int
 (** Notify the prefetcher of a demand access to physical address
-    [paddr] (cache line size [line]); returns the physical addresses of
-    lines to prefetch (empty when disabled or no stream confirmed). *)
+    [paddr] (cache line size [line]); returns how many lines to
+    prefetch (0 when disabled or no stream confirmed).  Their physical
+    addresses are [suggestion t 0] to [suggestion t (n - 1)], in issue
+    order, valid until the next [on_access]: the per-access path builds
+    no list. *)
+
+val suggestion : t -> int -> int
+(** [suggestion t i]: the [i]th line the last {!on_access} suggested. *)
 
 val trained_slots : t -> int
 (** Number of trackers whose confidence has reached the prefetch

@@ -113,22 +113,6 @@ let digest t =
 let replay m ~core ~asid ~llc_ways ~until ?on_latency t =
   Tp_fault.Fault.hit point_step;
   let data = t.data in
-  (* The page-table walk of a replayed access reads the very PT lines
-     the recorder resolved, through the same kernel window the live
-     walker uses; two shared cells instead of per-op closures keep the
-     loop allocation-free. *)
-  let root = ref (-1) and leaf = ref (-1) in
-  let walk () =
-    let lat =
-      Machine.access m ~core ~asid:0 ~global:true ~vaddr:!root ~paddr:!root
-        ~kind:Defs.Read ()
-    in
-    if !leaf >= 0 then
-      lat
-      + Machine.access m ~core ~asid:0 ~global:true ~vaddr:!leaf ~paddr:!leaf
-          ~kind:Defs.Read ()
-    else lat
-  in
   let note = match on_latency with None -> ignore | Some f -> f in
   let n = t.len in
   let i = ref 0 in
@@ -149,10 +133,11 @@ let replay m ~core ~asid ~llc_ways ~until ?on_latency t =
             else if tag = tag_write then Defs.Write
             else Defs.Fetch
           in
-          root := data.{off + 3};
-          leaf := data.{off + 4};
-          Machine.access m ~core ~asid ~global:false ~llc_ways ~walk
-            ~vaddr:data.{off + 1} ~paddr:data.{off + 2} ~kind ()
+          (* The walk of a replayed access reads the very PT lines the
+             recorder resolved, as the live access did. *)
+          Machine.access_pt m ~core ~asid ~global:false ~llc_ways
+            ~root_pa:data.{off + 3} ~leaf_pa:data.{off + 4}
+            ~vaddr:data.{off + 1} ~paddr:data.{off + 2} ~kind
         end
         else if tag = tag_cond_branch then
           Machine.cond_branch m ~core ~asid ~vaddr:data.{off + 1}

@@ -62,15 +62,25 @@ let deliverable t ~partitioned ~current irq =
         true
   end
 
+let fires t ~now ~partitioned ~current tm =
+  tm.tm_at <= now && deliverable t ~partitioned ~current tm.tm_irq
+
+let rec any_fires t ~now ~partitioned ~current = function
+  | [] -> false
+  | tm :: rest ->
+      fires t ~now ~partitioned ~current tm
+      || any_fires t ~now ~partitioned ~current rest
+
+(* Called after every user operation: in the common case, no timer
+   due, it returns at once and builds nothing. *)
 let pending t ~core ~now ~partitioned ~current =
   let ts = t.timers.(core) in
-  let fired, rest =
-    List.partition
-      (fun tm -> tm.tm_at <= now && deliverable t ~partitioned ~current tm.tm_irq)
-      !ts
-  in
-  ts := rest;
-  List.map (fun tm -> tm.tm_irq) (List.sort (fun a b -> compare a.tm_at b.tm_at) fired)
+  if not (any_fires t ~now ~partitioned ~current !ts) then []
+  else begin
+    let fired, rest = List.partition (fires t ~now ~partitioned ~current) !ts in
+    ts := rest;
+    List.map (fun tm -> tm.tm_irq) (List.sort (fun a b -> compare a.tm_at b.tm_at) fired)
+  end
 
 let next_timer t ~core =
   List.fold_left

@@ -175,13 +175,3 @@ let destroy_footprint (_ : Tp_hw.Platform.t) =
     ("asid-table", shared_region_size Asid_table);
     ("cur-pointers", shared_region_size Cur_pointers);
   ]
-
-let lines ~line ~base_vaddr ~base_paddr ~off ~len =
-  assert (len > 0);
-  let first = (off / line) * line in
-  let last = (off + len - 1) / line * line in
-  let rec go o acc =
-    if o > last then List.rev acc
-    else go (o + line) ((base_vaddr + o, base_paddr + o) :: acc)
-  in
-  go first []

@@ -104,11 +104,3 @@ val handler_tick : text_range
 val handler_irq : text_range
 val handler_clone : text_range
 val handler_destroy : text_range
-
-(** {1 Line enumeration} *)
-
-val lines :
-  line:int -> base_vaddr:int -> base_paddr:int -> off:int -> len:int ->
-  (int * int) list
-(** [(vaddr, paddr)] pairs, one per cache line overlapping
-    [\[off, off+len)] relative to the two bases. *)

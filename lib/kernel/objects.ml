@@ -71,11 +71,11 @@ let destroy_object sys ~core cap =
       return_frames cap nf.Types.nf_frames
   | Types.Obj_frame f ->
       (match f.Types.f_mapping with
-      | Some (vs, vpn) -> Hashtbl.remove vs.Types.vs_pages vpn
+      | Some (vs, vpn) -> Types.Itbl.remove vs.Types.vs_pages vpn
       | None -> ());
       return_frames cap [ f.Types.f_frame ]
   | Types.Obj_vspace vs ->
-      Hashtbl.reset vs.Types.vs_pages;
+      Types.Itbl.reset vs.Types.vs_pages;
       return_frames cap []
   | Types.Obj_untyped u ->
       (* Free frames flow back to the parent; retyped children must

@@ -176,9 +176,9 @@ let retype_vspace cap ~asid =
        {
          Types.vs_id = Types.fresh_id ();
          vs_asid = asid;
-         vs_pages = Hashtbl.create 64;
+         vs_pages = Types.Itbl.create 64;
          vs_root_pt = root_pt;
-         vs_leaf_pts = Hashtbl.create 16;
+         vs_leaf_pts = Types.Itbl.create 16;
          vs_heap_next = 0x1000_0000 / Tp_hw.Defs.page_size;
        })
 

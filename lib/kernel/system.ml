@@ -164,30 +164,30 @@ let image_region_base t ki region =
   let roff = region_off t region in
   (Layout.kernel_base_vaddr + roff, image_pa ki ~off:roff)
 
-let touch_lines t ~core ~kind lines =
+(* Touch every cache line overlapping [off, off + len) of a kernel
+   window, in address order, through the current address space's TLB
+   context: window offset [o] is virtual address [vbase + o] and
+   physical address [pa o].  Nothing is allocated per line. *)
+let touch_range t ~core ~kind ~vbase ~pa ~off ~len =
+  let line = t.platform.Tp_hw.Platform.line in
   let asid = current_asid t ~core in
   let global = kernel_mappings_global t in
-  List.fold_left
-    (fun acc (vaddr, paddr) ->
-      acc + Tp_hw.Machine.access t.machine ~core ~asid ~global ~vaddr ~paddr ~kind ())
-    0 lines
+  let last = (off + len - 1) / line * line in
+  let o = ref (off / line * line) in
+  let lat = ref 0 in
+  while !o <= last do
+    lat :=
+      !lat
+      + Tp_hw.Machine.access_pt t.machine ~core ~asid ~global ~llc_ways:max_int
+          ~root_pa:(-1) ~leaf_pa:(-1) ~vaddr:(vbase + !o) ~paddr:(pa !o) ~kind;
+    o := !o + line
+  done;
+  !lat
 
 let touch_image t ~core ki ~region ~off ~len ~kind =
-  let roff = region_off t region in
-  let line = t.platform.Tp_hw.Platform.line in
-  let first = (roff + off) / line * line in
-  let last = (roff + off + len - 1) / line * line in
-  let rec go o acc =
-    if o > last then acc
-    else begin
-      let lat =
-        touch_lines t ~core ~kind
-          [ (Layout.kernel_base_vaddr + o, image_pa ki ~off:o) ]
-      in
-      go (o + line) (acc + lat)
-    end
-  in
-  go first 0
+  touch_range t ~core ~kind ~vbase:Layout.kernel_base_vaddr
+    ~pa:(fun o -> image_pa ki ~off:o)
+    ~off:(region_off t region + off) ~len
 
 let set_shared_audit t hook = t.shared_audit <- hook
 
@@ -209,71 +209,54 @@ let touch_shared t ~core region ?(off = 0) ?len ~kind () =
   (match t.shared_audit with
   | Some hook -> hook region ~off ~len ~kind
   | None -> ());
-  let roff = Layout.shared_region_off region in
-  let lines =
-    Layout.lines ~line:t.platform.Tp_hw.Platform.line ~base_vaddr:t.shared_vaddr
-      ~base_paddr:t.shared_paddr ~off:(roff + off) ~len
-  in
-  touch_lines t ~core ~kind lines
+  assert (len > 0);
+  touch_range t ~core ~kind ~vbase:t.shared_vaddr
+    ~pa:(fun o -> t.shared_paddr + o)
+    ~off:(Layout.shared_region_off region + off) ~len
 
 let shared_base t = (t.shared_vaddr, t.shared_paddr)
 
 let translate vs vaddr =
-  let vpn = Tp_hw.Defs.page_of vaddr in
-  match Hashtbl.find_opt vs.Types.vs_pages vpn with
-  | Some frame -> Phys.frame_addr frame + Tp_hw.Defs.page_offset vaddr
-  | None -> raise (Types.Kernel_error Types.Invalid_capability)
+  match Types.Itbl.find vs.Types.vs_pages (Tp_hw.Defs.page_of vaddr) with
+  | frame -> Phys.frame_addr frame + Tp_hw.Defs.page_offset vaddr
+  | exception Not_found -> raise (Types.Kernel_error Types.Invalid_capability)
 
 let pt_index vpn = vpn lsr 9 (* 512 8-byte entries per 4 KiB table *)
 
 let map_page _t vs ~pt_alloc ~vpn ~frame =
-  assert (not (Hashtbl.mem vs.Types.vs_pages vpn));
+  assert (not (Types.Itbl.mem vs.Types.vs_pages vpn));
   let pti = pt_index vpn in
-  if not (Hashtbl.mem vs.Types.vs_leaf_pts pti) then begin
+  if not (Types.Itbl.mem vs.Types.vs_leaf_pts pti) then begin
     match pt_alloc with
-    | Some alloc -> Hashtbl.replace vs.Types.vs_leaf_pts pti (alloc ())
+    | Some alloc -> Types.Itbl.replace vs.Types.vs_leaf_pts pti (alloc ())
     | None -> raise (Types.Kernel_error Types.Invalid_address)
   end;
-  Hashtbl.replace vs.Types.vs_pages vpn frame
+  Types.Itbl.replace vs.Types.vs_pages vpn frame
 
-(* The memory traffic of a hardware page-table walk: one read in the
-   root table, one in the leaf table.  PT lines are read through the
-   kernel's physical window (they are data to the walker). *)
-let walk_cost t ~core vs vpn =
+(* The lines a hardware page-table walk of [vpn] reads: one entry in
+   the root table, one in the leaf table (-1 if it does not exist). *)
+let pt_entry_line t frame idx =
   let line = t.platform.Tp_hw.Platform.line in
-  let read_pt_entry frame idx =
-    let pa = Phys.frame_addr frame + (idx * 8 / line * line) in
-    Tp_hw.Machine.access t.machine ~core ~asid:0 ~global:true ~vaddr:pa ~paddr:pa
-      ~kind:Tp_hw.Defs.Read ()
-  in
-  let pti = pt_index vpn in
-  let root_lat = read_pt_entry vs.Types.vs_root_pt (pti land 511) in
-  match Hashtbl.find_opt vs.Types.vs_leaf_pts pti with
-  | Some leaf -> root_lat + read_pt_entry leaf (vpn land 511)
-  | None -> root_lat
+  Phys.frame_addr frame + (idx * 8 / line * line)
 
-(* Pure mirror of [walk_cost]: the physical addresses of the PT lines
-   a walk of [vpn] would read, without performing the reads.  The
-   replay recorder stores these so a replayed access's TLB-miss walk
-   touches the same lines the live walk did. *)
-let walk_lines t vs vpn =
-  let line = t.platform.Tp_hw.Platform.line in
-  let entry_line frame idx = Phys.frame_addr frame + (idx * 8 / line * line) in
-  let pti = pt_index vpn in
-  let root = entry_line vs.Types.vs_root_pt (pti land 511) in
-  let leaf =
-    match Hashtbl.find_opt vs.Types.vs_leaf_pts pti with
-    | Some l -> entry_line l (vpn land 511)
-    | None -> -1
-  in
-  (root, leaf)
+let root_line t vs vpn = pt_entry_line t vs.Types.vs_root_pt (pt_index vpn land 511)
 
-let user_access t ~core tcb ~vaddr ~kind =
+let leaf_line t vs vpn =
+  match Types.Itbl.find vs.Types.vs_leaf_pts (pt_index vpn) with
+  | leaf -> pt_entry_line t leaf (vpn land 511)
+  | exception Not_found -> -1
+
+let user_access ?recorder t ~core tcb ~vaddr ~kind =
   match tcb.Types.t_vspace with
   | None -> raise (Types.Kernel_error Types.Invalid_capability)
   | Some vs ->
       let paddr = translate vs vaddr in
-      let llc_ways = cat_mask_of_domain t tcb.Types.t_domain in
-      let walk () = walk_cost t ~core vs (Tp_hw.Defs.page_of vaddr) in
-      Tp_hw.Machine.access t.machine ~core ~asid:vs.Types.vs_asid ~global:false
-        ~llc_ways ~walk ~vaddr ~paddr ~kind ()
+      let vpn = Tp_hw.Defs.page_of vaddr in
+      let root_pa = root_line t vs vpn in
+      let leaf_pa = leaf_line t vs vpn in
+      (match recorder with
+      | Some r -> Tp_hw.Replay.append_access r ~kind ~vaddr ~paddr ~root_pa ~leaf_pa
+      | None -> ());
+      Tp_hw.Machine.access_pt t.machine ~core ~asid:vs.Types.vs_asid ~global:false
+        ~llc_ways:(cat_mask_of_domain t tcb.Types.t_domain) ~root_pa ~leaf_pa
+        ~vaddr ~paddr ~kind

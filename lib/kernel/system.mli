@@ -133,20 +133,17 @@ val map_page :
     missing leaf PT raises [Invalid_address]. *)
 
 val user_access :
+  ?recorder:Tp_hw.Replay.t ->
   t -> core:int -> Types.tcb -> vaddr:int -> kind:Tp_hw.Defs.access_kind -> int
 (** One user-mode access by a thread: TLB lookup, then — on a full
     TLB miss — a {e real} page-table walk that reads the root and leaf
     PT lines through the cache hierarchy (so PT cache footprints, the
     van Schaik 2018 channel of §5.3.1, exist and are coloured away
     with the rest of the pool), then the data access.  Returns and
-    charges the total latency. *)
-
-val walk_lines : t -> Types.vspace -> int -> int * int
-(** [(root_line_pa, leaf_line_pa)] — the physical addresses of the PT
-    lines a page-table walk of this vpn reads ([leaf = -1] if the leaf
-    table does not exist).  Pure: no machine traffic.  The replay
-    recorder ({!Uctx.set_recorder}) stores these with each access so
-    replayed TLB-miss walks touch the exact lines live walks did. *)
+    charges the total latency.  With a [recorder] the access is also
+    appended to it, with the PT lines the walk would read, so a
+    replayed TLB-miss walk touches the exact lines the live one did.
+    The call allocates nothing. *)
 
 val current_asid : t -> core:int -> int
 (** ASID used for kernel accesses on this core: the current thread's

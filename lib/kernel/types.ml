@@ -22,6 +22,16 @@ type error =
 
 exception Kernel_error of error
 
+(* Int-keyed table for the per-access translation lookups: the key's
+   own value is its hash and equality is an integer compare, so a
+   lookup makes no polymorphic hash or compare call. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (k : int) = k land max_int
+end)
+
 let error_to_string = function
   | Invalid_capability -> "invalid capability"
   | Insufficient_untyped -> "insufficient untyped memory"
@@ -95,9 +105,9 @@ and frame = {
 and vspace = {
   vs_id : int;
   mutable vs_asid : int;
-  vs_pages : (int, int) Hashtbl.t;  (** vpn -> physical frame *)
+  vs_pages : int Itbl.t;  (** vpn -> physical frame *)
   vs_root_pt : int;  (** frame of the top-level page table *)
-  vs_leaf_pts : (int, int) Hashtbl.t;
+  vs_leaf_pts : int Itbl.t;
       (** PT index (vpn / 512) -> frame of the leaf page table.  Page
           tables are dynamic kernel data in user-supplied frames, so
           colouring userland colours them too — which is what defeats

@@ -35,11 +35,12 @@ let now t = taint t; now_ t
 let post t =
   let cfg = System.cfg t.sys in
   let pc = System.per_core t.sys t.core in
-  let fired =
-    Irq.pending (System.irq t.sys) ~core:t.core ~now:(now_ t)
-      ~partitioned:cfg.Config.partition_irqs ~current:pc.System.cur_kernel
-  in
-  List.iter (fun irq -> Syscalls.handle_irq t.sys ~core:t.core ~irq) fired;
+  (match
+     Irq.pending (System.irq t.sys) ~core:t.core ~now:(now_ t)
+       ~partitioned:cfg.Config.partition_irqs ~current:pc.System.cur_kernel
+   with
+  | [] -> ()
+  | fired -> List.iter (fun irq -> Syscalls.handle_irq t.sys ~core:t.core ~irq) fired);
   if now_ t >= t.slice_end then raise Preempted
 
 let vspace t =
@@ -47,31 +48,17 @@ let vspace t =
   | Some vs -> vs
   | None -> raise (Types.Kernel_error Types.Invalid_capability)
 
-let record_access t ~kind vaddr =
-  match t.recorder with
-  | None -> ()
-  | Some r ->
-      let vs = vspace t in
-      let paddr = System.translate vs vaddr in
-      let root_pa, leaf_pa =
-        System.walk_lines t.sys vs (Tp_hw.Defs.page_of vaddr)
-      in
-      Tp_hw.Replay.append_access r ~kind ~vaddr ~paddr ~root_pa ~leaf_pa
-
-let read t vaddr =
-  record_access t ~kind:Tp_hw.Defs.Read vaddr;
-  ignore (System.user_access t.sys ~core:t.core t.tcb ~vaddr ~kind:Tp_hw.Defs.Read);
+(* A data or instruction access: the recording, when there is one,
+   shares the access's own translation and page-table lines. *)
+let access t ~kind vaddr =
+  ignore
+    (System.user_access ?recorder:t.recorder t.sys ~core:t.core t.tcb ~vaddr
+       ~kind);
   post t
 
-let write t vaddr =
-  record_access t ~kind:Tp_hw.Defs.Write vaddr;
-  ignore (System.user_access t.sys ~core:t.core t.tcb ~vaddr ~kind:Tp_hw.Defs.Write);
-  post t
-
-let fetch t vaddr =
-  record_access t ~kind:Tp_hw.Defs.Fetch vaddr;
-  ignore (System.user_access t.sys ~core:t.core t.tcb ~vaddr ~kind:Tp_hw.Defs.Fetch);
-  post t
+let read t vaddr = access t ~kind:Tp_hw.Defs.Read vaddr
+let write t vaddr = access t ~kind:Tp_hw.Defs.Write vaddr
+let fetch t vaddr = access t ~kind:Tp_hw.Defs.Fetch vaddr
 
 let jump t ~src ~target =
   let vs = vspace t in

@@ -308,7 +308,6 @@ let suite =
     Alcotest.test_case "table2 shape" `Quick test_table2_shape;
     Alcotest.test_case "table5 shape" `Quick test_table5_shape;
     Alcotest.test_case "armv8 TLB prediction (5.4.1)" `Quick test_armv8_prediction;
-    Alcotest.test_case "table6 shape" `Slow test_table6_shape;
     Alcotest.test_case "table7 shape" `Quick test_table7_shape;
     Alcotest.test_case "fig7 cloning cheap" `Slow test_fig7_cloning_is_cheap;
     Alcotest.test_case "table8 pad costs more" `Slow test_table8_pad_costs_more;
@@ -323,3 +322,7 @@ let suite =
     Alcotest.test_case "bench JSON round-trips through the gate" `Quick
       test_bench_json_roundtrip;
   ]
+
+(* "table6 shape" alone takes about as long as the rest of the suite,
+   so it runs as a shard of its own (see test_main.ml). *)
+let table6_suite = [ Alcotest.test_case "table6 shape" `Slow test_table6_shape ]

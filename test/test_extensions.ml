@@ -227,8 +227,8 @@ let test_leaf_pts_come_from_the_pool () =
   ignore (Boot.alloc_pages b d0 ~pages:8);
   let vs = d0.Boot.dom_vspace in
   Alcotest.(check bool) "a leaf PT exists" true
-    (Hashtbl.length vs.Types.vs_leaf_pts > 0);
-  Hashtbl.iter
+    (Types.Itbl.length vs.Types.vs_leaf_pts > 0);
+  Types.Itbl.iter
     (fun _ frame ->
       Alcotest.(check bool) "leaf PT frame has domain colour" true
         (Colour.mem d0.Boot.dom_colours (Colour.colour_of_frame ~n_colours:8 frame)))
@@ -256,7 +256,7 @@ let test_walk_latency_reflects_pt_cache_state () =
   (* Now also evict the PT lines before the walk. *)
   ignore (Tp_hw.Machine.flush_step m ~core:0 Tp_hw.Flush.Tlb);
   ignore (Tp_hw.Machine.clflush m ~core:0 ~paddr:(Phys.frame_addr vs.Types.vs_root_pt));
-  Hashtbl.iter
+  Types.Itbl.iter
     (fun _ f -> ignore (Tp_hw.Machine.clflush m ~core:0 ~paddr:(Phys.frame_addr f)))
     vs.Types.vs_leaf_pts;
   let cold_walk = System.user_access sys ~core:0 tcb ~vaddr:buf ~kind:Tp_hw.Defs.Read in

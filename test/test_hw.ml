@@ -182,22 +182,26 @@ let test_bhb_flush_resets () =
   Alcotest.(check bool) "mispredicts taken after flush" true
     (Bhb.branch h ~addr:0x40 ~taken:true = Bhb.Mispredicted)
 
+(* The lines one demand access makes the prefetcher suggest. *)
+let suggestions pf ~paddr ~line =
+  List.init (Prefetcher.on_access pf ~paddr ~line) (Prefetcher.suggestion pf)
+
 let test_prefetcher_stream_detection () =
   let pf = Prefetcher.create ~slots:16 ~degree:2 () in
   let line = 64 in
   (* Sequential accesses within a page: third access confirms. *)
-  Alcotest.(check (list int)) "1st: none" [] (Prefetcher.on_access pf ~paddr:0 ~line);
-  Alcotest.(check (list int)) "2nd: none" [] (Prefetcher.on_access pf ~paddr:64 ~line);
-  let pfs = Prefetcher.on_access pf ~paddr:128 ~line in
+  Alcotest.(check (list int)) "1st: none" [] (suggestions pf ~paddr:0 ~line);
+  Alcotest.(check (list int)) "2nd: none" [] (suggestions pf ~paddr:64 ~line);
+  let pfs = suggestions pf ~paddr:128 ~line in
   Alcotest.(check (list int)) "3rd: prefetch next two" [ 192; 256 ] pfs
 
 let test_prefetcher_page_boundary () =
   let pf = Prefetcher.create ~slots:16 ~degree:2 () in
   let line = 64 in
   let last = 4096 - 64 in
-  ignore (Prefetcher.on_access pf ~paddr:(last - 128) ~line);
-  ignore (Prefetcher.on_access pf ~paddr:(last - 64) ~line);
-  let pfs = Prefetcher.on_access pf ~paddr:last ~line in
+  ignore (suggestions pf ~paddr:(last - 128) ~line);
+  ignore (suggestions pf ~paddr:(last - 64) ~line);
+  let pfs = suggestions pf ~paddr:last ~line in
   Alcotest.(check (list int)) "no cross-page prefetch" [] pfs
 
 let test_prefetcher_disabled () =
@@ -205,7 +209,7 @@ let test_prefetcher_disabled () =
   Prefetcher.set_enabled pf false;
   for i = 0 to 5 do
     Alcotest.(check (list int)) "disabled: none" []
-      (Prefetcher.on_access pf ~paddr:(i * 64) ~line:64)
+      (suggestions pf ~paddr:(i * 64) ~line:64)
   done
 
 let test_prefetcher_state_survives_and_aliases () =
@@ -213,7 +217,7 @@ let test_prefetcher_state_survives_and_aliases () =
   let line = 64 in
   (* Domain A trains a stream on page 0. *)
   for i = 0 to 4 do
-    ignore (Prefetcher.on_access pf ~paddr:(i * line) ~line)
+    ignore (suggestions pf ~paddr:(i * line) ~line)
   done;
   Alcotest.(check bool) "trained" true (Prefetcher.trained_slots pf >= 1);
   (* Domain B touches a page aliasing the same (hashed) slot and the
@@ -227,7 +231,7 @@ let test_prefetcher_state_survives_and_aliases () =
     else find (page + 1)
   in
   let pb = find 1 * 4096 in
-  let pfs = Prefetcher.on_access pf ~paddr:(pb + (5 * line)) ~line in
+  let pfs = suggestions pf ~paddr:(pb + (5 * line)) ~line in
   (* A's last_line was 4, direction +1; B's first access to line 5
      looks like a continuation => spurious prefetch, B-visible. *)
   Alcotest.(check bool) "spurious prefetch from stale state" true

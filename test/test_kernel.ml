@@ -707,6 +707,74 @@ let qcheck_idle_matches_polling =
       in
       jumped = polled)
 
+(* [Irq.pending] against a reference model: the partition, stable
+   sort by fire time and map it has always been defined as.  Few IRQ
+   lines and few deadlines, so duplicate deadlines and several timers
+   per line are common; each line is bound to the current kernel,
+   another one, or none. *)
+let mk_kimage id =
+  {
+    Types.ki_id = id;
+    ki_state = Types.Ki_active;
+    ki_asid = id;
+    ki_is_initial = false;
+    ki_frames = [||];
+    ki_idle = None;
+    ki_running_on = [| false |];
+    ki_irqs = [];
+    ki_pad_cycles = 0;
+  }
+
+let ref_pending timers ~now ~deliverable =
+  let fired, rest =
+    List.partition (fun (irq, at) -> at <= now && deliverable irq) timers
+  in
+  (List.map fst (List.sort (fun (_, a) (_, b) -> compare a b) fired), rest)
+
+let pending_case =
+  let open QCheck.Gen in
+  let timer = pair (int_range 1 6) (int_bound 12) in
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        quad (list (pair int int)) (list int) bool (list int))
+    (quad (list_size (int_bound 10) timer)
+       (list_size (int_range 1 3) (int_bound 14))
+       bool
+       (list_repeat 6 (int_bound 2)))
+
+let qcheck_pending_matches_model =
+  QCheck.Test.make ~name:"Irq.pending matches its reference model" ~count:300
+    pending_case (fun (timers, nows, partitioned, binding) ->
+      let irq = Irq.create ~cores:1 in
+      let current = mk_kimage 1 and other = mk_kimage 2 in
+      (* binding.(i - 1): 0 the current kernel, 1 another, 2 none. *)
+      List.iteri
+        (fun i b ->
+          match b with
+          | 0 -> Irq.set_int irq ~irq:(i + 1) current
+          | 1 -> Irq.set_int irq ~irq:(i + 1) other
+          | _ -> ())
+        binding;
+      let deliverable i =
+        (not partitioned) || List.nth binding (i - 1) <> 1
+      in
+      (* The controller keeps the most recently armed timer first. *)
+      List.iter (fun (i, at) -> Irq.arm_timer irq ~core:0 ~irq:i ~at) timers;
+      let model = ref (List.rev timers) in
+      List.for_all
+        (fun now ->
+          let expect, rest = ref_pending !model ~now ~deliverable in
+          model := rest;
+          Irq.pending irq ~core:0 ~now ~partitioned ~current = expect
+          && Irq.next_timer irq ~core:0
+             = List.fold_left (fun m (_, at) -> min m at) max_int rest)
+        nows
+      &&
+      (* What is left behind, drained in fire-time order. *)
+      Irq.pending irq ~core:0 ~now:max_int ~partitioned:false ~current
+      = fst (ref_pending !model ~now:max_int ~deliverable:(fun _ -> true)))
+
 (* ------------------------------------------------------------------ *)
 (* IPC *)
 
@@ -1062,6 +1130,7 @@ let suite =
     Alcotest.test_case "irq freed on destroy" `Quick test_irq_freed_on_destroy;
     Alcotest.test_case "irq partition defers" `Quick test_irq_partition_defers_foreign_timer;
     Alcotest.test_case "irq raw delivers" `Quick test_irq_unpartitioned_delivers_anywhere;
+    QCheck_alcotest.to_alcotest qcheck_pending_matches_model;
     Alcotest.test_case "sched priority order" `Quick test_sched_priority_order;
     Alcotest.test_case "sched fifo" `Quick test_sched_fifo_within_priority;
     Alcotest.test_case "sched remove" `Quick test_sched_remove;

@@ -88,16 +88,8 @@ let all_ways = lnot 0
 let live_op m ~core op =
   match decode op with
   | `Access (kind, vaddr, root_pa, leaf_pa) ->
-      let walk () =
-        let read pa =
-          Machine.access m ~core ~asid:0 ~global:true ~vaddr:pa ~paddr:pa
-            ~kind:Defs.Read ()
-        in
-        let lat = read root_pa in
-        if leaf_pa >= 0 then lat + read leaf_pa else lat
-      in
-      Machine.access m ~core ~asid:1 ~global:false ~llc_ways:all_ways ~walk
-        ~vaddr ~paddr:vaddr ~kind ()
+      Machine.access_pt m ~core ~asid:1 ~global:false ~llc_ways:all_ways
+        ~root_pa ~leaf_pa ~vaddr ~paddr:vaddr ~kind
   | `Cond_branch (vaddr, taken) ->
       Machine.cond_branch m ~core ~asid:1 ~vaddr ~paddr:vaddr ~taken
   | `Jump (vaddr, target) ->
@@ -392,6 +384,112 @@ let test_replay_step_fault_recovered () =
     (chan.Tp_attacks.Cache_channels.prepare b)
     chan.Tp_attacks.Cache_channels.symbols
 
+(* ---- hot-path discipline: live and replayed accesses allocate nothing *)
+
+(* Minor-heap words [f ()] allocates, net of the measurement's own. *)
+let alloc_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+let net_alloc_words f = alloc_words f - alloc_words (fun () -> ())
+
+let counter st name = List.assoc name (Tp_obs.Counter.snapshot st)
+
+let counter_set m name =
+  List.find
+    (fun st -> Tp_obs.Counter.set_name st = name)
+    (Machine.counter_sets m)
+
+(* The kernel receiver's pattern: a stride-permuted sweep over a
+   buffer the size of the probed cache (the private L2, else the LLC),
+   reads, writes and fetches in turn, 4,096 of each, every sixteenth
+   after a clflush of its line, in segments that each start with a TLB
+   invalidation so walks recur.  With a timer armed but not yet due,
+   every [Uctx.post] polls the IRQ table. *)
+let ops_per_kind = 4096
+let segment = 1024
+
+let test_live_access_allocates_nothing () =
+  let open Tp_kernel in
+  List.iter
+    (fun p ->
+      let b = Boot.boot ~platform:p ~config:Config.raw ~domains:1 () in
+      let sys = b.Boot.sys in
+      let m = System.machine sys in
+      let d0 = b.Boot.domains.(0) in
+      let g = Option.value p.Platform.l2 ~default:p.Platform.llc in
+      let line = g.Cache.line in
+      let pages = g.Cache.size / Defs.page_size in
+      let buf = Boot.alloc_pages b d0 ~pages in
+      let tcb = Boot.spawn b d0 (fun _ -> ()) in
+      Sched.remove (System.sched sys) ~core:0 tcb;
+      Irq.arm_timer (System.irq sys) ~core:0 ~irq:5 ~at:(max_int / 2);
+      let ctx = Uctx.make sys ~core:0 tcb ~slice_end:max_int in
+      let lines = pages * Defs.page_size / line in
+      (* One page and one line on: coprime with the line count. *)
+      let stride = (Defs.page_size / line) + 1 in
+      let op k =
+        let a = buf + (k * stride mod lines * line) in
+        (* Now and then a flushed line, so misses reach DRAM and the bus. *)
+        if k mod 16 = 0 then Uctx.clflush ctx a;
+        match k mod 3 with
+        | 0 -> Uctx.read ctx a
+        | 1 -> Uctx.write ctx a
+        | _ -> Uctx.fetch ctx a
+      in
+      let run_segment seg () =
+        for k = seg * segment to ((seg + 1) * segment) - 1 do
+          op k
+        done
+      in
+      let sweep () =
+        let words = ref 0 in
+        for seg = 0 to (3 * ops_per_kind / segment) - 1 do
+          ignore (Machine.flush_step m ~core:0 Flush.Tlb);
+          words := !words + net_alloc_words (run_segment seg)
+        done;
+        !words
+      in
+      ignore (sweep ());
+      Alcotest.(check int)
+        (p.Platform.name ^ ": minor words, live accesses") 0 (sweep ());
+      (* The same sweep counted: it reaches every part of the path. *)
+      let core = counter_set m "c0.core" and l1d = counter_set m "c0.l1d" in
+      Tp_obs.Ctl.set_counters true;
+      let walks0 = counter core "tlb_walks" and misses0 = counter l1d "misses" in
+      let pf0 = counter core "prefetch_lines" in
+      let words = sweep () in
+      Tp_obs.Ctl.set_counters false;
+      Alcotest.(check int)
+        (p.Platform.name ^ ": minor words, counters on") 0 words;
+      Alcotest.(check bool) "TLB walks" true (counter core "tlb_walks" > walks0);
+      Alcotest.(check bool) "L1 misses" true (counter l1d "misses" > misses0);
+      Alcotest.(check bool) "LLC misses" true
+        (counter (counter_set m "llc") "misses" > 0);
+      (match p.Platform.l2 with
+      | Some _ ->
+          let l2 = counter_set m "c0.l2" in
+          Alcotest.(check bool) "L2 misses" true (counter l2 "misses" > 0)
+      | None -> ());
+      if p.Platform.prefetcher_slots > 0 then
+        Alcotest.(check bool) "prefetches" true
+          (counter core "prefetch_lines" > pf0);
+      (* The same body recorded once, then replayed. *)
+      let r = Replay.create () in
+      Uctx.set_recorder ctx (Some r);
+      run_segment 0 ();
+      Uctx.set_recorder ctx None;
+      Replay.append_idle r;
+      let asid = (Option.get tcb.Types.t_vspace).Types.vs_asid in
+      let replay () =
+        ignore (Replay.replay m ~core:0 ~asid ~llc_ways:max_int ~until:max_int r)
+      in
+      replay ();
+      Alcotest.(check int)
+        (p.Platform.name ^ ": minor words, replay") 0 (net_alloc_words replay))
+    [ Platform.haswell; Platform.sabre; Platform.armv8 ]
+
 let suite =
   [
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
@@ -412,4 +510,6 @@ let suite =
     Alcotest.test_case "replay_step fault recovered" `Quick
       test_replay_step_fault_recovered;
     QCheck_alcotest.to_alcotest qcheck_snapshot_fork;
+    Alcotest.test_case "live and replayed accesses allocate nothing" `Quick
+      test_live_access_allocates_nothing;
   ]
