@@ -11,6 +11,10 @@
    hot path sit the kernel's IPC fastpath and the channel analysis
    every trial ends in: MI estimation, the shuffle test and KDE.
 
+   Before the rows, a replay-sweep gate times the record-once /
+   replay-many path the sweep is built on, and exits 1 if replay stops
+   being bit-identical to live execution or loses its speedup.
+
    Usage: micro.exe  (no arguments; haswell geometry) *)
 
 open Bechamel
@@ -212,7 +216,100 @@ let bench_kde =
               { Tp_channel.Kde.lo = 0.0; hi = 100.0; points = 512 }
               xs)))
 
+(* ---- the replay-sweep gate ---------------------------------------- *)
+
+(* Victim-execution-shaped measurement of the record-once/replay-many
+   hot path, TLB channel on haswell raw: record one sender op stream
+   per symbol, snapshot the machine, then drive the same schedule of
+   sender slices from the same restored state, alternately live (the
+   body re-executes, then idles to the slice boundary) and replayed
+   (Tp_hw.Replay re-executes the ops).  Both legs idle through the same
+   event-driven path, so the ratio measures what replay saves on the
+   body itself.  Every leg's final machine-state digest must equal the
+   first live leg's — a speedup that computes something different is a
+   failure — and the median of the per-pair live/replay ratios must
+   clear the floor. *)
+let replay_floor = 1.5
+
+(* Alternating live/replay leg pairs: the median ratio rides out a
+   noisy leg on a shared host. *)
+let replay_pairs = 5
+
+(* Fixed, so the digests stay reproducible; large enough that one leg
+   is not host-timer noise. *)
+let replay_rounds = 200
+
+let replay_gate () =
+  let open Tp_kernel in
+  let b = Boot.boot ~platform:p ~config:Config.raw ~domains:2 () in
+  let chan = Tp_attacks.Cache_channels.tlb in
+  let sender, _receiver = chan.Tp_attacks.Cache_channels.prepare b in
+  let symbols = chan.Tp_attacks.Cache_channels.symbols in
+  let slice_cycles =
+    (Tp_attacks.Harness.default_spec p).Tp_attacks.Harness.slice_cycles
+  in
+  let sys = b.Boot.sys in
+  let m = System.machine sys in
+  let streams = Array.init symbols (fun _ -> Tp_hw.Replay.create ()) in
+  let mode = ref `Nop in
+  let body ctx =
+    match !mode with
+    | `Nop -> ()
+    | `Record s ->
+        Uctx.set_recorder ctx (Some streams.(s));
+        sender ctx s
+    | `Live s -> sender ctx s
+    | `Replay s ->
+        if not (Uctx.replay ctx streams.(s)) then
+          failwith "replay gate: replay refused a complete stream"
+  in
+  ignore (Boot.spawn b b.Boot.domains.(0) body);
+  let slice md =
+    mode := md;
+    Exec.run_slices sys ~core:0 ~slice_cycles ~slices:1 ()
+  in
+  for s = 0 to symbols - 1 do
+    slice (`Record s)
+  done;
+  if not (Array.for_all Tp_hw.Replay.complete streams) then
+    failwith "replay gate: recording came back incomplete";
+  let snap = Tp_hw.Machine.snapshot m in
+  let leg md =
+    Tp_hw.Machine.restore m snap;
+    let t0 = Unix.gettimeofday () in
+    for i = 0 to (replay_rounds * symbols) - 1 do
+      slice (md (i mod symbols))
+    done;
+    (Tp_hw.Machine.state_digest m, Unix.gettimeofday () -. t0)
+  in
+  let pairs =
+    List.init replay_pairs (fun _ ->
+        let live = leg (fun s -> `Live s) in
+        (live, leg (fun s -> `Replay s)))
+  in
+  let d_ref = fst (fst (List.hd pairs)) in
+  let median f = Tp_util.Stats.median (Array.of_list (List.map f pairs)) in
+  let ratio = median (fun ((_, wl), (_, wr)) -> wl /. wr) in
+  let identical =
+    List.for_all (fun ((dl, _), (dr, _)) -> dl = d_ref && dr = d_ref) pairs
+  in
+  Printf.printf
+    "replay sweep (tlb, haswell raw, %d rounds, %d leg pairs): live %.3f s, \
+     replay %.3f s, median %.2fx (floor %.1fx), %s\n%!"
+    replay_rounds replay_pairs
+    (median (fun ((_, w), _) -> w))
+    (median (fun (_, (_, w)) -> w))
+    ratio replay_floor
+    (if identical then "bit-identical" else "DIGEST MISMATCH");
+  if not identical then
+    prerr_endline "micro: FAIL: replayed machine state differs from live";
+  if ratio < replay_floor then
+    Printf.eprintf "micro: FAIL: replay speedup %.2fx below the %.1fx floor\n"
+      ratio replay_floor;
+  if (not identical) || ratio < replay_floor then exit 1
+
 let () =
+  replay_gate ();
   let tests =
     [
       bench_cache_hit;

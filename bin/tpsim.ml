@@ -1009,44 +1009,6 @@ let no_replay_arg =
   in
   Arg.(value & flag & info [ "no-replay" ] ~doc)
 
-let cmd_bench =
-  (* Benchmark-regression harness: suite throughput at -j 1 vs -j N,
-     bit-identity between the two, JSON artifact and baseline gate. *)
-  let bench_json =
-    let doc = "Write the results as a JSON document to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let baseline =
-    let doc =
-      "Compare accesses/s per experiment against the JSON emitted by an \
-       earlier run and fail on a drop beyond $(b,--max-regress)."
-    in
-    Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-  in
-  let max_regress =
-    let doc = "Allowed relative throughput drop vs the baseline, percent." in
-    Arg.(value & opt float 25.0 & info [ "max-regress" ] ~docv:"PCT" ~doc)
-  in
-  let run plats q seed jobs verbose json baseline max_regress no_replay =
-    setup_logging verbose;
-    Result.get_ok (setup_jobs jobs None);
-    Tp_attacks.Harness.set_replay_enabled (not no_replay);
-    exit
-      (Bench.run q ~seed
-         ~jobs:(Tp_par.Pool.default_jobs ())
-         ~platforms:plats ~json_out:json ~baseline ~max_regress ())
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Benchmark the simulator: wall clock, simulated cycles/s and \
-          accesses/s over a fixed trial suite, sequential vs parallel \
-          (verified bit-identical), with optional JSON output and a \
-          baseline regression gate.")
-    Term.(
-      const run $ platform_arg $ quality_arg $ seed_arg $ jobs_arg
-      $ verbose_arg $ bench_json $ baseline $ max_regress $ no_replay_arg)
-
 let socket_arg =
   let doc = "Unix-domain socket path of the campaign daemon." in
   Arg.(
@@ -1314,7 +1276,6 @@ let cmd_top =
 let cmds =
   [
     cmd_platforms;
-    cmd_bench;
     cmd_serve;
     cmd_sweep;
     cmd_top;

@@ -1,4 +1,4 @@
-(** Experiment sizing: every driver takes a [Quality.t] so the bench
+(** Experiment sizing: every driver takes a [Quality.t] so [tpsim]
     can run a minutes-scale [Quick] pass by default and a heavier
     [Full] pass on demand.  Quick sizes are chosen so every channel
     verdict is already stable. *)

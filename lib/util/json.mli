@@ -3,8 +3,8 @@
     The dependency cone deliberately has no JSON library; every layer
     that needs machine-readable output hand-rolls its printing
     ({!Tp_obs.Trace}, [Tp_analysis.Diag]).  This module centralises
-    the {e parsing} side (the bench baseline gate, the campaign-service
-    wire protocol and the result store all read JSON back) plus a
+    the {e parsing} side (the campaign-service wire protocol, the
+    result store and the ledger benchmark all read JSON back) plus a
     printer for building documents from structured values.
 
     The parser accepts standard JSON with the escapes this repo's

@@ -213,93 +213,6 @@ let test_fig4_driver () =
       Alcotest.(check bool) "protected sees nothing" false
         (Array.exists (fun a -> a > 0) t.Tp_attacks.Crypto.activity)
 
-(* --- tpsim bench: JSON document and baseline gate ------------------ *)
-
-(* The gate fails closed: with no platforms no simulation runs, so the
-   exit code is the baseline's verdict alone. *)
-let bench_exit baseline =
-  Bench.run Quality.Quick ~seed:1 ~jobs:1 ~platforms:[] ~json_out:None
-    ~baseline:(Some baseline) ~max_regress:25.0 ()
-
-let with_temp_file contents f =
-  let path = Filename.temp_file "tp_bench" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc contents);
-      f path)
-
-let test_bench_baseline_fails_closed () =
-  let missing =
-    Filename.concat (Filename.get_temp_dir_name ()) "tp-no-such.json"
-  in
-  Alcotest.(check int) "missing baseline" 1 (bench_exit missing);
-  with_temp_file {|{"experiments": [|} (fun f ->
-      Alcotest.(check int) "malformed baseline" 1 (bench_exit f));
-  with_temp_file {|{"schema": "tpsim-bench/1"}|} (fun f ->
-      Alcotest.(check int) "no experiments array" 1 (bench_exit f));
-  with_temp_file {|{"experiments": [{"name": "l1d-chan"}]}|} (fun f ->
-      Alcotest.(check int) "incomplete entry" 1 (bench_exit f));
-  (* From the test directory under dune runtest, or the repo root. *)
-  let checked_in =
-    List.find Sys.file_exists
-      [ "../bench/baseline.json"; "bench/baseline.json" ]
-  in
-  Alcotest.(check int) "checked-in baseline" 0 (bench_exit checked_in)
-
-let test_bench_json_roundtrip () =
-  let row name aps =
-    {
-      Bench.r_name = name;
-      r_platform = "haswell";
-      r_trials = 8;
-      r_wall_seq = 1.25;
-      r_wall_par = 0.7;
-      r_speedup = 1.25 /. 0.7;
-      r_cycles = 123_456_789;
-      r_accesses = 4_000_000;
-      r_cycles_per_sec = 123_456_789.0 /. 0.7;
-      r_accesses_per_sec = aps;
-      r_deterministic = true;
-    }
-  in
-  let results = [ row "l1d-chan" (4e6 /. 0.7); row "odd \"name\"\n" 1e6 ] in
-  let doc =
-    Tp_util.Json.to_string
-      (Bench.json_of_results ~jobs:2 ~quality:"quick" results)
-  in
-  let j =
-    match Tp_util.Json.parse_opt doc with
-    | Some j -> j
-    | None -> Alcotest.failf "emitted document does not parse: %s" doc
-  in
-  Alcotest.(check (option string)) "schema" (Some "tpsim-bench/1")
-    (Option.bind (Tp_util.Json.member "schema" j) Tp_util.Json.str);
-  let names =
-    Option.value ~default:[]
-      (Option.bind (Tp_util.Json.member "experiments" j) Tp_util.Json.arr)
-    |> List.filter_map (fun e ->
-           Option.bind (Tp_util.Json.member "name" e) Tp_util.Json.str)
-  in
-  Alcotest.(check (list string)) "names survive escaping"
-    [ "l1d-chan"; "odd \"name\"\n" ] names;
-  let regressions results =
-    match Bench.check_baseline ~max_regress:25.0 ~baseline:j results with
-    | Ok g -> List.length g
-    | Error msg -> Alcotest.failf "own JSON rejected as a baseline: %s" msg
-  in
-  Alcotest.(check int) "a run against its own JSON" 0 (regressions results);
-  Alcotest.(check int) "a run at a third of the throughput" 2
-    (regressions
-       (List.map
-          (fun r ->
-            {
-              r with
-              Bench.r_accesses_per_sec = r.Bench.r_accesses_per_sec /. 3.0;
-            })
-          results))
-
 let suite =
   [
     Alcotest.test_case "scenario configs" `Quick test_scenario_configs;
@@ -317,10 +230,6 @@ let suite =
     Alcotest.test_case "mls policy (4.3)" `Slow test_mls_policy;
     Alcotest.test_case "mls padded fraction" `Quick test_mls_padded_fraction;
     Alcotest.test_case "fig4 driver" `Quick test_fig4_driver;
-    Alcotest.test_case "bench baseline gate fails closed" `Quick
-      test_bench_baseline_fails_closed;
-    Alcotest.test_case "bench JSON round-trips through the gate" `Quick
-      test_bench_json_roundtrip;
   ]
 
 (* "table6 shape" alone takes about as long as the rest of the suite,

@@ -48,8 +48,7 @@ let suites =
 
 let dune_rule oc key =
   Printf.fprintf oc
-    "(rule\n (alias runtest)\n (deps ../bench/baseline.json)\n (action\n  \
-     (run %%{exe:test_main.exe} %s)))\n"
+    "(rule\n (alias runtest)\n (action\n  (run %%{exe:test_main.exe} %s)))\n"
     key
 
 let () =

@@ -81,18 +81,19 @@ let test_trace_replayed_in_trial_order () =
 (* ---- the determinism property ----------------------------------- *)
 
 (* One harness channel trial, digested: fresh boot, trial-derived RNG,
-   everything the bench and the experiments rely on.  The digest covers
-   the collected samples and the final simulated clock. *)
-let channel_trial ~scenario ~samples p ~seed ~trial =
+   everything the experiments rely on.  The digest covers the collected
+   samples and the final simulated clock. *)
+let channel_trial ?slice_cycles ~scenario ~samples chan p ~seed ~trial =
   let rng = Tp_util.Rng.of_trial ~seed ~trial in
   let b = Tp_core.Scenario.boot scenario p in
-  let chan = Tp_attacks.Cache_channels.l1d in
   let sender, receiver = chan.Tp_attacks.Cache_channels.prepare b in
+  let default = Tp_attacks.Harness.default_spec p in
   let spec =
     {
-      (Tp_attacks.Harness.default_spec p) with
+      default with
       Tp_attacks.Harness.samples;
       symbols = chan.Tp_attacks.Cache_channels.symbols;
+      slice_cycles = Option.value slice_cycles ~default:default.slice_cycles;
     }
   in
   let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
@@ -106,14 +107,49 @@ let channel_trial ~scenario ~samples p ~seed ~trial =
          (Marshal.to_string (s.Tp_channel.Mi.input, s.Tp_channel.Mi.output) [])),
     Tp_kernel.System.now b.Tp_kernel.Boot.sys ~core:0 )
 
+let l1d = Tp_attacks.Cache_channels.l1d
+
+let kernel_chan =
+  {
+    Tp_attacks.Cache_channels.name = "kernel";
+    symbols = Tp_attacks.Kernel_chan.symbols;
+    prepare = Tp_attacks.Kernel_chan.prepare;
+  }
+
+let flush_chan =
+  {
+    Tp_attacks.Cache_channels.name = "flush";
+    symbols = Tp_attacks.Flush_chan.symbols;
+    prepare = Tp_attacks.Flush_chan.prepare Tp_attacks.Flush_chan.Offline;
+  }
+
+(* A SPLASH-2-signature workload alone on a raw machine: no channel,
+   no harness, just the cycles it consumed. *)
+let splash_trial p ~seed ~trial =
+  let open Tp_kernel in
+  let b =
+    Boot.boot ~colour_percent:100 ~domains:1 ~platform:p ~config:Config.raw ()
+  in
+  Tp_workloads.Splash.run_alone b b.Boot.domains.(0)
+    (List.hd Tp_workloads.Splash.all)
+    ~accesses:10_000
+    ~rng:(Tp_util.Rng.of_trial ~seed ~trial)
+
+(* Four trials at -j 2 against -j 1. *)
+let check_j2 what trial =
+  Alcotest.(check bool)
+    (what ^ ": -j 2 == -j 1")
+    true
+    (Pool.run ~jobs:2 4 trial = Pool.run ~jobs:1 4 trial)
+
 let test_parallel_bit_identical () =
   List.iter
     (fun p ->
       List.iter
         (fun seed ->
           let trial i =
-            channel_trial ~scenario:Tp_core.Scenario.Raw ~samples:30 p ~seed
-              ~trial:i
+            channel_trial ~scenario:Tp_core.Scenario.Raw ~samples:30 l1d p
+              ~seed ~trial:i
           in
           let seq = Pool.run ~jobs:1 4 trial in
           List.iter
@@ -125,19 +161,29 @@ let test_parallel_bit_identical () =
                 true (par = seq))
             [ 2; 4 ])
         [ 1; 42 ])
-    [ Tp_hw.Platform.haswell; Tp_hw.Platform.sabre ]
+    [ Tp_hw.Platform.haswell; Tp_hw.Platform.sabre ];
+  check_j2 "splash solo" (fun i ->
+      splash_trial Tp_hw.Platform.haswell ~seed:1 ~trial:i)
 
 let test_parallel_bit_identical_protected () =
-  (* The protected configuration drives the whole switch machinery —
-     kernel clones, flushes, padding — through the pool's id regions. *)
+  (* The mitigated configurations drive the switch machinery — kernel
+     clones, flushes, padding, the shared kernel's syscall footprint —
+     through the pool's id regions. *)
   let p = Tp_hw.Platform.haswell in
   let trial i =
-    channel_trial ~scenario:Tp_core.Scenario.Protected_no_pad ~samples:20 p
+    channel_trial ~scenario:Tp_core.Scenario.Protected_no_pad ~samples:20 l1d p
       ~seed:7 ~trial:i
   in
   let seq = Pool.run ~jobs:1 3 trial in
   let par = Pool.run ~jobs:3 3 trial in
-  Alcotest.(check bool) "protected path: -j 3 == -j 1" true (par = seq)
+  Alcotest.(check bool) "protected path: -j 3 == -j 1" true (par = seq);
+  check_j2 "kernel channel, coloured only" (fun i ->
+      channel_trial ~scenario:Tp_core.Scenario.Coloured_only
+        ~slice_cycles:(Tp_attacks.Kernel_chan.slice_cycles p)
+        ~samples:20 kernel_chan p ~seed:7 ~trial:i);
+  check_j2 "flush channel offline, no pad" (fun i ->
+      channel_trial ~scenario:Tp_core.Scenario.Protected_no_pad ~samples:20
+        flush_chan p ~seed:7 ~trial:i)
 
 let test_validate_jobs () =
   (* Explicit parallelism under fault injection is a hard error whose
