@@ -122,6 +122,39 @@ let bench_restore =
   Test.make ~name:"machine.restore"
     (Staged.stage (fun () -> Tp_hw.Machine.restore m snap))
 
+(* The full-flush switch's wbinvd, [Machine.flush_step Llc], which
+   clears what was allocated since the previous flush: on an empty
+   machine (nothing to clear), and on the state one kernel-channel
+   receiver pass leaves (its probe and evict buffers, haswell
+   full-flush).  The second needs the pass re-run before every flush,
+   which bechamel cannot keep out of the timing, so its row is the
+   median of [flush_samples] individually timed flushes. *)
+let bench_flush_llc_empty =
+  let m = Tp_hw.Machine.create p in
+  Test.make ~name:"machine.flush_step Llc (empty machine)"
+    (Staged.stage (fun () ->
+         ignore (Tp_hw.Machine.flush_step m ~core:0 Tp_hw.Flush.Llc)))
+
+let flush_samples = 30
+
+let flush_llc_after_receiver_ns () =
+  let open Tp_kernel in
+  let b = Boot.boot ~platform:p ~config:(Config.full_flush p) ~domains:2 () in
+  let _sender, receiver = Tp_attacks.Kernel_chan.prepare b in
+  let sys = b.Boot.sys in
+  let tcb = Boot.spawn b b.Boot.domains.(1) (fun _ -> ()) in
+  Sched.remove (System.sched sys) ~core:0 tcb;
+  let ctx = Uctx.make sys ~core:0 tcb ~slice_end:max_int in
+  let m = System.machine sys in
+  let sample () =
+    ignore (receiver ctx);
+    let t0 = Unix.gettimeofday () in
+    ignore (Tp_hw.Machine.flush_step m ~core:0 Tp_hw.Flush.Llc);
+    Unix.gettimeofday () -. t0
+  in
+  ignore (sample ());
+  1e9 *. Tp_util.Stats.median (Array.init flush_samples (fun _ -> sample ()))
+
 (* Cost of one replayed op, amortised over a 64-access stream: the
    per-op figure the sweep's replay-throughput floor rests on. *)
 let replay_ops = 64
@@ -322,6 +355,7 @@ let () =
       bench_create;
       bench_snapshot;
       bench_restore;
+      bench_flush_llc_empty;
       bench_replay_step;
       bench_idle_slice;
       bench_ipc;
@@ -358,4 +392,11 @@ let () =
         (Test.elements test))
     tests;
   Tp_obs.Ctl.set_counters false;
+  Tp_util.Table.add_row table
+    [
+      Printf.sprintf
+        "machine.flush_step Llc (after a kernel-receiver pass, median of %d)"
+        flush_samples;
+      Printf.sprintf "%.1f" (flush_llc_after_receiver_ns ());
+    ];
   Tp_util.Table.print table

@@ -10,7 +10,20 @@ let colours g = max 1 (sets g * g.line / Defs.page_size)
    [lines]-long regions indexed by set * ways + way (tag -1 = invalid,
    dirty 0/1), then the scalars.  [ev_line]/[ev_dirty] are the victim
    of the last allocating miss, so the allocation-free access variants
-   can report evictions without boxing a result. *)
+   can report evictions without boxing a result.
+
+   [log] is derived state outside [b] (and so outside {!parts},
+   snapshots and digests): the indices of the lines allocated since the
+   last reset, so that {!flush} resets those lines instead of filling
+   all three regions.  While the log is valid, a line's age word is 0
+   exactly when no access has touched it since the last reset, and
+   every line off the log is in reset state (tag -1, clean, age 0), so
+   [alloc] logs a line when it finds its age 0.  [log_n] is the number
+   of logged lines, or -1 while the log is stale: from creation, after
+   a restore rewrote [b], or once it overflowed its capacity.  The next
+   flush then fills every word and starts a fresh log.  The first such
+   flush allocates [log], so a cache that is never flushed carries
+   none. *)
 type t = {
   g : geometry;
   n_sets : int;
@@ -23,6 +36,8 @@ type t = {
   dirty0 : int;
   age0 : int;
   sc : int;
+  mutable log : int array;
+  mutable log_n : int;
   (* Observability only: never read by the model itself. *)
   st : Tp_obs.Counter.set;
   st_hits : Tp_obs.Counter.t;
@@ -43,6 +58,11 @@ let n_dirty = 1
 let n_valid = 2
 let ev_line = 3
 let ev_dirty = 4
+
+(* The flush log holds at most [lines / log_fraction] indices: a flush
+   that would clear more than that fills the whole array instead, which
+   is then about as cheap, and the log's memory stays small. *)
+let log_fraction = 8
 
 let create ?(name = "cache") g =
   assert (Defs.is_pow2 g.size && Defs.is_pow2 g.ways && Defs.is_pow2 g.line);
@@ -75,6 +95,8 @@ let create ?(name = "cache") g =
     dirty0 = n;
     age0 = 2 * n;
     sc = 3 * n;
+    log = [||];
+    log_n = -1;
     st;
     st_hits;
     st_misses;
@@ -186,6 +208,12 @@ let alloc t s tag ~dirty ~mask ~obs =
   if evicted_dirty <> dirty then
     bump t n_dirty (Bool.to_int dirty - Bool.to_int evicted_dirty);
   if old = -1 then bump t n_valid 1;
+  if t.log_n >= 0 && get b (t.age0 + i) = 0 then
+    if t.log_n < Array.length t.log then begin
+      set t.log t.log_n i;
+      t.log_n <- t.log_n + 1
+    end
+    else t.log_n <- -1;
   set b i tag;
   set b (t.dirty0 + i) (Bool.to_int dirty);
   touch t i
@@ -253,11 +281,26 @@ let flush t =
   let wb = get t.b (t.sc + n_dirty) in
   Tp_obs.Counter.incr t.st_flushes;
   Tp_obs.Counter.add t.st_flush_writebacks wb;
-  Array.fill t.b 0 t.lines (-1);
-  Array.fill t.b t.dirty0 (2 * t.lines) 0;
-  set t.b (t.sc + n_dirty) 0;
-  set t.b (t.sc + n_valid) 0;
+  let b = t.b in
+  if t.log_n < 0 then begin
+    Array.fill b 0 t.lines (-1);
+    Array.fill b t.dirty0 (2 * t.lines) 0;
+    if Array.length t.log = 0 then
+      t.log <- Array.make (max 1 (t.lines / log_fraction)) 0
+  end
+  else
+    for k = 0 to t.log_n - 1 do
+      let i = get t.log k in
+      set b i (-1);
+      set b (t.dirty0 + i) 0;
+      set b (t.age0 + i) 0
+    done;
+  t.log_n <- 0;
+  set b (t.sc + n_dirty) 0;
+  set b (t.sc + n_valid) 0;
   wb
+
+let log_stale t = t.log_n <- -1
 
 let parts t = [ Blob.Words t.b; Blob.Counters t.st ]
 

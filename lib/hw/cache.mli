@@ -90,7 +90,12 @@ val invalidate_line : t -> vaddr:int -> paddr:int -> unit
 val flush : t -> int
 (** Invalidate everything; returns the number of dirty lines that had
     to be written back (the source of the paper's cache-flush latency
-    channel, §5.3.4). *)
+    channel, §5.3.4).  The host work is proportional to the lines
+    allocated since the previous flush, not to the capacity: the cache
+    logs them as they are allocated, and fills the whole array only on
+    its first flush, when the log is stale ({!log_stale}) or when it
+    has overflowed (more than an eighth of the lines).  The resulting
+    state is the same either way. *)
 
 val dirty_lines : t -> int
 (** Current number of dirty lines. *)
@@ -99,7 +104,13 @@ val valid_lines : t -> int
 (** Current number of valid lines. *)
 
 val parts : t -> Blob.part list
-(** Every mutable model word, in snapshot order (see {!Blob.part}). *)
+(** Every mutable model word, in snapshot order (see {!Blob.part}).
+    The flush log is derived state and not among them. *)
+
+val log_stale : t -> unit
+(** Mark the flush log stale, so the next {!flush} fills every word.
+    Whoever rewrites the words of {!parts} behind the cache's back
+    ({!Machine.restore}) must call it first. *)
 
 val set_of : t -> vaddr:int -> paddr:int -> int
 (** Set index the given address maps to (respects the indexing policy). *)

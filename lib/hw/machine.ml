@@ -139,6 +139,15 @@ let create platform =
   List.iter Tp_obs.Counter.register (counter_sets t);
   t
 
+let iter_caches t f =
+  Array.iter
+    (fun c ->
+      f c.l1d;
+      f c.l1i;
+      Option.iter f c.l2)
+    t.cores;
+  f t.llc
+
 let platform t = t.platform
 let n_cores t = Array.length t.cores
 
@@ -449,6 +458,8 @@ let restore t s =
          s.snap_platform t.platform.Platform.name);
   if Blob.length s.snap_data <> snapshot_words t then
     invalid_arg "Machine.restore: snapshot size does not match this machine";
+  (* The loaded words need not match any cache's flush log. *)
+  iter_caches t Cache.log_stale;
   ignore
     (fold_parts t (fun off p ->
          Tp_fault.Fault.hit point_restore;

@@ -89,7 +89,7 @@ let clone sys ~core ~src ~kmem =
   let km = the_kmem kmem in
   if km.Types.km_image <> None then raise (Types.Kernel_error Types.Wrong_object_type);
   let p = System.platform sys in
-  let lay = Layout.image_layout p in
+  let lay = System.image_layout sys in
   let needed = Layout.image_frames p in
   if List.length km.Types.km_frames < needed then
     raise (Types.Kernel_error Types.Insufficient_untyped);

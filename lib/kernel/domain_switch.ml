@@ -51,24 +51,34 @@ let manual_l1_flush sys ~core ki =
   let m = System.machine sys in
   let asid = System.current_asid sys ~core in
   let global = System.kernel_mappings_global sys in
-  let lay = Layout.image_layout p in
+  let fb = (System.image_layout sys).Layout.flushbuf_off in
   let d_size = p.Tp_hw.Platform.l1d.Tp_hw.Cache.size in
   let i_size = p.Tp_hw.Platform.l1i.Tp_hw.Cache.size in
+  let page_mask = Tp_hw.Defs.page_size - 1 in
   let start = System.now sys ~core in
+  (* Image frames may be non-contiguous, but each page of the buffer is
+     contiguous: [pa_delta] (physical minus image offset) is resolved
+     once per page, not per line. *)
+  let pa_delta = ref 0 in
   (* D side: one load per line. *)
   for l = 0 to (d_size / line) - 1 do
-    let off = lay.Layout.flushbuf_off + (l * line) in
-    let pa = System.image_pa ki ~off in
+    let off = fb + (l * line) in
+    if l = 0 || off land page_mask = 0 then
+      pa_delta := System.image_pa ki ~off - off;
     ignore
-      (Tp_hw.Machine.access m ~core ~asid ~global
-         ~vaddr:(Layout.kernel_base_vaddr + off) ~paddr:pa ~kind:Tp_hw.Defs.Read ())
+      (Tp_hw.Machine.access_pt m ~core ~asid ~global ~llc_ways:max_int
+         ~root_pa:(-1) ~leaf_pa:(-1) ~vaddr:(Layout.kernel_base_vaddr + off)
+         ~paddr:(!pa_delta + off) ~kind:Tp_hw.Defs.Read)
   done;
   (* I side: chained jumps, one per line; also scrubs the BTB. *)
   for l = 0 to (i_size / line) - 1 do
-    let off = lay.Layout.flushbuf_off + d_size + (l * line) in
-    let pa = System.image_pa ki ~off in
+    let off = fb + d_size + (l * line) in
+    if l = 0 || off land page_mask = 0 then
+      pa_delta := System.image_pa ki ~off - off;
     let va = Layout.kernel_base_vaddr + off in
-    ignore (Tp_hw.Machine.jump m ~core ~asid ~vaddr:va ~paddr:pa ~target:(va + line))
+    ignore
+      (Tp_hw.Machine.jump m ~core ~asid ~vaddr:va ~paddr:(!pa_delta + off)
+         ~target:(va + line))
   done;
   System.now sys ~core - start
 
@@ -77,17 +87,17 @@ let manual_l1_flush sys ~core ki =
    kernel's flush buffers.  The manual flush displaces rather than
    invalidates: after the loop the L1 holds exactly the flush buffer —
    deterministic content, which is all the defence needs. *)
-let flush sys ~core plan =
-  let m = System.machine sys in
-  List.fold_left
-    (fun acc step ->
-      acc
-      +
-      match step with
-      | Tp_hw.Flush.L1_manual ->
-          manual_l1_flush sys ~core (System.per_core sys core).System.cur_kernel
-      | step -> Tp_hw.Machine.flush_step m ~core step)
-    0 plan
+let rec flush sys ~core = function
+  | [] -> 0
+  | step :: plan ->
+      let cost =
+        match step with
+        | Tp_hw.Flush.L1_manual ->
+            manual_l1_flush sys ~core
+              (System.per_core sys core).System.cur_kernel
+        | step -> Tp_hw.Machine.flush_step (System.machine sys) ~core step
+      in
+      cost + flush sys ~core plan
 
 let prefetch_shared sys ~core =
   List.iter
@@ -138,9 +148,7 @@ let switch sys ~core ~to_ =
   end;
   if kernel_switched then begin
     (* 4. switch the kernel stack (copy the live part across). *)
-    let p = System.platform sys in
-    let lay = Layout.image_layout p in
-    let live = min 1024 lay.Layout.stack_size in
+    let live = min 1024 (System.image_layout sys).Layout.stack_size in
     ignore
       (System.touch_image sys ~core from_kernel ~region:System.Stack ~off:0
          ~len:live ~kind:Tp_hw.Defs.Read);
@@ -169,8 +177,9 @@ let switch sys ~core ~to_ =
       for l = 0 to 3 do
         let a = pa + (l * (System.platform sys).Tp_hw.Platform.line) in
         ignore
-          (Tp_hw.Machine.access m ~core ~asid ~global ~vaddr:a ~paddr:a
-             ~kind:Tp_hw.Defs.Read ())
+          (Tp_hw.Machine.access_pt m ~core ~asid ~global ~llc_ways:max_int
+             ~root_pa:(-1) ~leaf_pa:(-1) ~vaddr:a ~paddr:a
+             ~kind:Tp_hw.Defs.Read)
       done
   | [] -> ());
   ignore

@@ -8,6 +8,7 @@ type percore = {
 type t = {
   machine : Tp_hw.Machine.t;
   platform : Tp_hw.Platform.t;
+  layout : Layout.image_layout;
   cfg : Config.t;
   phys : Phys.t;
   sched : Sched.t;
@@ -72,6 +73,7 @@ let create platform cfg =
   {
     machine;
     platform;
+    layout = Layout.image_layout platform;
     cfg;
     phys;
     sched = Sched.create ~cores:platform.Tp_hw.Platform.cores;
@@ -96,6 +98,7 @@ let create platform cfg =
 
 let machine t = t.machine
 let platform t = t.platform
+let image_layout t = t.layout
 let cfg t = t.cfg
 let phys t = t.phys
 let sched t = t.sched
@@ -147,7 +150,7 @@ let current_asid t ~core =
 type image_region = Text | Stack | Data | Flushbuf
 
 let region_off t region =
-  let lay = Layout.image_layout t.platform in
+  let lay = t.layout in
   match region with
   | Text -> lay.Layout.text_off
   | Stack -> lay.Layout.stack_off

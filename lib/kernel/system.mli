@@ -28,6 +28,10 @@ val create : Tp_hw.Platform.t -> Config.t -> t
 
 val machine : t -> Tp_hw.Machine.t
 val platform : t -> Tp_hw.Platform.t
+
+val image_layout : t -> Layout.image_layout
+(** [Layout.image_layout (platform t)], computed once at {!create}. *)
+
 val cfg : t -> Config.t
 val phys : t -> Phys.t
 val sched : t -> Sched.t

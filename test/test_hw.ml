@@ -437,6 +437,207 @@ let qcheck_tlb_occupancy =
       List.iter (fun v -> ignore (Tlb.access t ~asid:1 ~vpn:v ~global:false)) vpns;
       Tlb.valid_entries t <= 64)
 
+(* ---- the flush log: a flush that costs what it clears ------------- *)
+
+(* Cache.flush resets only the lines its log says were allocated since
+   the last reset.  The oracle is a full fill: a copy of the cache's
+   words, taken just before the flush, flushed by the full-fill path (a
+   stale log).  Traffic mixes CAT-masked accesses, clean inserts,
+   single-line invalidations, bursts long enough to overflow the log
+   (it holds an eighth of the lines), and machine snapshot/restore,
+   which rewrites the words and so marks every log stale. *)
+
+type cache_op =
+  | Access of int * int * bool  (** address, CAT mask, write *)
+  | Insert of int
+  | Inval of int
+  | Burst of int * int  (** first address, lines *)
+  | Flush_op
+  | Snap
+  | Restore
+
+let words_of c =
+  match Cache.parts c with
+  | Blob.Words w :: _ -> w
+  | _ -> Alcotest.fail "cache parts: words first"
+
+(* The LLC, core 0's L2 and its L1-D, on each platform and on the small
+   variants of each. *)
+let flush_log_targets =
+  List.concat_map
+    (fun p ->
+      List.map (fun pick -> (p, pick))
+        (List.filter_map Fun.id
+           [
+             Some (fun m -> Machine.llc m);
+             Option.map
+               (fun _ m -> Option.get (Machine.l2 m ~core:0))
+               p.Platform.l2;
+             Some (fun m -> Machine.l1d m ~core:0);
+           ]))
+    (Platform.all @ List.concat_map Shrink.variants Platform.all)
+
+(* Masks are drawn over 16 ways and cut to the cache's own. *)
+let gen_cache_ops ~lines =
+  let open QCheck.Gen in
+  let addr = int_bound (4 * lines * 64) in
+  let mask = int_range 1 0xffff in
+  list_size (int_range 1 120)
+    (frequency
+       [
+         (30, map3 (fun a m w -> Access (a, m, w)) addr mask bool);
+         (5, map (fun a -> Insert a) addr);
+         (5, map (fun a -> Inval a) addr);
+         (2, map2 (fun a n -> Burst (a, n)) addr (int_bound (lines / 4)));
+         (4, return Flush_op);
+         (2, return Snap);
+         (2, return Restore);
+       ])
+
+let print_cache_op = function
+  | Access (a, m, w) ->
+      Printf.sprintf "access %#x mask %#x%s" a m (if w then " w" else "")
+  | Insert a -> Printf.sprintf "insert %#x" a
+  | Inval a -> Printf.sprintf "inval %#x" a
+  | Burst (a, n) -> Printf.sprintf "burst %#x x%d" a n
+  | Flush_op -> "flush"
+  | Snap -> "snapshot"
+  | Restore -> "restore"
+
+let qcheck_flush_log_matches_full_fill =
+  let targets = Array.of_list flush_log_targets in
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length targets - 1) >>= fun k ->
+      let p, _ = targets.(k) in
+      (* Sizes from the largest cache in play keep bursts overflowing. *)
+      let g = p.Platform.llc in
+      map (fun ops -> (k, ops))
+        (gen_cache_ops ~lines:(g.Cache.size / g.Cache.line)))
+  in
+  let print (k, ops) =
+    let p, _ = targets.(k) in
+    p.Platform.name ^ ": " ^ String.concat "; " (List.map print_cache_op ops)
+  in
+  QCheck.Test.make ~name:"flush log: every flush equals a full fill" ~count:150
+    (QCheck.make ~print gen)
+    (fun (k, ops) ->
+      let p, pick = targets.(k) in
+      let m = Machine.create p in
+      let c = pick m in
+      let g = Cache.geometry c in
+      let way_mask = (1 lsl g.Cache.ways) - 1 in
+      let snap = ref (Machine.snapshot m) in
+      let ok = ref true in
+      let step = function
+        | Access (a, mask, write) ->
+            let alloc_ways = mask land way_mask in
+            let alloc_ways = if alloc_ways = 0 then way_mask else alloc_ways in
+            ignore
+              (Cache.access_masked_fast c ~alloc_ways ~vaddr:a ~paddr:a ~write)
+        | Insert a -> ignore (Cache.insert_clean_fast c ~vaddr:a ~paddr:a)
+        | Inval a -> Cache.invalidate_line c ~vaddr:a ~paddr:a
+        | Burst (a, n) ->
+            for l = 0 to n - 1 do
+              let x = a + (l * g.Cache.line) in
+              ignore
+                (Cache.access_fast c ~vaddr:x ~paddr:x ~write:(l land 1 = 0))
+            done
+        | Flush_op ->
+            let copy = Cache.create g in
+            Cache.log_stale copy;
+            let w = words_of c and w' = words_of copy in
+            Array.blit w 0 w' 0 (Array.length w);
+            let wb' = Cache.flush copy in
+            let wb = Cache.flush c in
+            if wb <> wb' || w <> w' then ok := false
+        | Snap -> snap := Machine.snapshot m
+        | Restore -> Machine.restore m !snap
+      in
+      List.iter step (ops @ [ Flush_op ]);
+      !ok)
+
+(* At machine level: after random traffic (accesses, clflushes, every
+   hardware flush step, snapshot/restore), a wbinvd on the live machine
+   leaves the same state as the same snapshot restored into a fresh
+   machine and flushed there, where the restore forces the full fill. *)
+type machine_op =
+  | M_access of int * int * Defs.access_kind * int
+      (** core, address, kind, CAT mask *)
+  | M_burst of int * int
+  | M_clflush of int
+  | M_flush of Flush.step
+  | M_snap
+  | M_restore
+
+let qcheck_flush_log_machine_digest =
+  let platforms =
+    Array.of_list (Platform.all @ List.map Shrink.tiny Platform.all)
+  in
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length platforms - 1) >>= fun k ->
+      let p = platforms.(k) in
+      let g = p.Platform.llc in
+      let lines = g.Cache.size / g.Cache.line in
+      let addr = int_bound (4 * lines * g.Cache.line) in
+      let op =
+        frequency
+          [
+            ( 30,
+              map3
+                (fun (c, a) kind mask -> M_access (c, a, kind, mask))
+                (pair (int_bound (p.Platform.cores - 1)) addr)
+                (oneofl [ Defs.Read; Defs.Write; Defs.Fetch ])
+                (oneof
+                   [ return max_int; int_range 1 ((1 lsl g.Cache.ways) - 1) ])
+            );
+            (2, map2 (fun a n -> M_burst (a, n)) addr (int_bound (lines / 4)));
+            (3, map (fun a -> M_clflush a) addr);
+            ( 4,
+              map (fun s -> M_flush s)
+                (oneofl
+                   [ Flush.L1_hw; Flush.L2; Flush.Llc; Flush.Tlb; Flush.Bp ])
+            );
+            (2, return M_snap);
+            (2, return M_restore);
+          ]
+      in
+      map (fun ops -> (k, ops)) (list_size (int_range 1 60) op))
+  in
+  let print (k, ops) =
+    Printf.sprintf "%s: %d ops" platforms.(k).Platform.name (List.length ops)
+  in
+  QCheck.Test.make ~name:"flush log: wbinvd digest equals restored full fill"
+    ~count:40 (QCheck.make ~print gen)
+    (fun (k, ops) ->
+      let p = platforms.(k) in
+      let m = Machine.create p in
+      let snap = ref (Machine.snapshot m) in
+      let access ~core a kind mask =
+        ignore
+          (Machine.access m ~core ~asid:(core + 1) ~llc_ways:mask ~vaddr:a
+             ~paddr:a ~kind ())
+      in
+      List.iter
+        (function
+          | M_access (core, a, kind, mask) -> access ~core a kind mask
+          | M_burst (a, n) ->
+              for l = 0 to n - 1 do
+                access ~core:0 (a + (l * p.Platform.line)) Defs.Write max_int
+              done
+          | M_clflush a -> ignore (Machine.clflush m ~core:0 ~paddr:a)
+          | M_flush s -> ignore (Machine.flush_step m ~core:0 s)
+          | M_snap -> snap := Machine.snapshot m
+          | M_restore -> Machine.restore m !snap)
+        ops;
+      let before = Machine.snapshot m in
+      ignore (Machine.flush_step m ~core:0 Flush.Llc);
+      let fresh = Machine.create p in
+      Machine.restore fresh before;
+      ignore (Machine.flush_step fresh ~core:0 Flush.Llc);
+      Machine.state_digest m = Machine.state_digest fresh)
+
 let suite =
   [
     Alcotest.test_case "cache geometry" `Quick test_cache_geometry;
@@ -486,4 +687,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_cache_flush_empties;
     QCheck_alcotest.to_alcotest qcheck_access_after_access_hits;
     QCheck_alcotest.to_alcotest qcheck_tlb_occupancy;
+    QCheck_alcotest.to_alcotest qcheck_flush_log_matches_full_fill;
+    QCheck_alcotest.to_alcotest qcheck_flush_log_machine_digest;
   ]

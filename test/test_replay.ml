@@ -490,6 +490,20 @@ let test_live_access_allocates_nothing () =
         (p.Platform.name ^ ": minor words, replay") 0 (net_alloc_words replay))
     [ Platform.haswell; Platform.sabre; Platform.armv8 ]
 
+(* The x86 manual L1 flush (a load per L1-D line, a chained jump per
+   L1-I line, through the current kernel's flush buffers) runs on every
+   protected haswell switch and allocates nothing either. *)
+let test_manual_l1_flush_allocates_nothing () =
+  let open Tp_kernel in
+  let p = Platform.haswell in
+  let b = Boot.boot ~platform:p ~config:(Config.protected_ p) () in
+  let sys = b.Boot.sys in
+  let tcb = Boot.spawn b b.Boot.domains.(0) (fun _ -> ()) in
+  Sched.remove (System.sched sys) ~core:0 tcb;
+  ignore (Domain_switch.switch sys ~core:0 ~to_:tcb);
+  let flush () = ignore (Domain_switch.flush sys ~core:0 [ Flush.L1_manual ]) in
+  Alcotest.(check int) "minor words, manual L1 flush" 0 (net_alloc_words flush)
+
 let suite =
   [
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
@@ -512,4 +526,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_snapshot_fork;
     Alcotest.test_case "live and replayed accesses allocate nothing" `Quick
       test_live_access_allocates_nothing;
+    Alcotest.test_case "manual L1 flush allocates nothing" `Quick
+      test_manual_l1_flush_allocates_nothing;
   ]
