@@ -481,17 +481,6 @@ let out_arg =
   let doc = "Write the output to $(docv) instead of stdout." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
-let expect_arg =
-  let doc =
-    "Assert the outcome: with $(b,clean) exit non-zero if any report has \
-     findings, with $(b,findings) exit non-zero if any report is clean.  \
-     This is what the CI gate uses."
-  in
-  Arg.(
-    value
-    & opt (some (enum [ ("clean", `Clean); ("findings", `Findings) ])) None
-    & info [ "expect" ] ~docv:"OUTCOME" ~doc)
-
 let with_out file f =
   match file with
   | None -> f stdout
@@ -518,10 +507,8 @@ let render_reports ~json ~sarif ~out reports =
         Format.pp_print_flush ppf ()
       end)
 
-(* The two tails every analysis verb shares: with --output, a
-   per-report summary on stderr (stdout carried the report itself);
-   with --expect, the verdict as an exit code for CI.  [verb] names
-   what a clean report does ("lints" / "certifies"). *)
+(* With --output, a per-report summary on stderr (stdout carried the
+   report itself). *)
 let report_summary ~what out reports =
   match out with
   | Some f ->
@@ -533,37 +520,11 @@ let report_summary ~what out reports =
       Printf.eprintf "tpsim: wrote %s to %s\n%!" what f
   | None -> ()
 
-let expect_gate ~verb expect reports =
-  match expect with
-  | None -> ()
-  | Some `Clean ->
-      let dirty =
-        List.filter (fun r -> not (Tp_analysis.Diag.clean r)) reports
-      in
-      if dirty <> [] then begin
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
-              (Tp_analysis.Diag.summary r))
-          dirty;
-        exit 1
-      end
-  | Some `Findings ->
-      let clean = List.filter Tp_analysis.Diag.clean reports in
-      if clean <> [] then begin
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf "tpsim: expected findings but %s %s clean\n%!"
-              r.subject verb)
-          clean;
-        exit 1
-      end
-
 let cmd_lint =
   (* Static time-protection linter (plus the dynamic §4.1 audit): does
      the booted configuration actually establish the isolation it
-     claims?  `--expect` turns the verdict into an exit code for CI. *)
-  let run plats kind domains json sarif out expect verbose =
+     claims? *)
+  let run plats kind domains json sarif out verbose =
     setup_logging verbose;
     let reports =
       List.map
@@ -588,8 +549,7 @@ let cmd_lint =
         plats
     in
     render_reports ~json ~sarif ~out reports;
-    report_summary ~what:"lint report" out reports;
-    expect_gate ~verb:"lints" expect reports
+    report_summary ~what:"lint report" out reports
   in
   Cmd.v
     (Cmd.info "lint"
@@ -600,7 +560,7 @@ let cmd_lint =
           shared-data audit.")
     Term.(
       const run $ platform_arg $ config_arg $ domains_arg $ json_arg
-      $ sarif_arg $ out_arg $ expect_arg $ verbose_arg)
+      $ sarif_arg $ out_arg $ verbose_arg)
 
 let cmd_ctcheck =
   (* Constant-time checker over the bundled fixtures: static taint
@@ -689,24 +649,19 @@ let paths_arg =
     & opt_all
         (enum
            (List.map
-              (fun pa -> (Tp_analysis.Kcert.path_slug pa, pa))
-              Tp_analysis.Kcert.all_paths))
+              (fun pa -> (Tp_analysis.Certify.kernel_path_slug pa, pa))
+              Tp_analysis.Certify.all_kernel_paths))
         []
     & info [ "path" ] ~docv:"PATH" ~doc)
 
 let certs_arg =
   let doc =
     "With $(b,--kernel): directory of golden certificate artifacts \
-     ($(b,<platform>-<config>-<path>.cert.json)).  Alone, (re)writes \
-     every certificate into it; with $(b,--check), byte-compares \
-     instead and exits non-zero on any drift, missing file, or (when \
-     checking the full matrix) stale leftover artifact (the CI gate)."
+     ($(b,<platform>-<config>-<path>.cert.json)): (re)writes every \
+     certificate into it.  The $(b,certify) test suite byte-compares \
+     the checked-in goldens against a fresh build."
   in
   Arg.(value & opt (some string) None & info [ "certs" ] ~docv:"DIR" ~doc)
-
-let check_arg =
-  let doc = "Byte-compare against the goldens in $(b,--certs) (no writes)." in
-  Arg.(value & flag & info [ "check" ] ~doc)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -717,20 +672,14 @@ let rec mkdir_p dir =
 (* `certify --kernel`: per-(platform, config, path) lifecycle
    certificates, each cross-validated by the 3-domain exhaustive check
    (with the neighbour performing that path's operation), emitted as
-   deterministic content-digested artifacts and optionally byte-diffed
-   against the checked-in goldens. *)
-let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
-    ~check =
-  let full_matrix =
-    (* The complete golden matrix was requested: -p all, every config,
-       every path.  Only then can --check also flag stale leftovers. *)
-    kinds = [] && paths = []
-    && List.length plats = List.length Tp_hw.Platform.all
-  in
+   deterministic content-digested artifacts. *)
+let certify_kernel plats kinds paths ~json ~sarif ~out ~certs_dir =
   let kinds =
     match kinds with [] -> List.map snd Scenario.slugs | ks -> ks
   in
-  let paths = match paths with [] -> Tp_analysis.Kcert.all_paths | ps -> ps in
+  let paths =
+    match paths with [] -> Tp_analysis.Certify.all_kernel_paths | ps -> ps
+  in
   let entries =
     List.concat_map
       (fun p ->
@@ -739,7 +688,9 @@ let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
             let cfg = Scenario.config kind p in
             List.map
               (fun path ->
-                let ex = Tp_analysis.Certify.exhaustive3_path path p cfg in
+                let ex =
+                  Tp_analysis.Certify.exhaustive ~path ~domains:3 p cfg
+                in
                 let cert =
                   Tp_analysis.Kcert.certify ~exhaustive:ex ~path p
                     ~config_name:(Scenario.slug kind) cfg
@@ -750,72 +701,9 @@ let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
       plats
   in
   let reports = List.map snd entries in
-  (match (certs_dir, check) with
-  | None, true ->
-      Printf.eprintf "tpsim: --check needs --certs DIR\n%!";
-      exit 2
-  | None, false -> ()
-  | Some dir, true ->
-      let bad = ref 0 in
-      List.iter
-        (fun (c, _) ->
-          let path =
-            Filename.concat dir (Tp_analysis.Kcert.artifact_name c)
-          in
-          let want = Tp_analysis.Kcert.to_json c in
-          match
-            try
-              Some (In_channel.with_open_bin path In_channel.input_all)
-            with Sys_error _ -> None
-          with
-          | None ->
-              incr bad;
-              Printf.eprintf "tpsim: missing golden certificate %s\n%!" path
-          | Some got when not (String.equal got want) ->
-              incr bad;
-              Printf.eprintf
-                "tpsim: golden certificate drift: %s (regenerated digest \
-                 %s)\n\
-                 %!"
-                path
-                (Tp_analysis.Kcert.digest c)
-          | Some _ -> ())
-        entries;
-      (if full_matrix then
-         (* Stale leftovers (e.g. artifacts under a retired naming
-            scheme) would silently bypass the byte-diff gate. *)
-         let expected =
-           List.map
-             (fun (c, _) -> Tp_analysis.Kcert.artifact_name c)
-             entries
-         in
-         Array.iter
-           (fun f ->
-             if
-               Filename.check_suffix f ".cert.json"
-               && not (List.mem f expected)
-             then begin
-               incr bad;
-               Printf.eprintf
-                 "tpsim: stale certificate artifact %s (not part of the \
-                  current golden matrix)\n\
-                  %!"
-                 (Filename.concat dir f)
-             end)
-           (try Sys.readdir dir with Sys_error _ -> [||]));
-      if !bad > 0 then begin
-        Printf.eprintf
-          "tpsim: %d golden certificate(s) out of date; regenerate with \
-           `tpsim certify --kernel -p all --certs %s`\n\
-           %!"
-          !bad dir;
-        exit 1
-      end
-      else
-        Printf.eprintf
-          "tpsim: %d golden certificates verified byte-identical\n%!"
-          (List.length entries)
-  | Some dir, false ->
+  (match certs_dir with
+  | None -> ()
+  | Some dir ->
       mkdir_p dir;
       List.iter
         (fun (c, _) ->
@@ -854,20 +742,17 @@ let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
           entries;
         Format.pp_print_flush ppf ()
       end);
-  report_summary ~what:"kernel certification report" out reports;
-  expect_gate ~verb:"certifies" expect reports
+  report_summary ~what:"kernel certification report" out reports
 
 let cmd_certify =
   (* Abstract-interpretation leakage certifier: sound per-channel
      upper bounds from the lint view (optionally tightened per guest
      program), cross-validated by exhaustive small-scope model
      checking. *)
-  let run plats kinds paths domains json sarif out expect exhaustive fixtures
-      kernel certs_dir check verbose =
+  let run plats kinds paths domains json sarif out exhaustive fixtures kernel
+      certs_dir verbose =
     setup_logging verbose;
-    if kernel then
-      certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
-        ~check
+    if kernel then certify_kernel plats kinds paths ~json ~sarif ~out ~certs_dir
     else begin
     let kinds =
       match kinds with
@@ -890,7 +775,9 @@ let cmd_certify =
               let cert = Tp_analysis.Certify.certify_view ~subject v in
               let ex =
                 if exhaustive then
-                  Some (Tp_analysis.Certify.exhaustive p (Scenario.config kind p))
+                  Some
+                    (Tp_analysis.Certify.exhaustive ~domains:2 p
+                       (Scenario.config kind p))
                 else None
               in
               let report =
@@ -979,8 +866,7 @@ let cmd_certify =
             entries;
           Format.pp_print_flush ppf ()
         end);
-    report_summary ~what:"certification report" out reports;
-    expect_gate ~verb:"certifies" expect reports
+    report_summary ~what:"certification report" out reports
     end
   in
   Cmd.v
@@ -994,11 +880,11 @@ let cmd_certify =
           observational determinism.  $(b,--kernel) certifies the \
           kernel's own lifecycle paths (switch, clone, destroy) \
           instead, with 3-domain cross-validation and content-digested \
-          golden artifacts ($(b,--certs)/$(b,--check)).")
+          golden artifacts ($(b,--certs)).")
     Term.(
       const run $ platform_arg $ certify_configs_arg $ paths_arg $ domains_arg
-      $ json_arg $ sarif_arg $ out_arg $ expect_arg $ exhaustive_arg
-      $ fixtures_arg $ kernel_arg $ certs_arg $ check_arg $ verbose_arg)
+      $ json_arg $ sarif_arg $ out_arg $ exhaustive_arg $ fixtures_arg
+      $ kernel_arg $ certs_arg $ verbose_arg)
 
 let no_replay_arg =
   let doc =

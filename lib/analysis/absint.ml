@@ -329,16 +329,6 @@ type summary = {
   sm_secret_sites : int list;
 }
 
-let zero_summary =
-  {
-    sm_l1d = 0;
-    sm_l1i = 0;
-    sm_tlb = 0;
-    sm_bp = 0;
-    sm_llc = 0;
-    sm_secret_sites = [];
-  }
-
 let struct_bits a must_rows =
   let bits = ref 0 in
   Array.iteri

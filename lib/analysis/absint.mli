@@ -25,8 +25,6 @@ type summary = {
           secret-dependent direction *)
 }
 
-val zero_summary : summary
-
 val analyse :
   ?arrays_at:(string * int) list ->
   ?code_at:int ->

@@ -383,9 +383,6 @@ let cert_to_json (c : cert) =
     (String.concat ","
        (List.map (fun e -> "\"" ^ Diag.json_escape e ^ "\"") c.c_exclusions))
 
-let certs_to_json cs =
-  Printf.sprintf "[%s]" (String.concat ",\n" (List.map cert_to_json cs))
-
 (* ------------------------------------------------------------------ *)
 (* Small-scope exhaustive noninterference check                        *)
 
@@ -605,7 +602,7 @@ let diff_observations a b =
   in
   turn 0 a b
 
-let exhaustive_for ?(path = Switch) ~domains (p : P.t) (cfg : C.t) =
+let exhaustive ?(path = Switch) ~domains (p : P.t) (cfg : C.t) =
   let tiny = Tp_hw.Shrink.tiny p in
   let schedules = Tp_hw.Shrink.schedules ~domains ~horizon in
   let cx = ref None in
@@ -645,12 +642,6 @@ let exhaustive_for ?(path = Switch) ~domains (p : P.t) (cfg : C.t) =
     ex_secrets = secrets;
     ex_counterexample = !cx;
   }
-
-let exhaustive p cfg = exhaustive_for ~domains:2 p cfg
-
-let exhaustive3 p cfg = exhaustive_for ~domains:3 p cfg
-
-let exhaustive3_path path p cfg = exhaustive_for ~path ~domains:3 p cfg
 
 let exhaustive_findings (r : exhaustive_result) =
   match r.ex_counterexample with

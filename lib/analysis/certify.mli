@@ -122,7 +122,6 @@ val report : cert -> Diag.report
 
 val pp : Format.formatter -> cert -> unit
 val cert_to_json : cert -> string
-val certs_to_json : cert list -> string
 
 (** {1 Small-scope exhaustive noninterference check} *)
 
@@ -167,39 +166,29 @@ val kernel_path_slug : kernel_path -> string
 val all_kernel_paths : kernel_path list
 (** [[Switch; Clone; Destroy]], the full certification matrix. *)
 
-val exhaustive : Tp_hw.Platform.t -> Tp_kernel.Config.t -> exhaustive_result
-(** Enumerate every two-domain schedule of the horizon on the
-    {!Tp_hw.Shrink.tiny} machine; run the victim under each secret;
-    require every attacker observation (timestamps, probe latencies,
-    branch latencies) to be identical across secrets.  The domain
-    switch runs the configuration's switch-flush plan
-    ({!Tp_hw.Shrink.apply}; the manual L1 flush becomes the
-    architected one at machine scope)
-    and pads each turn to [pad_cycles].  DRAM rows are always
-    precharged — the row-buffer channel is outside the certified scope
-    ({!exclusions}). *)
-
-val exhaustive3 : Tp_hw.Platform.t -> Tp_kernel.Config.t -> exhaustive_result
-(** {!exhaustive} over {e three}-domain schedules: victim, attacker,
-    and a deterministic public neighbour that makes no observations but
-    whose secret-perturbed footprint can relay state to a later
-    attacker turn (the transitive V→D→A channel).  The neighbour runs
-    on the attacker's page parity — the 2-colour shrink cannot give
-    three domains disjoint colours, exactly as a real 2-colour
-    allocation folds extra domains onto existing colours.  This is the
-    confirmation required for kernel-path certificates. *)
-
-val exhaustive3_path :
-  kernel_path -> Tp_hw.Platform.t -> Tp_kernel.Config.t -> exhaustive_result
-(** {!exhaustive3} with the neighbour's 'D' turn replaced by the given
-    lifecycle operation ([Switch] is exactly {!exhaustive3}): the
-    cross-check for clone- and destroy-path kernel certificates. *)
-
-val exhaustive_for :
+val exhaustive :
   ?path:kernel_path ->
   domains:int -> Tp_hw.Platform.t -> Tp_kernel.Config.t -> exhaustive_result
-(** Generalisation behind {!exhaustive}/{!exhaustive3}
-    ([2 <= domains <= 3]; [path] defaults to [Switch]). *)
+(** Enumerate every [domains]-domain schedule of the horizon
+    ([2 <= domains <= 3]) on the {!Tp_hw.Shrink.tiny} machine; run the
+    victim under each secret; require every attacker observation
+    (timestamps, probe latencies, branch latencies) to be identical
+    across secrets.  The domain switch runs the configuration's
+    switch-flush plan ({!Tp_hw.Shrink.apply}; the manual L1 flush
+    becomes the architected one at machine scope) and pads each turn
+    to [pad_cycles].  DRAM rows are always precharged — the row-buffer
+    channel is outside the certified scope ({!exclusions}).
+
+    With three domains, a deterministic public neighbour joins the
+    victim and attacker: it makes no observations, but its
+    secret-perturbed footprint can relay state to a later attacker
+    turn (the transitive V→D→A channel).  The neighbour runs on the
+    attacker's page parity — the 2-colour shrink cannot give three
+    domains disjoint colours, exactly as a real 2-colour allocation
+    folds extra domains onto existing colours.  Its 'D' turn is the
+    kernel lifecycle operation [path] (default [Switch]); the 3-domain
+    check is the confirmation required for kernel-path
+    certificates. *)
 
 val exhaustive_findings : exhaustive_result -> Diag.finding list
 (** [CERT-NONINTERFERENCE] with the concrete distinguishing schedule,

@@ -57,7 +57,7 @@
    stateful channel scrubbed or partitioned the cost is deterministic
    and contributes none.
 
-   Cross-validation is {!Certify.exhaustive3_path}: observational
+   Cross-validation is {!Certify.exhaustive}: observational
    determinism across secrets under all three-domain schedules of the
    shrunken machine, with the neighbour's turn performing this
    certificate's lifecycle operation.  A 0-bit kernel certificate
@@ -101,7 +101,6 @@ let channel_rule = function
 type path = Certify.kernel_path = Switch | Clone | Destroy
 
 let path_slug = Certify.kernel_path_slug
-let all_paths = Certify.all_kernel_paths
 
 (* ------------------------------------------------------------------ *)
 (* The lifted traces                                                   *)
@@ -629,7 +628,7 @@ let check_sound (p : P.t) (c : cert) =
 let lint_crosscheck (p : P.t) ~config_name (cfg : C.t) =
   List.concat_map
     (fun path -> check_sound p (certify ~path p ~config_name cfg))
-    all_paths
+    Certify.all_kernel_paths
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics                                                         *)

@@ -24,7 +24,7 @@
     [ceil_log2 (bound + 1)] timing bits, and with every channel
     scrubbed/partitioned it is deterministic and contributes none.
 
-    Cross-validated two ways: {!Certify.exhaustive3_path}
+    Cross-validated two ways: {!Certify.exhaustive}
     (observational determinism under all 3-domain schedules of the
     shrunken machine with the neighbour performing this path's
     operation, [CERT-K-XCHECK-EXHAUSTIVE] on contradiction) and
@@ -63,12 +63,6 @@ val channel_rule : Certify.channel -> string
 (** {1 Paths} *)
 
 type path = Certify.kernel_path = Switch | Clone | Destroy
-
-val path_slug : path -> string
-(** ["switch"] / ["clone"] / ["destroy"]. *)
-
-val all_paths : path list
-(** [[Switch; Clone; Destroy]] — the full certification matrix. *)
 
 (** {1 The lifted traces} *)
 
@@ -157,7 +151,7 @@ val certify :
   cert
 (** Certify one (platform, configuration, path) — [path] defaults to
     [Switch].  Pure: no machine traffic.  Pass [exhaustive] (from
-    {!Certify.exhaustive3_path} with the same path) to embed the
+    {!Certify.exhaustive} with the same path) to embed the
     cross-validation result in the certificate (outside the
     digest). *)
 

@@ -29,13 +29,6 @@ let default_spec p =
     replay_seed = None;
   }
 
-(* Process-wide replay kill switch (tpsim --no-replay), for A/B
-   debugging: replay is bit-identical by construction, so flipping it
-   must never change a result — this switch is how one proves that on
-   a live discrepancy. *)
-let replay_enabled = Atomic.make true
-let set_replay_enabled v = Atomic.set replay_enabled v
-
 (* Process-wide default budget, for tooling (tpsim --budget) that
    cannot reach into every experiment's spec.  A spec's own budget
    fields win.  Atomic so the CLI can set it once and parallel workers
@@ -165,7 +158,7 @@ type sym_state =
   | Live
 
 let replayed_sender spec ~sender =
-  if not (spec.replay && Atomic.get replay_enabled) then sender
+  if not spec.replay then sender
   else begin
     let streams =
       match spec.replay_seed with

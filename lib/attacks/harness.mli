@@ -51,11 +51,6 @@ val default_spec : Tp_hw.Platform.t -> spec
 (** 1 ms slices, 1500 samples, 4 symbols, small noise, 64-slice
     checkpoints, no budget, replay on (unseeded). *)
 
-val set_replay_enabled : bool -> unit
-(** Process-wide replay kill switch (tpsim's [--no-replay]); off means
-    every sender slice runs live regardless of spec.  For A/B
-    debugging — flipping it must never change any result. *)
-
 val record_streams :
   Tp_kernel.Boot.booted ->
   sender:(Tp_kernel.Uctx.t -> int -> unit) ->

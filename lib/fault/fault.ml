@@ -101,16 +101,3 @@ let trace f =
   | exception e ->
       finish ();
       raise e
-
-let with_fault ~point ?(hit = 0) exn f =
-  arm ~point ~hit exn;
-  let finish () = disarm () in
-  match f () with
-  | v ->
-      let was_fired = fired () in
-      finish ();
-      if was_fired then Error (Failure "fault fired but operation succeeded")
-      else Ok v
-  | exception e ->
-      finish ();
-      Error e

@@ -48,10 +48,3 @@ val trace : (unit -> 'a) -> 'a * (string * int) list
     list.  Occurrence indices are per-point and 0-based, aligned with
     {!arm}'s [hit] argument (when arming at the same program state
     tracing started in).  Nested traces restore the outer recorder. *)
-
-val with_fault :
-  point:string -> ?hit:int -> exn -> (unit -> 'a) -> ('a, exn) result
-(** Arm, run the thunk, disarm.  [Error e] when the thunk raised [e]
-    (normally the injected fault); also [Error] if the fault fired yet
-    the operation still returned — an operation must not swallow an
-    injected failure. *)

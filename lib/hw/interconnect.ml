@@ -149,10 +149,6 @@ let record t ~core ~now =
   end;
   delay
 
-let window_traffic t ~core =
-  (* Scaled to a per-mille utilisation figure for diagnostics. *)
-  int_of_float (t.rate.(core) /. t.service *. 1000.0)
-
 let drain t =
   Array.fill t.rate 0 t.cores 0.0;
   Array.fill t.slow_rate 0 t.cores 0.0;

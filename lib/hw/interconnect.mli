@@ -49,10 +49,6 @@ val record : t -> core:int -> now:int -> int
     returns the queueing delay in cycles to add to that transaction's
     latency. *)
 
-val window_traffic : t -> core:int -> int
-(** The core's current estimated bus utilisation, in per mille of the
-    service rate (diagnostics only). *)
-
 val drain : t -> unit
 (** Clear all load state (models a quiescent gap much longer than the
     bus's queueing horizon). *)

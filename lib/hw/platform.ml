@@ -141,10 +141,6 @@ let armv8 =
 
 let all = [ haswell; sabre; armv8 ]
 
-let by_name s =
-  let s = String.lowercase_ascii s in
-  List.find_opt (fun p -> p.name = s) all
-
 let colours p =
   match p.l2 with
   | Some g -> Cache.colours g

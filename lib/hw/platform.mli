@@ -60,9 +60,6 @@ val armv8 : t
     (§5.4.1).  Its 4-way L2 TLB exists to test the paper's prediction
     that the colour-ready IPC overhead shrinks on v8. *)
 
-val by_name : string -> t option
-(** Look up ["haswell"], ["sabre"] or ["armv8"] (case-insensitive). *)
-
 val all : t list
 
 val colours : t -> int

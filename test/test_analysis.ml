@@ -24,31 +24,40 @@ let test_protected_lints_clean () =
         (Printf.sprintf "%s protected clean (%s)" p.Tp_hw.Platform.name
            (Diag.summary r))
         true (Diag.clean r))
-    [ haswell; sabre ]
+    Tp_hw.Platform.all
 
 let test_raw_lints_dirty () =
-  let b = Scenario.boot Scenario.Raw haswell in
-  let r = Lint.check_static b in
-  Alcotest.(check bool) "raw has findings" false (Diag.clean r);
   List.iter
-    (fun rule ->
-      Alcotest.(check bool) (rule ^ " present") true
-        (List.mem rule (Diag.rules r)))
-    [
-      Lint.rule_colour_off;
-      Lint.rule_kernel_shared;
-      Lint.rule_irq_off;
-      Lint.rule_pad_insufficient;
-    ]
+    (fun p ->
+      let r = Lint.check_static (Scenario.boot Scenario.Raw p) in
+      List.iter
+        (fun rule ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s present" p.Tp_hw.Platform.name rule)
+            true
+            (List.mem rule (Diag.rules r)))
+        [
+          Lint.rule_colour_off;
+          Lint.rule_kernel_shared;
+          Lint.rule_irq_off;
+          Lint.rule_pad_insufficient;
+        ])
+    Tp_hw.Platform.all
 
 let test_full_flush_no_kernel_shared () =
   (* Full flush keeps one kernel image but flushes all on-core state:
      the Fig. 3 kernel-image channel is closed, so TP-KERNEL-SHARED
-     must stay quiet (other rules still fire). *)
-  let b = Scenario.boot Scenario.Full_flush sabre in
-  let r = Lint.check_static b in
-  Alcotest.(check bool) "no TP-KERNEL-SHARED" false
-    (List.mem Lint.rule_kernel_shared (Diag.rules r))
+     must stay quiet, but other rules still fire. *)
+  List.iter
+    (fun p ->
+      let rules =
+        Diag.rules (Lint.check_static (Scenario.boot Scenario.Full_flush p))
+      in
+      let name = p.Tp_hw.Platform.name in
+      Alcotest.(check bool) (name ^ " has findings") true (rules <> []);
+      Alcotest.(check bool) (name ^ " no TP-KERNEL-SHARED") false
+        (List.mem Lint.rule_kernel_shared rules))
+    Tp_hw.Platform.all
 
 let test_pad_bound_within_window () =
   (* The analytic bound must sit inside (worst observed unpadded cost,
@@ -202,7 +211,7 @@ let test_ctcheck_all_fixtures_pass () =
                p.Tp_hw.Platform.name v.Ctcheck.v_name)
             true v.Ctcheck.v_pass)
         Ctcheck.fixtures)
-    [ haswell; sabre ]
+    Tp_hw.Platform.all
 
 (* ------------------------------------------------------------------ *)
 (* Audit.capture hardening *)

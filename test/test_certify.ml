@@ -69,7 +69,7 @@ let test_protected_zero () =
         (p.Tp_hw.Platform.name ^ " report clean")
         true
         (Diag.clean (Certify.report c)))
-    platforms
+    Tp_hw.Platform.all
 
 let test_raw_positive () =
   List.iter
@@ -104,7 +104,7 @@ let test_raw_positive () =
           Certify.rule_tlb_residue;
           Certify.rule_pad_timing;
         ])
-    platforms
+    Tp_hw.Platform.all
 
 let test_coloured_only_channels () =
   (* Coloured userland with a shared kernel: the kernel image defeats
@@ -279,20 +279,32 @@ let qcheck_scrub_bound_dominates =
 let test_exhaustive_protected_passes () =
   List.iter
     (fun p ->
-      let r = Certify.exhaustive p (Scenario.config Scenario.Protected p) in
+      let r =
+        Certify.exhaustive ~domains:2 p (Scenario.config Scenario.Protected p)
+      in
       Alcotest.(check bool)
         (p.Tp_hw.Platform.name ^ " passes")
         true
         (r.Certify.ex_counterexample = None);
       Alcotest.(check int)
         (p.Tp_hw.Platform.name ^ " all schedules")
-        16 r.Certify.ex_schedules)
-    platforms
+        16 r.Certify.ex_schedules;
+      Alcotest.(check (list string))
+        (p.Tp_hw.Platform.name ^ " crosscheck silent")
+        []
+        (List.map
+           (fun f -> f.Diag.rule)
+           (Certify.crosscheck
+              (Certify.certify_view (view Scenario.Protected p))
+              r)))
+    Tp_hw.Platform.all
 
 let test_exhaustive_raw_counterexample () =
   List.iter
     (fun p ->
-      let r = Certify.exhaustive p (Scenario.config Scenario.Raw p) in
+      let r =
+        Certify.exhaustive ~domains:2 p (Scenario.config Scenario.Raw p)
+      in
       match r.Certify.ex_counterexample with
       | None -> Alcotest.fail (p.Tp_hw.Platform.name ^ ": raw passed")
       | Some cx ->
@@ -320,7 +332,7 @@ let test_crosscheck_all_configs () =
       List.iter
         (fun kind ->
           let c = Certify.certify_view (view kind p) in
-          let r = Certify.exhaustive p (Scenario.config kind p) in
+          let r = Certify.exhaustive ~domains:2 p (Scenario.config kind p) in
           let name =
             Printf.sprintf "%s %s" p.Tp_hw.Platform.name (Scenario.name kind)
           in
@@ -659,7 +671,7 @@ let test_kcert_protected_zero () =
           let c = kcert ~path Scenario.Protected p in
           let name =
             Printf.sprintf "%s %s" p.Tp_hw.Platform.name
-              (Kcert.path_slug path)
+              (Certify.kernel_path_slug path)
           in
           Alcotest.(check int) (name ^ " state bits") 0 (Kcert.state_bits c);
           Alcotest.(check int) (name ^ " total bits") 0 (Kcert.total_bits c);
@@ -671,7 +683,7 @@ let test_kcert_protected_zero () =
             (name ^ " steps")
             (steps_of_path path)
             (List.length c.Kcert.k_steps))
-        Kcert.all_paths)
+        Certify.all_kernel_paths)
     kcert_platforms
 
 let test_kcert_raw_capacity () =
@@ -730,7 +742,7 @@ let test_kcert_sound_all_configs () =
               let c = kcert ~path kind p in
               let name =
                 Printf.sprintf "%s %s %s" p.Tp_hw.Platform.name
-                  (Scenario.name kind) (Kcert.path_slug path)
+                  (Scenario.name kind) (Certify.kernel_path_slug path)
               in
               List.iter
                 (fun b ->
@@ -747,7 +759,7 @@ let test_kcert_sound_all_configs () =
                 <= Kcert.analytic_worst_bits ~path p c.Kcert.k_config);
               Alcotest.(check int) (name ^ " canary silent") 0
                 (List.length (Kcert.check_sound p c)))
-            Kcert.all_paths;
+            Certify.all_kernel_paths;
           Alcotest.(check int)
             (Printf.sprintf "%s %s lint crosscheck silent"
                p.Tp_hw.Platform.name (Scenario.name kind))
@@ -792,7 +804,7 @@ let test_kcert_absint_differential () =
               in
               let name =
                 Printf.sprintf "%s %s %s" p.Tp_hw.Platform.name
-                  (Scenario.name kind) (Kcert.path_slug path)
+                  (Scenario.name kind) (Certify.kernel_path_slug path)
               in
               Alcotest.(check int) (name ^ " l1d")
                 (Kcert.covered_cache p.Tp_hw.Platform.l1d data)
@@ -812,7 +824,7 @@ let test_kcert_absint_differential () =
                 (Kcert.covered_tlb p.Tp_hw.Platform.l2tlb
                    (Kcert.pages_of must))
                 cov.Absint.kc_l2tlb)
-            Kcert.all_paths)
+            Certify.all_kernel_paths)
         all_kinds)
     kcert_platforms
 
@@ -937,7 +949,7 @@ let qcheck_kcert_strengthen_monotone =
       let cfg = Scenario.config kind p in
       let bases =
         List.map (fun path -> (path, Kcert.total_bits (kcert ~path kind p)))
-          Kcert.all_paths
+          Certify.all_kernel_paths
       in
       List.for_all
         (fun c' ->
@@ -955,7 +967,7 @@ let qcheck_kcert_strengthen_monotone =
                 QCheck.Test.fail_reportf
                   "%s %s %s: strengthened kernel cert %d > base %d bits"
                   p.Tp_hw.Platform.name (Scenario.name kind)
-                  (Kcert.path_slug path) t base
+                  (Certify.kernel_path_slug path) t base
               else true)
             bases
           && (if Lint.clone_bound p c' > Lint.clone_bound p cfg then
@@ -1009,7 +1021,7 @@ let test_kcert_exhaustive3_agreement () =
     (fun p ->
       let name = p.Tp_hw.Platform.name in
       let cfg = Scenario.config Scenario.Protected p in
-      let ex = Certify.exhaustive3 p cfg in
+      let ex = Certify.exhaustive ~domains:3 p cfg in
       Alcotest.(check int) (name ^ " domains") 3 ex.Certify.ex_domains;
       Alcotest.(check int) (name ^ " schedules") 81 ex.Certify.ex_schedules;
       Alcotest.(check bool) (name ^ " protected passes") true
@@ -1020,7 +1032,9 @@ let test_kcert_exhaustive3_agreement () =
       Alcotest.(check int) (name ^ " certified 0") 0 (Kcert.total_bits c);
       Alcotest.(check bool) (name ^ " no contradiction") false
         (List.mem Kcert.rule_xcheck (Diag.rules (Kcert.report c)));
-      let raw = Certify.exhaustive3 p (Scenario.config Scenario.Raw p) in
+      let raw =
+        Certify.exhaustive ~domains:3 p (Scenario.config Scenario.Raw p)
+      in
       match raw.Certify.ex_counterexample with
       | None -> Alcotest.fail (name ^ ": raw passed the 3-domain check")
       | Some cx ->
@@ -1038,7 +1052,7 @@ let test_kcert_artifact_deterministic () =
   let again = Kcert.certify p ~config_name:"protected" cfg in
   Alcotest.(check string) "core json deterministic" (Kcert.core_json plain)
     (Kcert.core_json again);
-  let ex = Certify.exhaustive3 p cfg in
+  let ex = Certify.exhaustive ~domains:3 p cfg in
   let full = Kcert.certify ~exhaustive:ex p ~config_name:"protected" cfg in
   Alcotest.(check string) "digest ignores the exhaustive block"
     (Kcert.digest plain) (Kcert.digest full);
@@ -1063,6 +1077,63 @@ let test_kcert_artifact_deterministic () =
   | _ -> Alcotest.fail "exhaustive domains not a number");
   Alcotest.(check int) "12 steps serialised" 12
     (List.length (jlist (mem "steps" j)))
+
+(* The checked-in goldens: the matrix `tpsim certify --kernel -p all`
+   writes (every platform x scenario x path, named by the scenario's
+   slug, with its 3-domain exhaustive check embedded) must match
+   certs/kernel/ byte for byte, with no file missing or left over.
+   The path is relative to the repository root, where both `dune
+   runtest` (in the build context) and `dune exec
+   test/test_main.exe` run. *)
+let certs_dir = "certs/kernel"
+
+let test_kcert_goldens () =
+  let certs =
+    List.concat_map
+      (fun p ->
+        List.concat_map
+          (fun (slug, kind) ->
+            let cfg = Scenario.config kind p in
+            List.map
+              (fun path ->
+                ( kind,
+                  Kcert.certify
+                    ~exhaustive:(Certify.exhaustive ~path ~domains:3 p cfg)
+                    ~path p ~config_name:slug cfg ))
+              Certify.all_kernel_paths)
+          Scenario.slugs)
+      Tp_hw.Platform.all
+  in
+  let names = List.map (fun (_, c) -> Kcert.artifact_name c) certs in
+  let drift =
+    List.filter_map
+      (fun (_, c) ->
+        let file = Filename.concat certs_dir (Kcert.artifact_name c) in
+        match In_channel.with_open_bin file In_channel.input_all with
+        | got when got = Kcert.to_json c -> None
+        | _ -> Some ("differs: " ^ file)
+        | exception Sys_error _ -> Some ("missing: " ^ file))
+      certs
+  and stale =
+    Sys.readdir certs_dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".cert.json" && not (List.mem f names))
+    |> List.map (fun f -> "stale, delete it: " ^ Filename.concat certs_dir f)
+  in
+  if drift @ stale <> [] then
+    Alcotest.failf
+      "%s\nregenerate with `tpsim certify --kernel -p all --certs %s` and \
+       review the diff"
+      (String.concat "\n" (drift @ stale))
+      certs_dir;
+  List.iter
+    (fun (kind, c) ->
+      let clean = Diag.clean (Kcert.report c) in
+      if kind = Scenario.Protected || kind = Scenario.Raw then
+        Alcotest.(check bool)
+          (Kcert.artifact_name c ^ " report clean")
+          (kind = Scenario.Protected) clean)
+    certs
 
 (* ------------------------------------------------------------------ *)
 (* The switch-flush plan: certifiers agree, execution matches *)
@@ -1212,7 +1283,7 @@ let static_pin_digest p kind =
        (String.concat "\n"
           [
             Certify.cert_to_json (Certify.certify_view ~subject v);
-            Certify.exhaustive_to_json (Certify.exhaustive p cfg);
+            Certify.exhaustive_to_json (Certify.exhaustive ~domains:2 p cfg);
             breakdown;
           ]))
 
@@ -1308,6 +1379,8 @@ let suite =
       test_kcert_exhaustive3_agreement;
     Alcotest.test_case "kcert: deterministic digested artifact" `Quick
       test_kcert_artifact_deterministic;
+    Alcotest.test_case "kcert: goldens match certs/kernel" `Quick
+      test_kcert_goldens;
     Alcotest.test_case "static certificates pinned" `Quick
       test_static_certs_pinned;
     Alcotest.test_case "flush_l2 alone leaves the L2 open" `Quick

@@ -4,7 +4,8 @@
    with --event-log that is SIGKILLed at its first progress report,
    restarted into the same store, asked for the job again and then
    for a fully cached resubmission, scraped for metrics, and shut
-   down.  The test cases below assert on what that run recorded. *)
+   down.  The test cases below assert on what that run recorded; one
+   more checks a usage error. *)
 
 module P = Tp_serve.Protocol
 module E = Tp_serve.Engine
@@ -211,6 +212,20 @@ let test_event_log l () =
         (List.mem ev names))
     [ "daemon_start"; "job_received"; "job_done"; "shutdown" ]
 
+(* Explicit parallelism combined with fault injection is a usage error
+   (Cmdliner's exit 124), never silently downgraded to -j 1. *)
+let test_jobs_with_inject_rejected exe () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "table2"; "-j"; "4"; "--inject"; "clone.copy" |]
+      null null null
+  in
+  Unix.close null;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> Alcotest.(check int) "exit code" 124 code
+  | _ -> Alcotest.fail "tpsim killed by a signal"
+
 let () =
   match Array.to_list Sys.argv with
   | argv0 :: exe :: rest ->
@@ -229,6 +244,8 @@ let () =
               case "metrics scrape carries every family and renders"
                 test_metrics_scrape;
               case "event log records the job lifecycle" test_event_log;
+              Alcotest.test_case "-j 4 with --inject is a usage error" `Quick
+                (test_jobs_with_inject_rejected exe);
             ] );
         ]
   | _ ->

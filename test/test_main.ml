@@ -46,9 +46,20 @@ let suites =
              (fun (_, n, tests) -> if n = name then tests else [])
              shards ))
 
+(* Files of the source tree a shard reads, declared as dependencies of
+   its rule so that editing one reruns the shard.  Every shard runs
+   from the root of the build context, as [dune exec] runs it from the
+   repository root, so both find such files by the same relative
+   path. *)
+let deps = [ ("certify", "(glob_files ../certs/kernel/*.cert.json)") ]
+
 let dune_rule oc key =
   Printf.fprintf oc
-    "(rule\n (alias runtest)\n (action\n  (run %%{exe:test_main.exe} %s)))\n"
+    "(rule\n (alias runtest)\n%s (action\n  (chdir %%{workspace_root}\n\
+    \   (run %%{exe:test_main.exe} %s))))\n"
+    (match List.assoc_opt key deps with
+    | Some d -> Printf.sprintf " (deps %s)\n" d
+    | None -> "")
     key
 
 let () =

@@ -268,7 +268,6 @@ let test_record_streams_deterministic () =
 (* ---- harness-level bit-identity --------------------------------- *)
 
 let collect ~replay chan kind =
-  Tp_attacks.Harness.set_replay_enabled replay;
   let b = Scenario.boot kind haswell in
   let sender, receiver = chan.Tp_attacks.Cache_channels.prepare b in
   let spec =
@@ -276,6 +275,7 @@ let collect ~replay chan kind =
       (Tp_attacks.Harness.default_spec haswell) with
       Tp_attacks.Harness.samples = 120;
       symbols = chan.Tp_attacks.Cache_channels.symbols;
+      replay;
     }
   in
   let r =
@@ -289,24 +289,21 @@ let collect ~replay chan kind =
     Machine.state_digest (Tp_kernel.System.machine b.Tp_kernel.Boot.sys) )
 
 let test_harness_replay_bit_identical () =
-  Fun.protect
-    ~finally:(fun () -> Tp_attacks.Harness.set_replay_enabled true)
-    (fun () ->
+  List.iter
+    (fun (chan : Tp_attacks.Cache_channels.t) ->
       List.iter
-        (fun (chan : Tp_attacks.Cache_channels.t) ->
-          List.iter
-            (fun (kind, cfg) ->
-              let name = cfg ^ "/" ^ chan.Tp_attacks.Cache_channels.name in
-              let d_rep, m_rep = collect ~replay:true chan kind in
-              let d_live, m_live = collect ~replay:false chan kind in
-              Alcotest.(check bool)
-                (name ^ ": replayed dataset = live dataset")
-                true (d_rep = d_live);
-              Alcotest.(check string)
-                (name ^ ": replayed machine state = live machine state")
-                m_live m_rep)
-            [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ])
-        Tp_attacks.Cache_channels.[ l1d; tlb ])
+        (fun (kind, cfg) ->
+          let name = cfg ^ "/" ^ chan.Tp_attacks.Cache_channels.name in
+          let d_rep, m_rep = collect ~replay:true chan kind in
+          let d_live, m_live = collect ~replay:false chan kind in
+          Alcotest.(check bool)
+            (name ^ ": replayed dataset = live dataset")
+            true (d_rep = d_live);
+          Alcotest.(check string)
+            (name ^ ": replayed machine state = live machine state")
+            m_live m_rep)
+        [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ])
+    Tp_attacks.Cache_channels.[ l1d; tlb ]
 
 (* The kernel-channel sender enters the kernel for symbols 0-2, so
    those recordings must poison themselves (replay can't reproduce a
