@@ -51,14 +51,6 @@ let inject_arg =
   in
   Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"POINT" ~doc)
 
-let budget_arg =
-  let doc =
-    "Simulated-cycle budget per measurement; when exhausted, collection \
-     stops early and the result is reported as degraded (partial) \
-     instead of running to completion."
-  in
-  Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"CYCLES" ~doc)
-
 let setup_logging verbose =
   if verbose then begin
     (* Worker domains of the trial pool log too: serialise the
@@ -123,12 +115,6 @@ let setup_fault = function
           (String.concat ", " known);
       Tp_fault.Fault.arm ~point ~hit
         (Tp_kernel.Types.Kernel_error Tp_kernel.Types.Insufficient_untyped)
-
-let setup_budget = function
-  | None -> ()
-  | Some c ->
-      Tp_attacks.Harness.set_default_budget
-        { Tp_attacks.Harness.max_cycles = Some c; max_wall_s = None }
 
 let run_over plats f = List.iter f plats
 
@@ -203,13 +189,12 @@ let cmd_platforms =
     Term.(const run $ const ())
 
 let mk_cmd name doc f =
-  let run plats q seed verbose inject budget jobs =
+  let run plats q seed verbose inject jobs =
     match setup_jobs jobs inject with
     | Error msg -> `Error (false, msg)
     | Ok () -> (
         setup_logging verbose;
         setup_fault inject;
-        setup_budget budget;
         try
           run_over plats (fun p -> f q ~seed p);
           `Ok ()
@@ -225,7 +210,7 @@ let mk_cmd name doc f =
     Term.(
       ret
         (const run $ platform_arg $ quality_arg $ seed_arg $ verbose_arg
-       $ inject_arg $ budget_arg $ jobs_arg))
+       $ inject_arg $ jobs_arg))
 
 let table2 _q ~seed:_ p = Report.table2 (Exp_table2.run p)
 let fig3 q ~seed p = Report.fig3 (Exp_fig3.run q ~seed p)
@@ -488,24 +473,31 @@ let with_out file f =
       let oc = open_out path in
       Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
-(* Shared report rendering for the analysis subcommands: text, --json,
-   or --sarif (exclusive). *)
-let render_reports ~json ~sarif ~out reports =
+(* The analysis subcommands' one output path: [text] by default,
+   [json_doc] under --json, the reports as SARIF under --sarif (the two
+   are exclusive), to stdout or -o FILE. *)
+let render ~json ~sarif ~out ~text ~json_doc reports =
   if json && sarif then begin
     Printf.eprintf "tpsim: --json and --sarif are mutually exclusive\n%!";
     exit 2
   end;
   with_out out (fun oc ->
-      if json then output_string oc (Tp_analysis.Diag.reports_to_json reports)
+      if json then output_string oc (json_doc ())
       else if sarif then
         output_string oc (Tp_analysis.Diag.reports_to_sarif reports)
       else begin
         let ppf = Format.formatter_of_out_channel oc in
-        List.iter
-          (fun r -> Format.fprintf ppf "%a@." Tp_analysis.Diag.pp_report r)
-          reports;
+        text ppf;
         Format.pp_print_flush ppf ()
       end)
+
+let render_reports ~json ~sarif ~out reports =
+  render ~json ~sarif ~out reports
+    ~text:(fun ppf ->
+      List.iter
+        (fun r -> Format.fprintf ppf "%a@." Tp_analysis.Diag.pp_report r)
+        reports)
+    ~json_doc:(fun () -> Tp_analysis.Diag.reports_to_json reports)
 
 (* With --output, a per-report summary on stderr (stdout carried the
    report itself). *)
@@ -715,33 +707,22 @@ let certify_kernel plats kinds paths ~json ~sarif ~out ~certs_dir =
         entries;
       Printf.eprintf "tpsim: wrote %d certificates to %s\n%!"
         (List.length entries) dir);
-  if json && sarif then begin
-    Printf.eprintf "tpsim: --json and --sarif are mutually exclusive\n%!";
-    exit 2
-  end;
-  with_out out (fun oc ->
-      if json then
-        output_string oc
-          (Printf.sprintf "[%s]"
-             (String.concat ",\n"
-                (List.map
-                   (fun (c, r) ->
-                     Printf.sprintf "{\"cert\":%s,\"report\":%s}"
-                       (Tp_analysis.Kcert.to_json c)
-                       (Tp_analysis.Diag.report_to_json r))
-                   entries)))
-      else if sarif then
-        output_string oc (Tp_analysis.Diag.reports_to_sarif reports)
-      else begin
-        let ppf = Format.formatter_of_out_channel oc in
-        List.iter
-          (fun (c, _) ->
-            Format.fprintf ppf "%a" Tp_analysis.Kcert.pp c;
-            Format.fprintf ppf "  digest: %s@.@."
-              (Tp_analysis.Kcert.digest c))
-          entries;
-        Format.pp_print_flush ppf ()
-      end);
+  render ~json ~sarif ~out reports
+    ~text:(fun ppf ->
+      List.iter
+        (fun (c, _) ->
+          Format.fprintf ppf "%a" Tp_analysis.Kcert.pp c;
+          Format.fprintf ppf "  digest: %s@.@." (Tp_analysis.Kcert.digest c))
+        entries)
+    ~json_doc:(fun () ->
+      Printf.sprintf "[%s]"
+        (String.concat ",\n"
+           (List.map
+              (fun (c, r) ->
+                Printf.sprintf "{\"cert\":%s,\"report\":%s}"
+                  (Tp_analysis.Kcert.to_json c)
+                  (Tp_analysis.Diag.report_to_json r))
+              entries)));
   report_summary ~what:"kernel certification report" out reports
 
 let cmd_certify =
@@ -818,54 +799,44 @@ let cmd_certify =
       | None -> "null"
       | Some r -> Tp_analysis.Certify.exhaustive_to_json r
     in
-    if json && sarif then begin
-      Printf.eprintf "tpsim: --json and --sarif are mutually exclusive\n%!";
-      exit 2
-    end;
-    with_out out (fun oc ->
-        if json then
-          output_string oc
-            (Printf.sprintf "[%s]"
-               (String.concat ",\n"
-                  (List.map
-                     (fun (c, ex, r) ->
-                       Printf.sprintf
-                         "{\"cert\":%s,\"report\":%s,\"exhaustive\":%s}"
-                         (Tp_analysis.Certify.cert_to_json c)
-                         (Tp_analysis.Diag.report_to_json r)
-                         (exhaustive_json ex))
-                     entries)))
-        else if sarif then
-          output_string oc (Tp_analysis.Diag.reports_to_sarif reports)
-        else begin
-          let ppf = Format.formatter_of_out_channel oc in
-          List.iter
-            (fun (c, ex, _) ->
-              Format.fprintf ppf "%a" Tp_analysis.Certify.pp c;
-              (match ex with
-              | None -> ()
-              | Some (r : Tp_analysis.Certify.exhaustive_result) -> (
-                  match r.ex_counterexample with
-                  | None ->
-                      Format.fprintf ppf
-                        "  exhaustive: PASS (%d schedules x %d secrets, \
-                         horizon %d, on %s)@."
-                        r.ex_schedules
-                        (List.length r.ex_secrets)
-                        r.ex_horizon r.ex_platform
-                  | Some cx ->
-                      Format.fprintf ppf
-                        "  exhaustive: FAIL -- schedule %s distinguishes \
-                         secrets %d/%d at attacker turn %d, observation %d \
-                         (%d vs %d cycles%s)@."
-                        cx.cx_schedule cx.cx_secret_a cx.cx_secret_b
-                        cx.cx_turn cx.cx_index cx.cx_obs_a cx.cx_obs_b
-                        (if cx.cx_index = 0 then "; index 0 = turn timestamp"
-                         else "")));
-              Format.fprintf ppf "@.")
-            entries;
-          Format.pp_print_flush ppf ()
-        end);
+    render ~json ~sarif ~out reports
+      ~text:(fun ppf ->
+        List.iter
+          (fun (c, ex, _) ->
+            Format.fprintf ppf "%a" Tp_analysis.Certify.pp c;
+            (match ex with
+            | None -> ()
+            | Some (r : Tp_analysis.Certify.exhaustive_result) -> (
+                match r.ex_counterexample with
+                | None ->
+                    Format.fprintf ppf
+                      "  exhaustive: PASS (%d schedules x %d secrets, \
+                       horizon %d, on %s)@."
+                      r.ex_schedules
+                      (List.length r.ex_secrets)
+                      r.ex_horizon r.ex_platform
+                | Some cx ->
+                    Format.fprintf ppf
+                      "  exhaustive: FAIL -- schedule %s distinguishes \
+                       secrets %d/%d at attacker turn %d, observation %d \
+                       (%d vs %d cycles%s)@."
+                      cx.cx_schedule cx.cx_secret_a cx.cx_secret_b
+                      cx.cx_turn cx.cx_index cx.cx_obs_a cx.cx_obs_b
+                      (if cx.cx_index = 0 then "; index 0 = turn timestamp"
+                       else "")));
+            Format.fprintf ppf "@.")
+          entries)
+      ~json_doc:(fun () ->
+        Printf.sprintf "[%s]"
+          (String.concat ",\n"
+             (List.map
+                (fun (c, ex, r) ->
+                  Printf.sprintf
+                    "{\"cert\":%s,\"report\":%s,\"exhaustive\":%s}"
+                    (Tp_analysis.Certify.cert_to_json c)
+                    (Tp_analysis.Diag.report_to_json r)
+                    (exhaustive_json ex))
+                entries)));
     report_summary ~what:"certification report" out reports
     end
   in

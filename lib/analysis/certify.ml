@@ -10,7 +10,10 @@
      partitioned (colouring + kernel clone, CAT), certifies to 0 bits;
      an open channel certifies to its structural capacity — or, when a
      concrete guest program is supplied, to the {!Absint} footprint
-     bound, whichever is smaller.
+     bound, whichever is smaller.  The step from a closure to bits
+     ({!bounds}), the structural {!capacity} and the {!pad_slack} are
+     the kernel certifier's too: {!Kcert} feeds them its lifted paths'
+     coverage.
 
    - {b exhaustive}: small-scope model checking on a {!Tp_hw.Shrink}
      machine: enumerate every two-domain schedule of a short horizon,
@@ -33,6 +36,7 @@
 
 module C = Tp_kernel.Config
 module P = Tp_hw.Platform
+module Json = Tp_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Rule identifiers                                                    *)
@@ -65,9 +69,12 @@ let channel_rule = function
   | Bp -> rule_btb_residue
   | Llc -> rule_llc_residue
 
+let channels = [ L1d; L1i; Tlb; Bp; Llc ]
+
 type bound = {
   b_channel : channel;
   b_raw : int;  (** bits reachable with no protection at all *)
+  b_covered : int;  (** ways pinned to public content; 0 for guests *)
   b_bits : int;  (** certified bound under this configuration *)
   b_scrubbed : bool;
   b_note : string;  (** why the bound is what it is *)
@@ -105,13 +112,25 @@ let exclusions =
      not by this certificate (\xc2\xa75.3.5)";
   ]
 
-let ceil_log2 n =
-  if n <= 1 then 0
-  else
-    let rec go k acc = if acc >= n then k else go (k + 1) (2 * acc) in
-    go 0 1
+(* A duration anywhere in [pad, bound] is one of [n = bound - pad + 1]
+   distinguishable values: ⌈log₂ n⌉ bits, none when [n <= 1]. *)
+let pad_slack ~bound ~pad =
+  let n = bound - pad + 1 in
+  let rec go k acc = if acc >= n then k else go (k + 1) (2 * acc) in
+  go 0 1
 
 let cache_lines (g : Tp_hw.Cache.geometry) = Tp_hw.Cache.sets g * g.ways
+let l2_lines (p : P.t) = match p.l2 with Some g -> cache_lines g | None -> 0
+
+(* Structural capacity: one bit per line, entry or counter whose state
+   can survive a switch.  The outer-cache channel spans both
+   physically-indexed levels. *)
+let capacity (p : P.t) = function
+  | L1d -> cache_lines p.l1d
+  | L1i -> cache_lines p.l1i
+  | Tlb -> p.itlb.entries + p.dtlb.entries + p.l2tlb.entries
+  | Bp -> p.btb.entries + p.bhb.pht_entries
+  | Llc -> l2_lines p + cache_lines p.llc
 
 (* Structural facts from the view: is the claimed spatial partition
    actually in force?  (Same facts the linter checks; recomputed here
@@ -159,6 +178,7 @@ type closure = {
   cl_l2 : bool;
   cl_llc : bool;
   cl_llc_flushed : bool;
+  cl_partitioned : bool;
 }
 
 let closure plan ~partitioned ~cat =
@@ -170,7 +190,57 @@ let closure plan ~partitioned ~cat =
     cl_l2 = has Tp_hw.Flush.L2 || partitioned;
     cl_llc = has Tp_hw.Flush.Llc || partitioned || cat;
     cl_llc_flushed = has Tp_hw.Flush.Llc;
+    cl_partitioned = partitioned;
   }
+
+(* The five bounds of a closure.  A closed channel certifies to 0 bits;
+   an open one to its [raw] bits less the [covered] ways the caller
+   proved pinned to public content.  The outer-cache channel splits:
+   colouring + kernel clone partition both physically-indexed levels;
+   CAT partitions the LLC ways only and leaves a private L2 untouched
+   (§2.3), so its [raw] bits fill the L2 first. *)
+let bounds (p : P.t) cl ~raw ~covered ~open_note =
+  let bound ch raw ~open_bits ~scrubbed note =
+    let covered = min (covered ch) raw in
+    {
+      b_channel = ch;
+      b_raw = raw;
+      b_covered = covered;
+      b_bits = max 0 (open_bits - covered);
+      b_scrubbed = scrubbed;
+      b_note = note;
+    }
+  in
+  let flush_note flag = Printf.sprintf "scrubbed on every switch (%s)" flag in
+  let flushed ch closed flag =
+    let raw = raw ch in
+    bound ch raw
+      ~open_bits:(if closed then 0 else raw)
+      ~scrubbed:closed
+      (if closed then flush_note flag else open_note ch)
+  in
+  let outer =
+    let raw = raw Llc in
+    let l2 = min raw (l2_lines p) in
+    let open_bits =
+      (if cl.cl_l2 then 0 else l2) + if cl.cl_llc then 0 else raw - l2
+    in
+    bound Llc raw ~open_bits ~scrubbed:(open_bits = 0)
+      (if cl.cl_llc_flushed then flush_note "flush_llc"
+       else if cl.cl_partitioned then
+         "partitioned by page colour (coloured userland + cloned kernel)"
+       else if cl.cl_llc && not cl.cl_l2 then
+         "CAT masks partition the LLC ways but leave the private L2 open"
+       else if cl.cl_llc then "flushed/partitioned at every level"
+       else open_note Llc)
+  in
+  [
+    flushed L1d cl.cl_l1 "flush_l1";
+    flushed L1i cl.cl_l1 "flush_l1";
+    flushed Tlb cl.cl_tlb "flush_tlb";
+    flushed Bp cl.cl_bp "flush_bp";
+    outer;
+  ]
 
 (* Effective pad: the configured pad floor and every domain kernel's
    own pad attribute — the minimum is what a switch actually pads to
@@ -188,89 +258,52 @@ let effective_pad (v : Lint.view) =
 let certify_view ?subject ?program_summary ?program_name (v : Lint.view) =
   let p = v.v_platform and cfg = v.v_config in
   let n_domains = List.length v.v_domains in
-  let partitioned = colour_partition_ok v && clone_ok v in
-  let sm = program_summary in
-  let cap_l1d = cache_lines p.l1d
-  and cap_l1i = cache_lines p.l1i
-  and cap_tlb = p.itlb.entries + p.dtlb.entries + p.l2tlb.entries
-  and cap_bp = p.btb.entries + p.bhb.pht_entries
-  and cap_l2 = match p.l2 with Some g -> cache_lines g | None -> 0
-  and cap_llc = cache_lines p.llc in
-  (* Program-level footprints tighten the structural capacities. *)
-  let raw_of cap f =
-    match sm with Some s -> min cap (f s) | None -> cap
-  in
-  let raw_l1d = raw_of cap_l1d (fun s -> s.Absint.sm_l1d)
-  and raw_l1i = raw_of cap_l1i (fun s -> s.Absint.sm_l1i)
-  and raw_tlb = raw_of cap_tlb (fun s -> s.Absint.sm_tlb)
-  and raw_bp = raw_of cap_bp (fun s -> s.Absint.sm_bp)
-  and raw_outer = raw_of (cap_l2 + cap_llc) (fun s -> s.Absint.sm_llc) in
-  (* The outer-cache channel splits: colouring + kernel clone partition
-     both physically-indexed levels; CAT partitions the LLC ways only
-     and leaves a private L2 untouched (§2.3). *)
-  let l2_raw = min raw_outer cap_l2 in
-  let llc_raw = raw_outer - l2_raw in
-  let { cl_l1; cl_tlb; cl_bp; cl_l2 = l2_closed; cl_llc = llc_closed;
-        cl_llc_flushed } =
-    closure (C.flush_plan p cfg) ~partitioned ~cat:(cat_ok v)
-  in
   let single = n_domains < 2 in
-  let mk_bound ch raw closed note =
-    let closed = closed || single in
-    {
-      b_channel = ch;
-      b_raw = raw;
-      b_bits = (if closed then 0 else raw);
-      b_scrubbed = closed;
-      b_note = (if single then "fewer than two domains: no receiver" else note);
-    }
+  (* Program-level footprints tighten the structural capacities. *)
+  let raw =
+    match program_summary with
+    | None -> capacity p
+    | Some s ->
+        fun ch ->
+          min (capacity p ch)
+            (match ch with
+            | L1d -> s.Absint.sm_l1d
+            | L1i -> s.sm_l1i
+            | Tlb -> s.sm_tlb
+            | Bp -> s.sm_bp
+            | Llc -> s.sm_llc)
   in
-  let flush_note flag = Printf.sprintf "scrubbed on every switch (%s)" flag in
-  let open_note what = Printf.sprintf "open: %s survive the switch" what in
+  let open_note ch =
+    Printf.sprintf "open: %s survive the switch"
+      (match ch with
+      | L1d -> "data lines"
+      | L1i -> "instruction lines"
+      | Tlb -> "translations"
+      | Bp -> "BTB entries and PHT counters"
+      | Llc -> "physically-indexed lines")
+  in
   let bounds =
-    [
-      mk_bound L1d raw_l1d cl_l1
-        (if cl_l1 then flush_note "flush_l1" else open_note "data lines");
-      mk_bound L1i raw_l1i cl_l1
-        (if cl_l1 then flush_note "flush_l1"
-         else open_note "instruction lines");
-      mk_bound Tlb raw_tlb cl_tlb
-        (if cl_tlb then flush_note "flush_tlb"
-         else open_note "translations");
-      mk_bound Bp raw_bp cl_bp
-        (if cl_bp then flush_note "flush_bp"
-         else open_note "BTB entries and PHT counters");
-      (let closed = l2_closed && llc_closed in
-       let bits =
-         (if l2_closed || single then 0 else l2_raw)
-         + if llc_closed || single then 0 else llc_raw
-       in
-       let note =
-         if single then "fewer than two domains: no receiver"
-         else if cl_llc_flushed then flush_note "flush_llc"
-         else if partitioned then
-           "partitioned by page colour (coloured userland + cloned kernel)"
-         else if cat_ok v && not l2_closed then
-           "CAT masks partition the LLC ways but leave the private L2 open"
-         else if closed then "flushed/partitioned at every level"
-         else open_note "physically-indexed lines"
-       in
-       {
-         b_channel = Llc;
-         b_raw = l2_raw + llc_raw;
-         b_bits = bits;
-         b_scrubbed = (bits = 0);
-         b_note = note;
-       });
-    ]
+    bounds p ~raw ~covered:(fun _ -> 0) ~open_note
+      (closure (C.flush_plan p cfg)
+         ~partitioned:(colour_partition_ok v && clone_ok v)
+         ~cat:(cat_ok v))
+  in
+  (* With fewer than two domains no one receives: every channel closes. *)
+  let bounds =
+    if not single then bounds
+    else
+      List.map
+        (fun b ->
+          {
+            b with
+            b_bits = 0;
+            b_scrubbed = true;
+            b_note = "fewer than two domains: no receiver";
+          })
+        bounds
   in
   let pad_bound = Lint.pad_bound p cfg in
   let pad_eff = effective_pad v in
-  let timing_bits =
-    if (not single) && pad_eff < pad_bound then
-      ceil_log2 (pad_bound - pad_eff + 1)
-    else 0
-  in
   {
     c_subject =
       (match subject with
@@ -280,7 +313,8 @@ let certify_view ?subject ?program_summary ?program_name (v : Lint.view) =
     c_config = cfg;
     c_n_domains = n_domains;
     c_bounds = bounds;
-    c_timing_bits = timing_bits;
+    c_timing_bits =
+      (if single then 0 else pad_slack ~bound:pad_bound ~pad:pad_eff);
     c_pad_bound = pad_bound;
     c_pad_effective = pad_eff;
     c_program = program_name;
@@ -366,22 +400,22 @@ let pp ppf (c : cert) =
 let channel_json (b : bound) =
   Printf.sprintf
     "{\"channel\":\"%s\",\"bits\":%d,\"raw_bits\":%d,\"scrubbed\":%b,\"note\":\"%s\"}"
-    (Diag.json_escape (channel_name b.b_channel))
-    b.b_bits b.b_raw b.b_scrubbed (Diag.json_escape b.b_note)
+    (Json.escape (channel_name b.b_channel))
+    b.b_bits b.b_raw b.b_scrubbed (Json.escape b.b_note)
 
 let cert_to_json (c : cert) =
   Printf.sprintf
     "{\"subject\":\"%s\",\"platform\":\"%s\",\"domains\":%d,\"certified_bits\":%d,\"state_bits\":%d,\"timing_bits\":%d,\"pad_effective\":%d,\"pad_bound\":%d,%s\"channels\":[%s],\"exclusions\":[%s]}"
-    (Diag.json_escape c.c_subject)
-    (Diag.json_escape c.c_platform)
+    (Json.escape c.c_subject)
+    (Json.escape c.c_platform)
     c.c_n_domains (total_bits c) (state_bits c) c.c_timing_bits
     c.c_pad_effective c.c_pad_bound
     (match c.c_program with
-    | Some p -> Printf.sprintf "\"program\":\"%s\"," (Diag.json_escape p)
+    | Some p -> Printf.sprintf "\"program\":\"%s\"," (Json.escape p)
     | None -> "")
     (String.concat "," (List.map channel_json c.c_bounds))
     (String.concat ","
-       (List.map (fun e -> "\"" ^ Diag.json_escape e ^ "\"") c.c_exclusions))
+       (List.map (fun e -> "\"" ^ Json.escape e ^ "\"") c.c_exclusions))
 
 (* ------------------------------------------------------------------ *)
 (* Small-scope exhaustive noninterference check                        *)
@@ -671,7 +705,7 @@ let exhaustive_findings (r : exhaustive_result) =
 let exhaustive_to_json (r : exhaustive_result) =
   Printf.sprintf
     "{\"platform\":\"%s\",\"domains\":%d,\"horizon\":%d,\"schedules\":%d,\"secrets\":[%s],\"passed\":%b%s}"
-    (Diag.json_escape r.ex_platform)
+    (Json.escape r.ex_platform)
     r.ex_domains r.ex_horizon r.ex_schedules
     (String.concat "," (List.map string_of_int r.ex_secrets))
     (r.ex_counterexample = None)
@@ -680,7 +714,7 @@ let exhaustive_to_json (r : exhaustive_result) =
     | Some cx ->
         Printf.sprintf
           ",\"counterexample\":{\"schedule\":\"%s\",\"secret_a\":%d,\"secret_b\":%d,\"turn\":%d,\"index\":%d,\"obs_a\":%d,\"obs_b\":%d}"
-          (Diag.json_escape cx.cx_schedule)
+          (Json.escape cx.cx_schedule)
           cx.cx_secret_a cx.cx_secret_b cx.cx_turn cx.cx_index cx.cx_obs_a
           cx.cx_obs_b)
 

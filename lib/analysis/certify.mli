@@ -45,13 +45,21 @@ type channel = L1d | L1i | Tlb | Bp | Llc
 val channel_name : channel -> string
 val channel_rule : channel -> string
 
+val channels : channel list
+(** The five certified channels, in certificate order. *)
+
 type bound = {
   b_channel : channel;
   b_raw : int;  (** bits reachable with no protection at all *)
+  b_covered : int;
+      (** ways a kernel path's deterministic accesses pin to public
+          content ({!Kcert}); 0 in guest certificates *)
   b_bits : int;  (** certified bound under this configuration *)
   b_scrubbed : bool;
   b_note : string;
 }
+(** One channel's certified bound, for guest and kernel certificates
+    alike. *)
 
 type cert = {
   c_subject : string;
@@ -69,11 +77,16 @@ type cert = {
 val state_bits : cert -> int
 val total_bits : cert -> int
 
-val ceil_log2 : int -> int
-(** Bits needed to index [n] distinguishable outcomes:
-    [ceil_log2 n = ⌈log₂ n⌉], with [ceil_log2 n = 0] for [n <= 1].
-    Shared by the pad-slack bound here and the kernel-path certifier
-    ({!Kcert}). *)
+val pad_slack : bound:int -> pad:int -> int
+(** Timing bits of a duration that can land anywhere in
+    [[pad, bound]]: [⌈log₂ (bound − pad + 1)⌉], 0 when [pad >= bound].
+    The switch's pad slack in both certifiers, and (with [pad = 0]) an
+    unpadded kernel operation's duration in {!Kcert}. *)
+
+val capacity : Tp_hw.Platform.t -> channel -> int
+(** A channel's structural capacity in bits: cache lines (the outer
+    channel counts the private L2 and the LLC), TLB entries, BTB
+    entries plus PHT counters. *)
 
 val exclusions : string list
 
@@ -84,6 +97,7 @@ type closure = {
   cl_l2 : bool;  (** the private-L2 level of the outer-cache channel *)
   cl_llc : bool;  (** the LLC level of the outer-cache channel *)
   cl_llc_flushed : bool;  (** the plan flushes the whole hierarchy *)
+  cl_partitioned : bool;  (** coloured userland and cloned kernels *)
 }
 (** Which certified channels (and outer-cache levels) are closed. *)
 
@@ -96,6 +110,23 @@ val closure :
     the LLC level only.  Shared by {!certify_view}, which checks the
     facts on the booted view, and {!Kcert.certify}, which takes the
     configuration's claim. *)
+
+val bounds :
+  Tp_hw.Platform.t ->
+  closure ->
+  raw:(channel -> int) ->
+  covered:(channel -> int) ->
+  open_note:(channel -> string) ->
+  bound list
+(** The five bounds, in {!channels} order, of a closure: the one place
+    a closure becomes certified bits.  A closed channel certifies to 0
+    bits with a note naming its flush or partition; an open one to its
+    [raw] bits less its [covered] ways, noted by [open_note].  The
+    outer-cache channel's [raw] bits fill the private L2 first; each
+    level is closed on its own, and the channel counts as scrubbed when
+    no open level is left with bits.  {!certify_view} passes
+    footprint-tightened capacities and no coverage; {!Kcert.certify}
+    full capacities and its traces' coverage. *)
 
 val certify_view :
   ?subject:string ->

@@ -45,24 +45,9 @@ let pp_report ppf r =
   Format.fprintf ppf "%s: %s@." r.subject (summary r);
   List.iter (fun f -> Format.fprintf ppf "  %a@." pp_finding f) r.findings
 
-(* Hand-rolled JSON, same approach as Tp_obs.Trace: the dependency cone
-   has no JSON library and the shapes here are fixed. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSON and SARIF: the shapes are fixed, so they print straight to
+   strings. *)
+module Json = Tp_util.Json
 
 let finding_to_json f =
   let ctx =
@@ -71,17 +56,17 @@ let finding_to_json f =
     | kvs ->
         let pairs =
           List.map
-            (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+            (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
             kvs
         in
         Printf.sprintf ",\"context\":{%s}" (String.concat "," pairs)
   in
   Printf.sprintf "{\"rule\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\"%s}"
-    (json_escape f.rule) (severity_name f.severity) (json_escape f.message) ctx
+    (Json.escape f.rule) (severity_name f.severity) (Json.escape f.message) ctx
 
 let report_to_json r =
   Printf.sprintf "{\"subject\":\"%s\",\"clean\":%b,\"findings\":[%s]}"
-    (json_escape r.subject) (clean r)
+    (Json.escape r.subject) (clean r)
     (String.concat "," (List.map finding_to_json r.findings))
 
 let reports_to_json rs =
@@ -109,7 +94,7 @@ let reports_to_sarif ?(tool_name = "tpsim") rs =
   let rule_json id =
     Printf.sprintf
       "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"}}"
-      (json_escape id) (json_escape id)
+      (Json.escape id) (Json.escape id)
   in
   let rule_index id =
     let rec go i = function
@@ -122,18 +107,18 @@ let reports_to_sarif ?(tool_name = "tpsim") rs =
     let props =
       (("subject", subject) :: f.context)
       |> List.map (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+             Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
       |> String.concat ","
     in
     Printf.sprintf
       "{\"ruleId\":\"%s\",\"ruleIndex\":%d,\"level\":\"%s\",\"message\":{\"text\":\"%s\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"README.md\"},\"region\":{\"startLine\":1}}}],\"properties\":{%s}}"
-      (json_escape f.rule) (rule_index f.rule)
+      (Json.escape f.rule) (rule_index f.rule)
       (severity_sarif_level f.severity)
-      (json_escape (Printf.sprintf "%s: %s" subject f.message))
+      (Json.escape (Printf.sprintf "%s: %s" subject f.message))
       props
   in
   Printf.sprintf
     "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"%s\",\"rules\":[%s]}},\"results\":[%s]}]}"
-    (json_escape tool_name)
+    (Json.escape tool_name)
     (String.concat "," (List.map rule_json rule_ids))
     (String.concat ",\n" (List.map result_json findings))

@@ -39,7 +39,6 @@ val summary : report -> string
 val pp_finding : Format.formatter -> finding -> unit
 val pp_report : Format.formatter -> report -> unit
 
-val json_escape : string -> string
 val report_to_json : report -> string
 (** One JSON object: [{"subject": ..., "clean": ..., "findings": [...]}]. *)
 

@@ -23,7 +23,8 @@
    whose state can still depend on the outgoing domain's secrets.  The
    certified residue of a channel is its structural capacity minus
    that coverage, or 0 when the configuration closes the channel
-   outright (flush or spatial partition).
+   outright (flush or spatial partition) — {!Certify.bounds}, the
+   guest certifier's own closure-to-bits step.
 
    Soundness notes, per channel:
 
@@ -53,7 +54,8 @@
    unlike the padded switch, their latency is visible to the caller,
    so when the configuration leaves stateful channels open the
    operation's cost varies with incoming microarchitectural state and
-   contributes [ceil_log2 (bound + 1)] timing bits; with every
+   contributes ⌈log₂ (bound + 1)⌉ timing bits
+   ([Certify.pad_slack ~bound ~pad:0]); with every
    stateful channel scrubbed or partitioned the cost is deterministic
    and contributes none.
 
@@ -74,6 +76,7 @@
 module C = Tp_kernel.Config
 module P = Tp_hw.Platform
 module L = Tp_kernel.Layout
+module Json = Tp_util.Json
 
 let schema = "tpsim-kcert/2"
 
@@ -391,22 +394,13 @@ let pages_of accs =
 (* ------------------------------------------------------------------ *)
 (* Certificates                                                        *)
 
-type bound = {
-  kb_channel : Certify.channel;
-  kb_raw : int;  (** structural capacity: bits with no protection *)
-  kb_covered : int;  (** ways pinned to public content by the trace *)
-  kb_bits : int;  (** certified per-execution bound *)
-  kb_scrubbed : bool;
-  kb_note : string;
-}
-
 type cert = {
   k_platform : string;
   k_config_name : string;
   k_config : C.t;
   k_path : path;
   k_steps : step list;
-  k_bounds : bound list;
+  k_bounds : Certify.bound list;
   k_timing_bits : int;
   k_pad_bound : int;
   k_pad_effective : int;
@@ -417,10 +411,10 @@ type cert = {
   k_exclusions : string list;
 }
 
-let state_bits c = List.fold_left (fun a b -> a + b.kb_bits) 0 c.k_bounds
-let total_bits c = state_bits c + c.k_timing_bits
+let state_bits c =
+  List.fold_left (fun a b -> a + b.Certify.b_bits) 0 c.k_bounds
 
-let cache_lines (g : Tp_hw.Cache.geometry) = Tp_hw.Cache.sets g * g.ways
+let total_bits c = state_bits c + c.k_timing_bits
 
 let op_bound_of path (p : P.t) (cfg : C.t) =
   match path with
@@ -456,98 +450,44 @@ let certify ?exhaustive ?(path = Switch) (p : P.t) ~config_name (cfg : C.t) =
      honours it is the linter's job (the TP-COLOUR and TP-CLONE
      rules), and the 3-domain exhaustive check exercises the coloured
      placement. *)
-  let partitioned = cfg.colour_user && cfg.clone_kernel in
-  let {
-    Certify.cl_l1 = l1_closed;
-    cl_l2 = l2_closed;
-    cl_llc = llc_closed;
-    cl_tlb;
-    cl_bp;
-    cl_llc_flushed;
-  } =
-    Certify.closure (C.flush_plan p cfg) ~partitioned ~cat:cfg.cat_llc
+  let cl =
+    Certify.closure (C.flush_plan p cfg)
+      ~partitioned:(cfg.colour_user && cfg.clone_kernel)
+      ~cat:cfg.cat_llc
   in
-  let cap_l2 = match p.P.l2 with Some g -> cache_lines g | None -> 0 in
-  let mk ch raw covered closed note =
-    let covered = min covered raw in
-    {
-      kb_channel = ch;
-      kb_raw = raw;
-      kb_covered = covered;
-      kb_bits = (if closed then 0 else raw - covered);
-      kb_scrubbed = closed;
-      kb_note = note;
-    }
+  let covered = function
+    | Certify.L1d -> cov.Absint.kc_l1d
+    | L1i -> cov.kc_l1i
+    | Tlb -> cov.kc_dtlb + cov.kc_itlb + cov.kc_l2tlb
+    | Bp -> bp_covered
+    | Llc -> 0
   in
-  let flush_note flag = Printf.sprintf "scrubbed on every switch (%s)" flag in
-  let cover_note what =
-    Printf.sprintf
-      "open: residue after the path's deterministic %s coverage" what
-  in
-  let bounds =
-    [
-      mk Certify.L1d (cache_lines p.P.l1d) cov.Absint.kc_l1d l1_closed
-        (if l1_closed then flush_note "flush_l1" else cover_note "data-line");
-      mk Certify.L1i (cache_lines p.P.l1i) cov.Absint.kc_l1i l1_closed
-        (if l1_closed then flush_note "flush_l1"
-         else cover_note "instruction-line");
-      mk Certify.Tlb
-        (p.P.itlb.entries + p.P.dtlb.entries + p.P.l2tlb.entries)
-        (cov.Absint.kc_dtlb + cov.Absint.kc_itlb + cov.Absint.kc_l2tlb)
-        cl_tlb
-        (if cl_tlb then flush_note "flush_tlb"
-         else cover_note "translation");
-      mk Certify.Bp
-        (p.P.btb.entries + p.P.bhb.pht_entries)
-        bp_covered cl_bp
-        (if cl_bp then flush_note "flush_bp"
-         else
-           "open: residue after BTB/PHT coverage of the path's \
-            deterministic branches through the modelled index hashes");
-      (let raw = cap_l2 + cache_lines p.P.llc in
-       let bits =
-         (if l2_closed then 0 else cap_l2)
-         + if llc_closed then 0 else cache_lines p.P.llc
-       in
-       let note =
-         if cl_llc_flushed then flush_note "flush_llc"
-         else if partitioned then
-           "partitioned by page colour (coloured userland + cloned kernel)"
-         else if llc_closed && not l2_closed then
-           "CAT masks partition the LLC ways but leave the private L2 open"
-         else if bits = 0 then "flushed/partitioned at every level"
-         else
-           "open: physically-indexed, image placement is \
-            allocation-dependent — zero coverage"
-       in
-       {
-         kb_channel = Certify.Llc;
-         kb_raw = raw;
-         kb_covered = 0;
-         kb_bits = bits;
-         kb_scrubbed = (bits = 0);
-         kb_note = note;
-       });
-    ]
+  let open_note ch =
+    let residue what =
+      Printf.sprintf "open: residue after the path's deterministic %s coverage"
+        what
+    in
+    match ch with
+    | Certify.L1d -> residue "data-line"
+    | L1i -> residue "instruction-line"
+    | Tlb -> residue "translation"
+    | Bp ->
+        "open: residue after BTB/PHT coverage of the path's deterministic \
+         branches through the modelled index hashes"
+    | Llc ->
+        "open: physically-indexed, image placement is allocation-dependent \
+         — zero coverage"
   in
   let pad_bound = Lint.pad_bound p cfg in
-  let pad_slack =
-    if cfg.pad_cycles < pad_bound then
-      Certify.ceil_log2 (pad_bound - cfg.pad_cycles + 1)
-    else 0
-  in
   let op_bound = op_bound_of path p cfg in
   (* The clone/destroy duration is visible to the caller (it is not
      padded away like the switch).  From a fully scrubbed/partitioned
      machine state the cost is deterministic — every sweep runs cold —
      so it encodes nothing; otherwise it varies with the incoming
-     cache/TLB/BP state the configuration left open. *)
+     cache/TLB/BP state the configuration left open.  The switch's
+     [op_bound] is 0, so it contributes nothing either way. *)
   let op_deterministic =
-    l1_closed && l2_closed && llc_closed && cl_tlb && cl_bp
-  in
-  let op_entropy =
-    if path = Switch || op_deterministic then 0
-    else Certify.ceil_log2 (op_bound + 1)
+    cl.cl_l1 && cl.cl_l2 && cl.cl_llc && cl.cl_tlb && cl.cl_bp
   in
   {
     k_platform = p.P.name;
@@ -555,8 +495,12 @@ let certify ?exhaustive ?(path = Switch) (p : P.t) ~config_name (cfg : C.t) =
     k_config = cfg;
     k_path = path;
     k_steps = steps;
-    k_bounds = bounds;
-    k_timing_bits = pad_slack + op_entropy;
+    k_bounds =
+      Certify.bounds p cl ~raw:(Certify.capacity p) ~covered ~open_note;
+    k_timing_bits =
+      Certify.pad_slack ~bound:pad_bound ~pad:cfg.pad_cycles
+      + (if op_deterministic then 0
+         else Certify.pad_slack ~bound:op_bound ~pad:0);
     k_pad_bound = pad_bound;
     k_pad_effective = cfg.pad_cycles;
     k_op_bound = op_bound;
@@ -568,28 +512,22 @@ let certify ?exhaustive ?(path = Switch) (p : P.t) ~config_name (cfg : C.t) =
 (* Soundness canary                                                    *)
 
 let timing_capacity ~path (p : P.t) (cfg : C.t) =
-  Certify.ceil_log2 (Lint.pad_bound p cfg + 1)
-  + (match path with
-    | Switch -> 0
-    | Clone | Destroy -> Certify.ceil_log2 (op_bound_of path p cfg + 1))
+  Certify.pad_slack ~bound:(Lint.pad_bound p cfg) ~pad:0
+  + Certify.pad_slack ~bound:(op_bound_of path p cfg) ~pad:0
 
 let analytic_worst_bits ?(path = Switch) (p : P.t) (cfg : C.t) =
-  let cap_l2 = match p.P.l2 with Some g -> cache_lines g | None -> 0 in
-  cache_lines p.P.l1d + cache_lines p.P.l1i
-  + (p.P.itlb.entries + p.P.dtlb.entries + p.P.l2tlb.entries)
-  + (p.P.btb.entries + p.P.bhb.pht_entries)
-  + cap_l2 + cache_lines p.P.llc
+  List.fold_left (fun a ch -> a + Certify.capacity p ch) 0 Certify.channels
   + timing_capacity ~path p cfg
 
 let check_sound (p : P.t) (c : cert) =
   let bad =
     List.filter_map
       (fun b ->
-        if b.kb_bits > b.kb_raw then
+        if b.Certify.b_bits > b.b_raw then
           Some
             (Printf.sprintf "%s: certified %d bits > structural capacity %d"
-               (Certify.channel_name b.kb_channel)
-               b.kb_bits b.kb_raw)
+               (Certify.channel_name b.b_channel)
+               b.b_bits b.b_raw)
         else None)
       c.k_bounds
   in
@@ -641,23 +579,23 @@ let report (c : cert) =
   let findings =
     List.filter_map
       (fun b ->
-        if b.kb_bits = 0 then None
+        if b.Certify.b_bits = 0 then None
         else
           Some
-            (Diag.error ~rule:(channel_rule b.kb_channel)
+            (Diag.error ~rule:(channel_rule b.b_channel)
                ~context:
                  [
                    ("path", path_slug c.k_path);
-                   ("bits", string_of_int b.kb_bits);
-                   ("raw_bits", string_of_int b.kb_raw);
-                   ("covered", string_of_int b.kb_covered);
-                   ("note", b.kb_note);
+                   ("bits", string_of_int b.b_bits);
+                   ("raw_bits", string_of_int b.b_raw);
+                   ("covered", string_of_int b.b_covered);
+                   ("note", b.b_note);
                  ]
                (Printf.sprintf
                   "%s channel not closed across the kernel %s path: certified \
                    bound %d bits (%s)"
-                  (Certify.channel_name b.kb_channel)
-                  (path_slug c.k_path) b.kb_bits b.kb_note)))
+                  (Certify.channel_name b.b_channel)
+                  (path_slug c.k_path) b.b_bits b.b_note)))
       c.k_bounds
   in
   let findings =
@@ -709,8 +647,8 @@ let pp ppf (c : cert) =
   List.iter
     (fun b ->
       Format.fprintf ppf "  %-16s %5d bits (raw %5d, covered %4d)  %s@."
-        (Certify.channel_name b.kb_channel)
-        b.kb_bits b.kb_raw b.kb_covered b.kb_note)
+        (Certify.channel_name b.Certify.b_channel)
+        b.b_bits b.b_raw b.b_covered b.b_note)
     c.k_bounds;
   Format.fprintf ppf "  %-16s %5d bits (pad %d vs bound %d, op bound %d)@."
     "timing" c.k_timing_bits c.k_pad_effective c.k_pad_bound c.k_op_bound;
@@ -739,16 +677,16 @@ let kind_name = function
 let access_json a =
   Printf.sprintf
     "{\"what\":\"%s\",\"vaddr\":\"0x%x\",\"bytes\":%d,\"kind\":\"%s\",\"must\":%b}"
-    (Diag.json_escape a.a_what) a.a_vaddr a.a_bytes (kind_name a.a_kind)
+    (Json.escape a.a_what) a.a_vaddr a.a_bytes (kind_name a.a_kind)
     a.a_must
 
 let step_json s =
   Printf.sprintf
     "{\"index\":%d,\"name\":\"%s\",\"flushes\":[%s],\"accesses\":[%s],\"branches\":[%s],\"jumps\":[%s]}"
     s.s_index
-    (Diag.json_escape s.s_name)
+    (Json.escape s.s_name)
     (String.concat ","
-       (List.map (fun fl -> "\"" ^ Diag.json_escape fl ^ "\"") s.s_flushes))
+       (List.map (fun fl -> "\"" ^ Json.escape fl ^ "\"") s.s_flushes))
     (String.concat "," (List.map access_json s.s_accesses))
     (String.concat ","
        (List.map
@@ -757,12 +695,12 @@ let step_json s =
     (String.concat ","
        (List.map (fun site -> Printf.sprintf "\"0x%x\"" site) s.s_jumps))
 
-let bound_json b =
+let bound_json (b : Certify.bound) =
   Printf.sprintf
     "{\"channel\":\"%s\",\"bits\":%d,\"raw_bits\":%d,\"covered\":%d,\"scrubbed\":%b,\"note\":\"%s\"}"
-    (Diag.json_escape (Certify.channel_name b.kb_channel))
-    b.kb_bits b.kb_raw b.kb_covered b.kb_scrubbed
-    (Diag.json_escape b.kb_note)
+    (Json.escape (Certify.channel_name b.b_channel))
+    b.b_bits b.b_raw b.b_covered b.b_scrubbed
+    (Json.escape b.b_note)
 
 (* The record's fields in order; [pad_cycles], the one integer field,
    sits after [disable_prefetcher]. *)
@@ -784,16 +722,16 @@ let config_json (cfg : C.t) =
 let core_json (c : cert) =
   Printf.sprintf
     "{\"schema\":\"%s\",\"platform\":\"%s\",\"config_name\":\"%s\",\"path\":\"%s\",\"config\":%s,\"certified_bits\":%d,\"state_bits\":%d,\"timing_bits\":%d,\"pad_effective\":%d,\"pad_bound\":%d,\"op_bound\":%d,\"channels\":[%s],\"steps\":[%s],\"exclusions\":[%s]}"
-    (Diag.json_escape schema)
-    (Diag.json_escape c.k_platform)
-    (Diag.json_escape c.k_config_name)
-    (Diag.json_escape (path_slug c.k_path))
+    (Json.escape schema)
+    (Json.escape c.k_platform)
+    (Json.escape c.k_config_name)
+    (Json.escape (path_slug c.k_path))
     (config_json c.k_config) (total_bits c) (state_bits c) c.k_timing_bits
     c.k_pad_effective c.k_pad_bound c.k_op_bound
     (String.concat "," (List.map bound_json c.k_bounds))
     (String.concat "," (List.map step_json c.k_steps))
     (String.concat ","
-       (List.map (fun e -> "\"" ^ Diag.json_escape e ^ "\"") c.k_exclusions))
+       (List.map (fun e -> "\"" ^ Json.escape e ^ "\"") c.k_exclusions))
 
 let digest c = Digest.to_hex (Digest.string (core_json c))
 

@@ -20,9 +20,10 @@
 
     Clone/destroy certificates also carry the operation's analytic
     duration bound ([k_op_bound]): their latency is caller-visible, so
-    with stateful channels left open it contributes
-    [ceil_log2 (bound + 1)] timing bits, and with every channel
-    scrubbed/partitioned it is deterministic and contributes none.
+    with stateful channels left open it contributes ⌈log₂ (bound + 1)⌉
+    timing bits ({!Certify.pad_slack} with a 0 pad), and with every
+    channel scrubbed/partitioned it is deterministic and contributes
+    none.
 
     Cross-validated two ways: {!Certify.exhaustive}
     (observational determinism under all 3-domain schedules of the
@@ -112,22 +113,13 @@ val pages_of : access list -> int list
 
 (** {1 Certificates} *)
 
-type bound = {
-  kb_channel : Certify.channel;
-  kb_raw : int;  (** structural capacity: bits with no protection *)
-  kb_covered : int;  (** ways pinned to public content by the trace *)
-  kb_bits : int;  (** certified per-execution bound *)
-  kb_scrubbed : bool;
-  kb_note : string;
-}
-
 type cert = {
   k_platform : string;
   k_config_name : string;  (** scenario slug, e.g. ["protected"] *)
   k_config : Tp_kernel.Config.t;
   k_path : path;
   k_steps : step list;
-  k_bounds : bound list;
+  k_bounds : Certify.bound list;
   k_timing_bits : int;
   k_pad_bound : int;
   k_pad_effective : int;

@@ -29,21 +29,6 @@ let default_spec p =
     replay_seed = None;
   }
 
-(* Process-wide default budget, for tooling (tpsim --budget) that
-   cannot reach into every experiment's spec.  A spec's own budget
-   fields win.  Atomic so the CLI can set it once and parallel workers
-   read one coherent record (never a torn default). *)
-let default_budget = Atomic.make no_budget
-let set_default_budget b = Atomic.set default_budget b
-
-let effective_budget spec =
-  let d = Atomic.get default_budget in
-  let pick a b = match a with Some _ -> a | None -> b in
-  {
-    max_cycles = pick spec.budget.max_cycles d.max_cycles;
-    max_wall_s = pick spec.budget.max_wall_s d.max_wall_s;
-  }
-
 type result = {
   data : Tp_channel.Mi.samples;
   degraded : bool;
@@ -87,7 +72,6 @@ let () = Tp_fault.Fault.register point_chunk
    loop resumes, instead of the whole measurement aborting. *)
 let collect sys spec ~threads ~total ~collected ~run_chunk =
   let chunk_size = Stdlib.max 1 spec.checkpoint_slices in
-  let budget = effective_budget spec in
   (* Wall budget means wall time: Sys.time is CPU time, which both
      undercounts when the process is descheduled and — summed across
      domains — overcounts under -j N.  Unix.gettimeofday is the
@@ -128,11 +112,11 @@ let collect sys spec ~threads ~total ~collected ~run_chunk =
     Klog.harness_checkpoint
       ~now:(System.now sys ~core:0)
       ~chunk:!checkpoints ~collected:(collected ()) ();
-    (match budget.max_cycles with
+    (match spec.budget.max_cycles with
     | Some c when System.now sys ~core:0 - cycles0 >= c ->
         stop := Some "cycle budget exhausted"
     | Some _ | None -> ());
-    match budget.max_wall_s with
+    match spec.budget.max_wall_s with
     | Some s when Unix.gettimeofday () -. wall0 >= s ->
         stop := Some "wall-clock budget exhausted"
     | Some _ | None -> ()

@@ -65,10 +65,6 @@ val record_streams :
     come back incomplete ({!Tp_hw.Replay.complete} is false); callers
     must check before seeding. *)
 
-val set_default_budget : budget -> unit
-(** Process-wide fallback budget (tpsim's [--budget]); a spec's own
-    budget fields take precedence. *)
-
 type result = {
   data : Tp_channel.Mi.samples;  (** what was collected (possibly partial) *)
   degraded : bool;  (** fewer samples than requested *)

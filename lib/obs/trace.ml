@@ -114,38 +114,24 @@ let with_capture ?(capacity = default_capacity) f =
 let replay evs = List.iter push evs
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled: the toolchain has no JSON library and
-   the trace-event schema is flat). *)
+(* JSON rendering: the trace-event schema is flat, so events print
+   straight to strings. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Tp_util.Json
 
 let arg_json = function
   | Int i -> string_of_int i
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | Bool b -> if b then "true" else "false"
 
 let args_json args =
   String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (arg_json v)) args)
+    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Json.escape k) (arg_json v)) args)
 
 let event_json e =
   let common =
     Printf.sprintf "\"name\":\"%s\",\"cat\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%d"
-      (escape e.name) (escape e.cat) e.core e.ts
+      (Json.escape e.name) (Json.escape e.cat) e.core e.ts
   in
   let phase =
     match e.kind with
@@ -188,11 +174,11 @@ let export_metrics_jsonl oc =
     (fun set ->
       let fields =
         List.map
-          (fun (n, v) -> Printf.sprintf "\"%s\":%d" (escape n) v)
+          (fun (n, v) -> Printf.sprintf "\"%s\":%d" (Json.escape n) v)
           (Counter.snapshot set)
       in
       Printf.fprintf oc "{\"set\":\"%s\",\"counters\":{%s}}\n"
-        (escape (Counter.set_name set))
+        (Json.escape (Counter.set_name set))
         (String.concat "," fields))
     (Counter.registered ())
 

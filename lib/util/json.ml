@@ -86,6 +86,7 @@ let parse s =
           | c -> fail (Printf.sprintf "unsupported escape '\\%c'" c));
           incr i;
           go ()
+      | c when Char.code c < 0x20 -> fail "unescaped control byte in string"
       | c ->
           Buffer.add_char b c;
           incr i;

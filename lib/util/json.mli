@@ -1,15 +1,18 @@
-(** Minimal JSON reader/writer.
+(** Minimal JSON reader/writer: the dependency cone has no JSON
+    library.
 
-    The dependency cone deliberately has no JSON library; every layer
-    that needs machine-readable output hand-rolls its printing
-    ({!Tp_obs.Trace}, [Tp_analysis.Diag]).  This module centralises
-    the {e parsing} side (the campaign-service wire protocol, the
-    result store and the ledger benchmark all read JSON back) plus a
-    printer for building documents from structured values.
+    {!escape} is the one string escaper: fixed-shape documents
+    ({!Tp_obs.Trace} events, [Tp_analysis.Diag] reports and SARIF, the
+    certificates) print straight to strings through it, and
+    {!to_string} renders structured values with it.  {!parse} reads
+    JSON back for the campaign-service wire protocol, the result store
+    and the ledger benchmark.
 
-    The parser accepts standard JSON with the escapes this repo's
-    printers emit (incl. [\uXXXX]); it rejects trailing garbage and
-    misspelt or truncated [true] / [false] / [null] literals. *)
+    The parser accepts standard JSON with the escapes {!escape} emits
+    (incl. [\uXXXX]) and fails closed: trailing garbage, misspelt or
+    truncated [true] / [false] / [null] literals, and control bytes
+    below 0x20 left unescaped inside a string (RFC 8259 §7) all raise
+    {!Bad}. *)
 
 type t =
   | Null

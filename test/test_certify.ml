@@ -390,148 +390,25 @@ let test_measured_mi_below_bound_protected () =
     (leak.Tp_channel.Leakage.verdict <> Tp_channel.Leakage.Leak)
 
 (* ------------------------------------------------------------------ *)
-(* JSON / SARIF emission: strict parse and escape round-trip *)
+(* JSON / SARIF emission: strict parse and escape round-trip.
+   [Json.parse] rejects trailing garbage, raw control bytes in strings
+   and unknown escapes, so it exercises the emitters' escaping. *)
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
+module Json = Tp_util.Json
 
-exception Bad_json of string
+let mem k j =
+  match Json.member k j with
+  | Some v -> v
+  | None -> Alcotest.failf "missing key %s" k
 
-(* A strict little parser — rejects trailing garbage, raw control
-   characters in strings, and unknown escapes, so it actually
-   exercises the emitter's escaping. *)
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise (Bad_json "eof") in
-  let next () =
-    let c = peek () in
-    incr pos;
-    c
-  in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if next () <> c then raise (Bad_json (Printf.sprintf "expected %c" c))
-  in
-  let lit w v =
-    String.iter (fun c -> if next () <> c then raise (Bad_json w)) w;
-    v
-  in
-  let string_ () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-          (match next () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              let h = String.init 4 (fun _ -> next ()) in
-              let code = int_of_string ("0x" ^ h) in
-              (* the emitter only uses \u00XX, for control bytes *)
-              if code > 0x7f then raise (Bad_json "unexpected high \\u");
-              Buffer.add_char b (Char.chr code)
-          | c -> raise (Bad_json (Printf.sprintf "escape \\%c" c)));
-          go ()
-      | c when Char.code c < 0x20 ->
-          raise (Bad_json "raw control character in string")
-      | c ->
-          Buffer.add_char b c;
-          go ()
-    in
-    go ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = '}' then (
-          incr pos;
-          J_obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = string_ () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match next () with
-            | ',' -> members ((k, v) :: acc)
-            | '}' -> J_obj (List.rev ((k, v) :: acc))
-            | _ -> raise (Bad_json "object separator")
-          in
-          members []
-    | '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = ']' then (
-          incr pos;
-          J_list [])
-        else
-          let rec items acc =
-            let v = value () in
-            skip_ws ();
-            match next () with
-            | ',' -> items (v :: acc)
-            | ']' -> J_list (List.rev (v :: acc))
-            | _ -> raise (Bad_json "array separator")
-          in
-          items []
-    | '"' -> J_str (string_ ())
-    | 't' -> lit "true" (J_bool true)
-    | 'f' -> lit "false" (J_bool false)
-    | 'n' -> lit "null" J_null
-    | _ ->
-        let start = !pos in
-        while
-          !pos < n
-          &&
-          match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        do
-          incr pos
-        done;
-        (try J_num (float_of_string (String.sub s start (!pos - start)))
-         with _ -> raise (Bad_json "number"))
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad_json "trailing garbage");
-  v
+let jstr j =
+  match Json.str j with Some s -> s | None -> Alcotest.fail "not a string"
 
-let mem k = function
-  | J_obj kvs -> (
-      match List.assoc_opt k kvs with
-      | Some v -> v
-      | None -> raise (Bad_json ("missing key " ^ k)))
-  | _ -> raise (Bad_json ("not an object at " ^ k))
+let jlist j =
+  match Json.arr j with Some l -> l | None -> Alcotest.fail "not a list"
 
-let jstr = function J_str s -> s | _ -> raise (Bad_json "not a string")
-let jlist = function J_list l -> l | _ -> raise (Bad_json "not a list")
+let jint j =
+  match Json.int_ j with Some n -> n | None -> Alcotest.fail "not an int"
 
 let nasty =
   "q\" b\\ nl\n tab\t cr\r bs\b ff\012 nul-ish\001 s\xc2\xa7 end"
@@ -548,7 +425,7 @@ let test_json_roundtrip_nasty () =
         ];
     }
   in
-  let j = parse_json (Diag.reports_to_json [ r ]) in
+  let j = Json.parse (Diag.reports_to_json [ r ]) in
   match jlist j with
   | [ rj ] ->
       Alcotest.(check string) "subject" ("subject " ^ nasty)
@@ -571,7 +448,7 @@ let test_sarif_shape () =
       };
     ]
   in
-  let j = parse_json (Diag.reports_to_sarif reports) in
+  let j = Json.parse (Diag.reports_to_sarif reports) in
   Alcotest.(check string) "version" "2.1.0" (jstr (mem "version" j));
   let run = List.hd (jlist (mem "runs" j)) in
   let driver = mem "driver" (mem "tool" run) in
@@ -582,11 +459,7 @@ let test_sarif_shape () =
   Alcotest.(check int) "one result per finding" expected (List.length results);
   List.iter
     (fun res ->
-      let idx =
-        match mem "ruleIndex" res with
-        | J_num f -> int_of_float f
-        | _ -> raise (Bad_json "ruleIndex")
-      in
+      let idx = jint (mem "ruleIndex" res) in
       Alcotest.(check bool) "ruleIndex in range" true
         (idx >= 0 && idx < Array.length rules);
       Alcotest.(check string) "ruleId matches rules table"
@@ -698,24 +571,24 @@ let test_kcert_raw_capacity () =
         (fun b ->
           let name =
             Printf.sprintf "%s %s" p.Tp_hw.Platform.name
-              (Certify.channel_name b.Kcert.kb_channel)
+              (Certify.channel_name b.Certify.b_channel)
           in
           Alcotest.(check bool) (name ^ " nothing scrubbed") false
-            b.Kcert.kb_scrubbed;
+            b.Certify.b_scrubbed;
           Alcotest.(check int)
             (name ^ " bits = capacity - coverage")
-            (b.Kcert.kb_raw - b.Kcert.kb_covered)
-            b.Kcert.kb_bits;
+            (b.Certify.b_raw - b.Certify.b_covered)
+            b.Certify.b_bits;
           (* The physically-indexed LLC gets no must-coverage from the
              trace; the branch predictor now earns some through the
              modelled BTB/gshare index hashes, so the raw switch bound
              is strictly tighter than the full structural capacity. *)
-          if b.Kcert.kb_channel = Certify.Llc then
+          if b.Certify.b_channel = Certify.Llc then
             Alcotest.(check int) (name ^ " zero coverage") 0
-              b.Kcert.kb_covered;
-          if b.Kcert.kb_channel = Certify.Bp then
+              b.Certify.b_covered;
+          if b.Certify.b_channel = Certify.Bp then
             Alcotest.(check bool) (name ^ " BP hash coverage earned") true
-              (b.Kcert.kb_covered > 0))
+              (b.Certify.b_covered > 0))
         c.Kcert.k_bounds;
       let r = Kcert.report c in
       Alcotest.(check bool) (p.Tp_hw.Platform.name ^ " dirty") false
@@ -748,9 +621,9 @@ let test_kcert_sound_all_configs () =
                 (fun b ->
                   Alcotest.(check bool)
                     (Printf.sprintf "%s %s within capacity" name
-                       (Certify.channel_name b.Kcert.kb_channel))
+                       (Certify.channel_name b.Certify.b_channel))
                     true
-                    (b.Kcert.kb_bits >= 0 && b.Kcert.kb_bits <= b.Kcert.kb_raw))
+                    (b.Certify.b_bits >= 0 && b.Certify.b_bits <= b.Certify.b_raw))
                 c.Kcert.k_bounds;
               Alcotest.(check bool)
                 (name ^ " within analytic envelope")
@@ -917,8 +790,8 @@ let test_kcert_canary_fires () =
       Kcert.k_bounds =
         List.map
           (fun b ->
-            if b.Kcert.kb_channel = Certify.L1d then
-              { b with Kcert.kb_bits = b.Kcert.kb_raw + 1 }
+            if b.Certify.b_channel = Certify.L1d then
+              { b with Certify.b_bits = b.Certify.b_raw + 1 }
             else b)
           c.Kcert.k_bounds;
     }
@@ -930,7 +803,8 @@ let test_kcert_canary_fires () =
       Alcotest.(check string) "rule id" Lint.rule_kcert_unsound f.Diag.rule)
     findings;
   let overtimed =
-    { c with Kcert.k_timing_bits = Certify.ceil_log2 (c.Kcert.k_pad_bound + 1) + 3 }
+    { c with Kcert.k_timing_bits =
+        Certify.pad_slack ~bound:c.Kcert.k_pad_bound ~pad:0 + 3 }
   in
   Alcotest.(check bool) "inflated timing flagged" true
     (Kcert.check_sound haswell overtimed <> [])
@@ -1062,19 +936,15 @@ let test_kcert_artifact_deterministic () =
     "haswell-protected-clone.cert.json"
     (Kcert.artifact_name
        (Kcert.certify ~path:Kcert.Clone p ~config_name:"protected" cfg));
-  let j = parse_json (Kcert.to_json full) in
+  let j = Json.parse (Kcert.to_json full) in
   Alcotest.(check string) "schema" Kcert.schema (jstr (mem "schema" j));
   Alcotest.(check string) "path field" "switch" (jstr (mem "path" j));
   Alcotest.(check string) "embedded digest" (Kcert.digest full)
     (jstr (mem "digest" j));
   Alcotest.(check string) "platform" "haswell" (jstr (mem "platform" j));
-  (match mem "certified_bits" j with
-  | J_num f -> Alcotest.(check int) "certified_bits" 0 (int_of_float f)
-  | _ -> Alcotest.fail "certified_bits not a number");
-  let exj = mem "exhaustive" j in
-  (match mem "domains" exj with
-  | J_num f -> Alcotest.(check int) "exhaustive domains" 3 (int_of_float f)
-  | _ -> Alcotest.fail "exhaustive domains not a number");
+  Alcotest.(check int) "certified_bits" 0 (jint (mem "certified_bits" j));
+  Alcotest.(check int) "exhaustive domains" 3
+    (jint (mem "domains" (mem "exhaustive" j)));
   Alcotest.(check int) "12 steps serialised" 12
     (List.length (jlist (mem "steps" j)))
 
@@ -1173,21 +1043,13 @@ let test_certifiers_agree_on_lattice () =
      channels.  The outer-cache channel is compared by its bits, which
      both compute per level with no coverage, so an L2 closed in one
      and open in the other shows. *)
-  let closed_static c =
+  let closed bounds =
     List.map
       (fun b ->
         ( Certify.channel_name b.Certify.b_channel,
           b.Certify.b_scrubbed,
           if b.Certify.b_channel = Certify.Llc then b.Certify.b_bits else 0 ))
-      c.Certify.c_bounds
-  in
-  let closed_kernel c =
-    List.map
-      (fun b ->
-        ( Certify.channel_name b.Kcert.kb_channel,
-          b.Kcert.kb_scrubbed,
-          if b.Kcert.kb_channel = Certify.Llc then b.Kcert.kb_bits else 0 ))
-      c.Kcert.k_bounds
+      bounds
   in
   List.iter
     (fun p ->
@@ -1195,8 +1057,8 @@ let test_certifiers_agree_on_lattice () =
         (fun cfg ->
           Alcotest.(check (list (triple string bool int)))
             (config_label p cfg)
-            (closed_kernel (Kcert.certify p ~config_name:"lattice" cfg))
-            (closed_static (Certify.certify_static (boot_config p cfg))))
+            (closed (Kcert.certify p ~config_name:"lattice" cfg).Kcert.k_bounds)
+            (closed (Certify.certify_static (boot_config p cfg)).Certify.c_bounds))
         (plan_lattice p))
     Tp_hw.Platform.all
 

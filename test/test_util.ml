@@ -251,6 +251,84 @@ let test_json_bad_literals () =
     "exact literals still parse" {|[true,false,null]|}
     (Tp_util.Json.to_string (Tp_util.Json.parse " [true, false ,null] "))
 
+(* RFC 8259 §7: a control byte inside a string must be escaped.  Every
+   printer here escapes them, so a raw one means a corrupt or foreign
+   document, and parsing fails closed. *)
+let test_json_rejects_raw_control_bytes () =
+  List.iter
+    (fun s ->
+      match Tp_util.Json.parse s with
+      | v ->
+          Alcotest.failf "%S accepted as %s" s (Tp_util.Json.to_string v)
+      | exception Tp_util.Json.Bad _ -> ())
+    [ "\"a\001b\nc\""; "[\"\t\"]"; "{\"k\x1f\":1}"; "\"\000\"" ];
+  Alcotest.(check string)
+    "escaped control bytes still parse" "a\001b\nc\t"
+    (Option.get
+       (Tp_util.Json.str (Tp_util.Json.parse {|"a\u0001b\nc\t"|})));
+  Alcotest.(check string)
+    "control whitespace between tokens still parses" {|[1,2]|}
+    (Tp_util.Json.to_string (Tp_util.Json.parse "\t[1,\n2]\r\n"))
+
+(* Strings drawn with plenty of control bytes, besides arbitrary ones. *)
+let json_string_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (1, map Char.chr (int_bound 0x1f)); (2, char) ])
+      (int_bound 8))
+
+let json_value_gen =
+  let open QCheck.Gen in
+  let module J = Tp_util.Json in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return J.Null;
+               map (fun b -> J.Bool b) bool;
+               map (fun i -> J.Num (float_of_int i /. 4.)) small_signed_int;
+               map (fun s -> J.Str s) json_string_gen;
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.Arr l) (list_size (int_bound 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun kvs -> J.Obj kvs)
+                   (list_size (int_bound 4) (pair json_string_gen (self (n - 1))))
+               );
+             ])
+
+let qcheck_json_round_trip =
+  QCheck.Test.make ~name:"json parse inverts to_string" ~count:300
+    (QCheck.make ~print:Tp_util.Json.to_string json_value_gen)
+    (fun v -> Tp_util.Json.(parse (to_string v)) = v)
+
+(* Arbitrary bytes, weighted towards JSON's own punctuation so that
+   inputs get past the first byte: the parser either returns a value
+   or raises [Bad], never anything else. *)
+let qcheck_json_fails_closed =
+  QCheck.Test.make ~name:"json parse raises only Bad" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         string_size
+           ~gen:
+             (frequency
+                [
+                  (3, oneofl (List.of_seq (String.to_seq {|{}[]":,\u0aef-.e+ |})));
+                  (1, char);
+                ])
+           (int_bound 24)))
+    (fun s ->
+      match Tp_util.Json.parse s with
+      | _ -> true
+      | exception Tp_util.Json.Bad _ -> true)
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -277,4 +355,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_shuffle_preserves_multiset;
     Alcotest.test_case "json rejects bad literals" `Quick
       test_json_bad_literals;
+    Alcotest.test_case "json rejects raw control bytes" `Quick
+      test_json_rejects_raw_control_bytes;
+    QCheck_alcotest.to_alcotest qcheck_json_round_trip;
+    QCheck_alcotest.to_alcotest qcheck_json_fails_closed;
   ]
