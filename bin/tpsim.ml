@@ -260,22 +260,22 @@ let dram q ~seed p =
      flush) and closes only with hypothetical hardware support. *)
   let open Tp_kernel in
   let samples = Quality.samples q / 2 in
-  let run config ~close =
+  let run config =
     let b = Boot.boot ~platform:p ~config ~domains:2 () in
     let rng = Tp_util.Rng.create ~seed in
-    Tp_attacks.Dram_chan.run b ~samples ~close_rows_on_switch:close ~rng
+    Tp_attacks.Dram_chan.run b ~samples ~rng
   in
   Format.printf "DRAM row-buffer channel on %s (intra-core):@."
     p.Tp_hw.Platform.name;
   Format.printf "  raw:                              %a@."
     Tp_channel.Leakage.pp_result
-    (run Config.raw ~close:false);
+    (run Config.raw);
   Format.printf "  full time protection:             %a@."
     Tp_channel.Leakage.pp_result
-    (run (Config.protected_ p) ~close:false);
+    (run (Config.protected_ p));
   Format.printf "  + hypothetical precharge-on-switch: %a@.@."
     Tp_channel.Leakage.pp_result
-    (run { (Config.protected_ p) with Config.close_dram_rows = true } ~close:true)
+    (run { (Config.protected_ p) with Config.close_dram_rows = true })
 
 let cat q ~seed p =
   (* §2.3's hardware alternative: way-partition the LLC with CAT.  It
@@ -362,37 +362,28 @@ let stats q ~seed:_ p =
   let line = p.Tp_hw.Platform.line in
   let page = Tp_hw.Defs.page_size in
   let l1d = p.Tp_hw.Platform.l1d.Tp_hw.Cache.size in
-  let body buf ctx =
-    for i = 0 to (l1d / line) - 1 do
-      Uctx.write ctx (buf + (i * line))
-    done
-  in
   let mk dom =
     let buf = Boot.alloc_pages b dom ~pages:(Stdlib.max 1 (l1d / page)) in
-    let t = Boot.spawn b dom (fun ctx -> while true do body buf ctx done) in
+    let t =
+      Boot.spawn b dom (fun ctx ->
+          while true do
+            for i = 0 to (l1d / line) - 1 do
+              Uctx.write ctx (buf + (i * line))
+            done
+          done)
+    in
     Sched.remove (System.sched sys) ~core:0 t;
-    (t, buf)
+    t
   in
   let a = mk b.Boot.domains.(0) in
   let bb = mk b.Boot.domains.(1) in
   (* Count the steady state, not the boot traffic. *)
   Tp_obs.Counter.reset_all ();
   Tp_obs.Padprof.reset ();
-  let slice = Tp_hw.Platform.us_to_cycles p 1000.0 in
-  let run_slice (t, buf) =
-    ignore (Domain_switch.switch sys ~core:0 ~to_:t);
-    let ctx =
-      Uctx.make sys ~core:0 t ~slice_end:(System.now sys ~core:0 + slice)
-    in
-    try
-      while true do
-        body buf ctx
-      done
-    with Uctx.Preempted -> ()
-  in
+  let slice_cycles = Tp_hw.Platform.us_to_cycles p 1000.0 in
   for _ = 1 to Quality.repeats q do
-    run_slice a;
-    run_slice bb
+    ignore (Exec.run_thread sys ~core:0 ~slice_cycles a);
+    ignore (Exec.run_thread sys ~core:0 ~slice_cycles bb)
   done;
   Format.printf "==== %s: %d switching slices ====@.@." p.Tp_hw.Platform.name
     (2 * Quality.repeats q);

@@ -17,10 +17,9 @@ let page_per_bank cfg vspace ~buf ~buf_pages ~banks =
   assert (Array.for_all (fun va -> va >= 0) chosen);
   chosen
 
-let run b ~samples ~close_rows_on_switch ~rng =
+let run b ~samples ~rng =
   let sys = b.Boot.sys in
   let p = System.platform sys in
-  assert ((System.cfg sys).Config.close_dram_rows = close_rows_on_switch);
   let cfg = p.Tp_hw.Platform.dram in
   let banks = cfg.Tp_hw.Dram.banks in
   (* Enough pages to be sure of hitting every bank. *)

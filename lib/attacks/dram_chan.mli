@@ -24,9 +24,9 @@ val symbols : int
 val run :
   Tp_kernel.Boot.booted ->
   samples:int ->
-  close_rows_on_switch:bool ->
   rng:Tp_util.Rng.t ->
   Tp_channel.Leakage.result
-(** Intra-core sender/receiver pair in domains 0/1 of [b]; with
-    [close_rows_on_switch] the domain-switch path additionally
-    precharges all banks (the hypothetical hardware fix). *)
+(** Intra-core sender/receiver pair in domains 0/1 of [b]; when [b]'s
+    configuration sets [Config.close_dram_rows] the domain-switch path
+    additionally precharges all banks (the hypothetical hardware
+    fix). *)

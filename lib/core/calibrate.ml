@@ -1,5 +1,3 @@
-open Tp_kernel
-
 type t = {
   worst_observed_cycles : int;
   pad_cycles : int;
@@ -7,65 +5,22 @@ type t = {
   trials : int;
 }
 
-let page = Tp_hw.Defs.page_size
+let margin_pct = 25
 
-(* Adversarial slice workloads: each dirties a different structure the
-   switch must clean up (cf. Table 6's receiver set). *)
-let workload_specs p =
-  let l1d = p.Tp_hw.Platform.l1d.Tp_hw.Cache.size in
-  let l1i = p.Tp_hw.Platform.l1i.Tp_hw.Cache.size in
-  let big =
-    match p.Tp_hw.Platform.l2 with
-    | Some g -> g.Tp_hw.Cache.size
-    | None -> p.Tp_hw.Platform.llc.Tp_hw.Cache.size / 2
-  in
-  [ `Idle; `Write l1d; `Fetch l1i; `Write big ]
-
-let run_body line spec buf ctx =
-  match spec with
-  | `Idle -> ()
-  | `Write bytes ->
-      while true do
-        for i = 0 to (bytes / line) - 1 do
-          Uctx.write ctx (buf + (i * line))
-        done
-      done
-  | `Fetch bytes ->
-      while true do
-        for i = 0 to (bytes / line) - 1 do
-          Uctx.fetch ctx (buf + (i * line))
-        done
-      done
-
+(* Table 6's receivers on the unpadded protected system, each
+   dirtying a different structure the switch must clean up, less x86's
+   L3 row: there the set stops at the largest private cache, and the
+   L3 receiver's switch is left to the margin. *)
 let observe ~trials_per_workload p ~record =
-  let line = p.Tp_hw.Platform.line in
   List.iter
-    (fun spec ->
-      let b = Scenario.boot Scenario.Protected_no_pad p in
-      let sys = b.Boot.sys in
-      let wl_dom = b.Boot.domains.(0) and idle_dom = b.Boot.domains.(1) in
-      let bytes = match spec with `Idle -> page | `Write n | `Fetch n -> n in
-      let buf = Boot.alloc_pages b wl_dom ~pages:(max 1 (bytes / page)) in
-      let wl = Boot.spawn b wl_dom (run_body line spec buf) in
-      let idle = Boot.spawn b idle_dom (fun _ -> ()) in
-      Sched.remove (System.sched sys) ~core:0 wl;
-      Sched.remove (System.sched sys) ~core:0 idle;
-      let slice = Tp_hw.Platform.us_to_cycles p 1000.0 in
-      for _ = 1 to trials_per_workload do
-        ignore (Domain_switch.switch sys ~core:0 ~to_:wl);
-        let ctx =
-          Uctx.make sys ~core:0 wl ~slice_end:(System.now sys ~core:0 + slice)
-        in
-        (try
-           run_body line spec buf ctx;
-           Uctx.idle_rest ctx
-         with Uctx.Preempted -> ());
-        let cost = Domain_switch.switch sys ~core:0 ~to_:idle in
-        record cost.Domain_switch.total
-      done)
-    (workload_specs p)
+    (fun (name, w) ->
+      if name <> "L3" then
+        Array.iter record
+          (Exp_table6.costs Scenario.Protected_no_pad p w
+             ~reps:trials_per_workload))
+    (Exp_table6.workloads p)
 
-let switch_pad ?(margin_pct = 25) ?(trials_per_workload = 20) p =
+let switch_pad ?(trials_per_workload = 20) p =
   let worst = ref 0 in
   let trials = ref 0 in
   observe ~trials_per_workload p ~record:(fun c ->

@@ -3,23 +3,22 @@
     §4.3 leaves the padding value to the security policy because "a
     safe value requires a worst-case execution time analysis".  Short
     of formal WCET, a resource manager can calibrate: drive the
-    domain switch with adversarial workloads (the Table 6 set — every
+    domain switch with adversarial workloads (Table 6's probe,
+    {!Exp_table6.costs}, over its receivers less x86's L3 row — every
     prime&probe receiver dirties a different part of the machine),
-    record the worst observed unpadded switch latency, and add a
+    record the worst observed unpadded switch latency, and add a 25 %
     safety margin.  The result feeds [Kernel_SetPad]. *)
 
 type t = {
   worst_observed_cycles : int;
-  pad_cycles : int;  (** worst case plus the margin *)
+  pad_cycles : int;  (** worst case plus 25 % *)
   pad_us : float;
   trials : int;
 }
 
-val switch_pad :
-  ?margin_pct:int -> ?trials_per_workload:int -> Tp_hw.Platform.t -> t
-(** Calibrate on a fresh protected system.  [margin_pct] (default 25)
-    is added on top of the worst observation; [trials_per_workload]
-    defaults to 20. *)
+val switch_pad : ?trials_per_workload:int -> Tp_hw.Platform.t -> t
+(** Calibrate on fresh protected systems, one per workload;
+    [trials_per_workload] defaults to 20. *)
 
 val covers :
   t -> Tp_hw.Platform.t -> trials:int -> bool

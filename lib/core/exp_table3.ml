@@ -26,16 +26,8 @@ let measure q ~seed kind p (chan : Tp_attacks.Cache_channels.t) =
     degraded = r.degraded;
   }
 
-let run ?channels q ~seed p =
+let run q ~seed p =
   let chans = Tp_attacks.Cache_channels.all p in
-  let chans =
-    match channels with
-    | None -> chans
-    | Some names ->
-        List.filter
-          (fun c -> List.mem c.Tp_attacks.Cache_channels.name names)
-          chans
-  in
   let scenarios_for name =
     Scenario.table3_set
     @

@@ -13,7 +13,6 @@ type row = { channel : string; cells : cell list }
 
 type result = { platform : string; rows : row list }
 
-val run : ?channels:string list -> Quality.t -> seed:int -> Tp_hw.Platform.t -> result
-(** [channels] filters by channel name (default: all for the
-    platform).  The prefetcher-off ablation runs automatically for the
-    x86 L2 row. *)
+val run : Quality.t -> seed:int -> Tp_hw.Platform.t -> result
+(** Every channel of the platform.  The prefetcher-off ablation runs
+    automatically for the x86 L2 row. *)

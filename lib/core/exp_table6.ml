@@ -4,71 +4,54 @@ type row = { mode : string; us_by_workload : (string * float) list }
 
 type result = { platform : string; workloads : string list; rows : row list }
 
+type workload = Idle | Write of int | Fetch of int
+
 let page = Tp_hw.Defs.page_size
 
 (* The receiver workloads whose residue the switch must clean up. *)
 let workloads p =
   let l1d = p.Tp_hw.Platform.l1d.Tp_hw.Cache.size in
   let l1i = p.Tp_hw.Platform.l1i.Tp_hw.Cache.size in
-  let l2 =
-    match p.Tp_hw.Platform.l2 with
-    | Some g -> Some g.Tp_hw.Cache.size
-    | None -> None
-  in
   let llc = p.Tp_hw.Platform.llc.Tp_hw.Cache.size in
-  [ ("Idle", `Idle); ("L1-D", `Read l1d); ("L1-I", `Fetch l1i) ]
-  @ (match l2 with Some s -> [ ("L2", `Read s) ] | None -> [])
+  [ ("Idle", Idle); ("L1-D", Write l1d); ("L1-I", Fetch l1i) ]
+  @ (match p.Tp_hw.Platform.l2 with
+    | Some g -> [ ("L2", Write g.Tp_hw.Cache.size) ]
+    | None -> [])
   @
   match p.Tp_hw.Platform.arch with
-  | Tp_hw.Platform.X86 -> [ ("L3", `Read (llc / 2)) ]
-  | Tp_hw.Platform.Arm -> [ ("L2(LLC)", `Read (llc / 2)) ]
+  | Tp_hw.Platform.X86 -> [ ("L3", Write (llc / 2)) ]
+  | Tp_hw.Platform.Arm -> [ ("L2(LLC)", Write (llc / 2)) ]
 
-let body_of line spec buf ctx =
-  match spec with
-  | `Idle -> ()
-  | `Read bytes ->
-      while true do
-        for i = 0 to (bytes / line) - 1 do
-          Uctx.write ctx (buf + (i * line))
-        done
+let body_of line w buf ctx =
+  let sweep bytes touch =
+    while true do
+      for i = 0 to (bytes / line) - 1 do
+        touch ctx (buf + (i * line))
       done
-  | `Fetch bytes ->
-      while true do
-        for i = 0 to (bytes / line) - 1 do
-          Uctx.fetch ctx (buf + (i * line))
-        done
-      done
+    done
+  in
+  match w with
+  | Idle -> ()
+  | Write bytes -> sweep bytes Uctx.write
+  | Fetch bytes -> sweep bytes Uctx.fetch
 
-let measure_one q kind p spec =
+let costs kind p w ~reps =
   let b = Scenario.boot kind p in
   let sys = b.Boot.sys in
-  let line = p.Tp_hw.Platform.line in
   let wl_dom = b.Boot.domains.(0) in
   let idle_dom = b.Boot.domains.(1) in
-  let bytes = match spec with `Idle -> page | `Read n | `Fetch n -> n in
+  let bytes = match w with Idle -> page | Write n | Fetch n -> n in
   let buf = Boot.alloc_pages b wl_dom ~pages:(max 1 (bytes / page)) in
-  let wl = Boot.spawn b wl_dom (body_of line spec buf) in
+  let wl = Boot.spawn b wl_dom (body_of p.Tp_hw.Platform.line w buf) in
   let idle = Boot.spawn b idle_dom (fun _ -> ()) in
   Sched.remove (System.sched sys) ~core:0 wl;
   Sched.remove (System.sched sys) ~core:0 idle;
-  let slice = Tp_hw.Platform.us_to_cycles p 1000.0 in
-  let reps = Quality.repeats q in
-  let costs = Array.make reps 0.0 in
-  for r = 0 to reps - 1 do
-    (* Run the workload for a slice... *)
-    ignore (Domain_switch.switch sys ~core:0 ~to_:wl);
-    let ctx = Uctx.make sys ~core:0 wl ~slice_end:(System.now sys ~core:0 + slice) in
-    (try
-       body_of line spec buf ctx;
-       Uctx.idle_rest ctx
-     with Uctx.Preempted -> ());
-    (* ...and time switching away from it to the idle domain. *)
-    let cost = Domain_switch.switch sys ~core:0 ~to_:idle in
-    costs.(r) <- Tp_hw.Platform.cycles_to_us p cost.Domain_switch.total
-  done;
-  (* The paper reports means, medians for the bimodal LLC case; the
-     median is robust for both. *)
-  Tp_util.Stats.median costs
+  let slice_cycles = Tp_hw.Platform.us_to_cycles p 1000.0 in
+  Array.init reps (fun _ ->
+      (* Run the workload for a slice, and time switching away from it
+         to the idle domain. *)
+      ignore (Exec.run_thread sys ~core:0 ~slice_cycles wl);
+      (Domain_switch.switch sys ~core:0 ~to_:idle).Domain_switch.total)
 
 let modes = [ Scenario.Raw; Scenario.Full_flush; Scenario.Protected_no_pad ]
 
@@ -86,8 +69,14 @@ let run q p =
     List.concat_map (fun kind -> List.map (fun wl -> (kind, wl)) wls) modes
   in
   let measured =
-    Tp_par.Pool.map_list units (fun _ (kind, (name, spec)) ->
-        (kind, name, measure_one q kind p spec))
+    Tp_par.Pool.map_list units (fun _ (kind, (name, w)) ->
+        (* The paper reports means, medians for the bimodal LLC case;
+           the median is robust for both. *)
+        let us =
+          Array.map (Tp_hw.Platform.cycles_to_us p)
+            (costs kind p w ~reps:(Quality.repeats q))
+        in
+        (kind, name, Tp_util.Stats.median us))
   in
   let rows =
     List.map

@@ -122,7 +122,6 @@ let switch sys ~core ~to_ =
      kernel (full-flush scenario) they run on domain crossings. *)
   let protect = kernel_switched || (domain_crossed && not cfg.Config.clone_kernel) in
   let t0 = System.now sys ~core in
-  pc.System.last_tick_start <- t0;
   (* 1. acquire the kernel lock *)
   ignore (System.touch_shared sys ~core Layout.Big_lock ~kind:Tp_hw.Defs.Write ());
   Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.lock_cost;

@@ -59,46 +59,48 @@ let charge_budget tcb ~ran ~now =
       end
       else true
 
-let pick_next sys ~core =
-  let sched = System.sched sys in
-  match Sched.dequeue_highest sched ~core with
-  | Some tcb -> tcb
-  | None -> begin
-      (* No ready user thread: the current kernel's idle thread. *)
-      let pc = System.per_core sys core in
-      match pc.System.cur_kernel.Types.ki_idle with
-      | Some idle -> idle
-      | None -> begin
-          match (System.initial_kernel sys).Types.ki_idle with
-          | Some idle -> idle
-          | None -> assert false
-        end
-    end
+(* The current kernel's idle thread: what a core runs with nothing
+   ready. *)
+let idle_thread sys ~core =
+  match (System.per_core sys core).System.cur_kernel.Types.ki_idle with
+  | Some idle -> idle
+  | None -> Option.get (System.initial_kernel sys).Types.ki_idle
 
-let one_slice sys ~core ~slice_cycles =
-  replenish_ready sys ~core;
-  let pc = System.per_core sys core in
-  let next = pick_next sys ~core in
-  ignore (Domain_switch.switch sys ~core ~to_:next);
+let run_thread sys ~core ~slice_cycles tcb =
+  ignore (Domain_switch.switch sys ~core ~to_:tcb);
   let run_start = System.now sys ~core in
-  let slice_end = run_start + effective_slice next ~slice_cycles in
-  pc.System.slice_end <- slice_end;
-  let ctx = Uctx.make sys ~core next ~slice_end in
+  let ctx = Uctx.make sys ~core tcb ~slice_end:(run_start + slice_cycles) in
   (try
-     (match Hashtbl.find_opt (bodies ()) next.Types.t_id with
+     (match Hashtbl.find_opt (bodies ()) tcb.Types.t_id with
      | Some body -> body ctx
      | None -> ());
      (* Early return: idle out the remainder of the slice. *)
      Uctx.idle_rest ctx
    with Uctx.Preempted -> ());
-  (* Preemption tick arrives; charge the budget and requeue the thread
-     for its next turn unless its scheduling context is depleted. *)
-  let now = System.now sys ~core in
-  let may_requeue = charge_budget next ~ran:(now - run_start) ~now in
-  if (not next.Types.t_is_idle) && next.Types.t_state = Types.Ts_running then begin
-    next.Types.t_state <- Types.Ts_ready;
-    if may_requeue then Sched.enqueue (System.sched sys) ~core next
+  System.now sys ~core - run_start
+
+(* The preemption tick has arrived: a user thread is ready again, and
+   back on its core's queue unless [may_requeue] is false. *)
+let requeue sys ~core tcb ~may_requeue =
+  if (not tcb.Types.t_is_idle) && tcb.Types.t_state = Types.Ts_running then begin
+    tcb.Types.t_state <- Types.Ts_ready;
+    if may_requeue then Sched.enqueue (System.sched sys) ~core tcb
   end
+
+let one_slice sys ~core ~slice_cycles =
+  replenish_ready sys ~core;
+  let next =
+    match Sched.dequeue_highest (System.sched sys) ~core with
+    | Some tcb -> tcb
+    | None -> idle_thread sys ~core
+  in
+  let ran =
+    run_thread sys ~core ~slice_cycles:(effective_slice next ~slice_cycles) next
+  in
+  (* Charge the budget; a depleted scheduling context keeps the thread
+     off the queue until its replenishment. *)
+  requeue sys ~core next
+    ~may_requeue:(charge_budget next ~ran ~now:(System.now sys ~core))
 
 let resolve_slice sys slice_cycles =
   match slice_cycles with
@@ -126,30 +128,9 @@ let run_concurrent sys ~cores ?slice_cycles ~rounds () =
 (* Run one slice of a specific thread (or the current kernel's idle
    thread when [thread] is [None]) on a core. *)
 let slice_of_thread sys ~core ~slice_cycles thread =
-  let pc = System.per_core sys core in
-  let next =
-    match thread with
-    | Some tcb -> tcb
-    | None -> begin
-        match pc.System.cur_kernel.Types.ki_idle with
-        | Some idle -> idle
-        | None -> Option.get (System.initial_kernel sys).Types.ki_idle
-      end
-  in
-  ignore (Domain_switch.switch sys ~core ~to_:next);
-  let slice_end = System.now sys ~core + slice_cycles in
-  pc.System.slice_end <- slice_end;
-  let ctx = Uctx.make sys ~core next ~slice_end in
-  (try
-     (match Hashtbl.find_opt (bodies ()) next.Types.t_id with
-     | Some body -> body ctx
-     | None -> ());
-     Uctx.idle_rest ctx
-   with Uctx.Preempted -> ());
-  if (not next.Types.t_is_idle) && next.Types.t_state = Types.Ts_running then begin
-    next.Types.t_state <- Types.Ts_ready;
-    Sched.enqueue (System.sched sys) ~core next
-  end
+  let next = match thread with Some tcb -> tcb | None -> idle_thread sys ~core in
+  ignore (run_thread sys ~core ~slice_cycles next);
+  requeue sys ~core next ~may_requeue:true
 
 let run_coscheduled sys ~cores ?slice_cycles ~rounds () =
   let slice_cycles = resolve_slice sys slice_cycles in

@@ -41,6 +41,17 @@ val run_slices :
   System.t -> core:int -> ?slice_cycles:int -> slices:int -> unit -> unit
 (** Run exactly [slices] time slices. *)
 
+val run_thread : System.t -> core:int -> slice_cycles:int -> Types.tcb -> int
+(** The one slice runner under every driver here, and under the
+    measurements that drive a slice by hand (Table 6, pad calibration,
+    [tpsim stats]): switch to [tcb] ({!Domain_switch.switch}), run the
+    body {!set_body} registered for it until [slice_cycles] after the
+    switch returns, and idle out the rest if the body returns early.
+    Returns the cycles the thread ran.  It neither charges a
+    scheduling context nor requeues the thread: the scheduler loops
+    do that, and a measurement that removed its threads from the
+    queue keeps them off it. *)
+
 (** {1 Multicore driving}
 
     Cores in the simulator have independent clocks; "concurrent"

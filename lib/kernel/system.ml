@@ -1,8 +1,6 @@
 type percore = {
   mutable cur_kernel : Types.kimage;
   mutable cur_thread : Types.tcb option;
-  mutable slice_end : int;
-  mutable last_tick_start : int;
 }
 
 type t = {
@@ -87,13 +85,8 @@ let create platform cfg =
     shared_audit = None;
     cat_masks = None;
     cores =
-      Array.init platform.Tp_hw.Platform.cores (fun c ->
-          {
-            cur_kernel = initial_kernel;
-            cur_thread = None;
-            slice_end = 0;
-            last_tick_start = Tp_hw.Machine.cycles machine ~core:c;
-          });
+      Array.init platform.Tp_hw.Platform.cores (fun _ ->
+          { cur_kernel = initial_kernel; cur_thread = None });
   }
 
 let machine t = t.machine

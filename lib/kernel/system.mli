@@ -18,8 +18,6 @@ type t
 type percore = {
   mutable cur_kernel : Types.kimage;
   mutable cur_thread : Types.tcb option;
-  mutable slice_end : int;  (** cycle at which the current slice ends *)
-  mutable last_tick_start : int;  (** preemption-interrupt arrival time *)
 }
 
 val create : Tp_hw.Platform.t -> Config.t -> t

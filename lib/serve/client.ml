@@ -19,12 +19,7 @@ let connect ~socket ?(attempts = 20) ?(backoff_s = 0.05) () =
   go (Stdlib.max 1 attempts) backoff_s
 
 let send_line fd line =
-  let data = Bytes.of_string (line ^ "\n") in
-  let rec loop off =
-    if off < Bytes.length data then
-      loop (off + Unix.write fd data off (Bytes.length data - off))
-  in
-  match loop 0 with
+  match Protocol.write_line fd line with
   | () -> Ok ()
   | exception Unix.Unix_error (e, _, _) ->
       Error ("connection lost while sending: " ^ Unix.error_message e)
@@ -32,31 +27,15 @@ let send_line fd line =
 (* Feed each received line to [f] until it returns [Some v] (the final
    event) or the daemon drops the connection. *)
 let read_until fd f =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
   let result = ref None in
-  let rec loop () =
-    match !result with
-    | Some v -> Ok v
-    | None -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> Error "connection closed before the final event"
-        | n ->
-            for i = 0 to n - 1 do
-              let c = Bytes.get chunk i in
-              if c = '\n' then begin
-                let line = Buffer.contents buf in
-                Buffer.clear buf;
-                if !result = None && String.trim line <> "" then
-                  result := f line
-              end
-              else Buffer.add_char buf c
-            done;
-            loop ()
-        | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
-            Error "connection reset before the final event")
-  in
-  loop ()
+  match
+    Protocol.read_lines fd (fun line ->
+        result := f line;
+        Option.is_none !result)
+  with
+  | `Stopped -> Ok (Option.get !result)
+  | `Closed -> Error "connection closed before the final event"
+  | `Reset -> Error "connection reset before the final event"
 
 let with_conn ~socket f =
   match connect ~socket () with

@@ -84,11 +84,7 @@ let drifting (t : Protocol.trial) =
   && t.Protocol.t_mi_bits > float_of_int bound
 
 let platform_slugs =
-  [
-    ("haswell", Tp_hw.Platform.haswell);
-    ("sabre", Tp_hw.Platform.sabre);
-    ("armv8", Tp_hw.Platform.armv8);
-  ]
+  List.map (fun p -> (p.Tp_hw.Platform.name, p)) Tp_hw.Platform.all
 
 let config_slugs = Scenario.slugs
 

@@ -389,3 +389,33 @@ let ping_line = Json.to_string (Json.Obj [ ("op", Json.Str "ping") ])
 let metrics_line = Json.to_string (Json.Obj [ ("op", Json.Str "metrics") ])
 let status_line = Json.to_string (Json.Obj [ ("op", Json.Str "status") ])
 let shutdown_line = Json.to_string (Json.Obj [ ("op", Json.Str "shutdown") ])
+
+let write_line fd line =
+  let data = Bytes.of_string (line ^ "\n") in
+  let rec loop off =
+    if off < Bytes.length data then
+      loop (off + Unix.write fd data off (Bytes.length data - off))
+  in
+  loop 0
+
+let read_lines fd f =
+  let buf = Buffer.create 256 in
+  let chunk = Bytes.create 4096 in
+  let rec loop () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> `Closed
+    | n ->
+        let continue = ref true in
+        for i = 0 to n - 1 do
+          let c = Bytes.get chunk i in
+          if c = '\n' then begin
+            let line = Buffer.contents buf in
+            Buffer.clear buf;
+            if !continue && String.trim line <> "" then continue := f line
+          end
+          else Buffer.add_char buf c
+        done;
+        if !continue then loop () else `Stopped
+    | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> `Reset
+  in
+  loop ()

@@ -144,3 +144,20 @@ val shutdown_line : string
 (** Complete request lines (no trailing newline).  [metrics_line]
     requests a point-in-time OpenMetrics snapshot; the daemon answers
     with a single [metrics] event carrying the exposition text. *)
+
+(** {1 Line framing on a socket}
+
+    One pair for both ends: the daemon and the client read and write
+    lines through these, on a raw fd kept for both directions. *)
+
+val write_line : Unix.file_descr -> string -> unit
+(** Write [line] and a newline, resuming after short writes.
+    @raise Unix.Unix_error as [Unix.write] does (e.g. [EPIPE] on a dead
+    peer); each end decides what a failed write means. *)
+
+val read_lines :
+  Unix.file_descr -> (string -> bool) -> [ `Stopped | `Closed | `Reset ]
+(** Feed each received non-blank line, without its newline, to [f]
+    until [f] returns [false] ([`Stopped]), the peer closes the
+    connection ([`Closed]) or resets it ([`Reset], [ECONNRESET] or
+    [EPIPE]). *)

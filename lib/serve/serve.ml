@@ -4,15 +4,9 @@ module Store = Tp_store.Store
 (* Swallow a dead peer: the job (and its store commits) must outlive
    the client that asked for it. *)
 let send fd line =
-  let data = Bytes.of_string (line ^ "\n") in
-  try
-    let rec loop off =
-      if off < Bytes.length data then
-        loop (off + Unix.write fd data off (Bytes.length data - off))
-    in
-    loop 0;
-    true
-  with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> false
+  match Protocol.write_line fd line with
+  | () -> true
+  | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> false
 
 let event name fields = Json.to_string (Json.Obj (("event", Json.Str name) :: fields))
 
@@ -177,31 +171,6 @@ let handle ~store ~jobs ~log ?event_log fd line =
           ignore (send fd (error_line "request carries no op"));
           true)
 
-(* Buffered line reader over a raw fd (no in_channel: we keep the fd
-   for writes on the same socket). *)
-let read_lines fd f =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec loop () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> true (* peer closed; daemon lives on *)
-    | n ->
-        let continue = ref true in
-        for i = 0 to n - 1 do
-          let c = Bytes.get chunk i in
-          if c = '\n' then begin
-            let line = Buffer.contents buf in
-            Buffer.clear buf;
-            if !continue && String.trim line <> "" then
-              continue := f line
-          end
-          else Buffer.add_char buf c
-        done;
-        if !continue then loop () else false
-    | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> true
-  in
-  loop ()
-
 let run ~socket ~store_dir ?jobs ?(log = ignore) ?event_log ?(metrics = true)
     () =
   let jobs =
@@ -252,7 +221,12 @@ let run ~socket ~store_dir ?jobs ?(log = ignore) ?event_log ?(metrics = true)
           Fun.protect
             ~finally:(fun () ->
               try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () -> read_lines fd (handle ~store ~jobs ~log ?event_log fd))
+            (fun () ->
+              (* A peer that closes or resets leaves the daemon up;
+                 only a handler that stops the loop (shutdown) ends
+                 it. *)
+              Protocol.read_lines fd (handle ~store ~jobs ~log ?event_log fd)
+              <> `Stopped)
         in
         alive := keep_going
       done;

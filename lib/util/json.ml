@@ -39,24 +39,19 @@ let parse s =
     | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
     | _ -> fail "bad hex digit in \\u escape"
   in
-  (* Encode a BMP code point as UTF-8; surrogate pairs are not
-     reassembled (each half encodes separately), which is enough for
-     the control-character escapes this repo's printers emit. *)
-  let add_code_point b cp =
-    if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-    end
+  let hex4 k =
+    if k + 3 >= n then fail "truncated \\u escape";
+    (hex_digit s.[k] lsl 12)
+    lor (hex_digit s.[k + 1] lsl 8)
+    lor (hex_digit s.[k + 2] lsl 4)
+    lor hex_digit s.[k + 3]
   in
+  let is_high cp = cp >= 0xD800 && cp <= 0xDBFF in
+  let is_low cp = cp >= 0xDC00 && cp <= 0xDFFF in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
+    let add_cp cp = Buffer.add_utf_8_uchar b (Uchar.of_int cp) in
     let rec go () =
       if !i >= n then fail "unterminated string";
       match s.[!i] with
@@ -74,15 +69,24 @@ let parse s =
           | 't' -> Buffer.add_char b '\t'
           | 'r' -> Buffer.add_char b '\r'
           | 'u' ->
-              if !i + 4 >= n then fail "truncated \\u escape";
-              let cp =
-                (hex_digit s.[!i + 1] lsl 12)
-                lor (hex_digit s.[!i + 2] lsl 8)
-                lor (hex_digit s.[!i + 3] lsl 4)
-                lor hex_digit s.[!i + 4]
-              in
+              (* [!i] ends on the escape's last hex digit.  A high
+                 surrogate must be followed by an escaped low one, and
+                 the pair is one 4-byte character; a lone half of a
+                 pair is not a character, so it fails closed. *)
+              let cp = hex4 (!i + 1) in
               i := !i + 4;
-              add_code_point b cp
+              let lo =
+                if is_high cp && !i + 2 < n && s.[!i + 1] = '\\' && s.[!i + 2] = 'u'
+                then hex4 (!i + 3)
+                else -1
+              in
+              if is_high cp && is_low lo then begin
+                i := !i + 6;
+                add_cp (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+              end
+              else if is_high cp || is_low cp then
+                fail "unpaired surrogate in \\u escape"
+              else add_cp cp
           | c -> fail (Printf.sprintf "unsupported escape '\\%c'" c));
           incr i;
           go ()
@@ -148,22 +152,35 @@ let parse s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
-    | Some _ ->
-        let j = ref !i in
-        while
-          !j < n
-          && (match s.[!j] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr j
-        done;
-        if !j = !i then fail "expected a value";
-        let num = String.sub s !i (!j - !i) in
-        i := !j;
-        (match float_of_string_opt num with
-        | Some f -> Num f
-        | None -> fail "bad number")
+    | Some ('-' | '0' .. '9') ->
+        (* RFC 8259 §6: an optional minus, then 0 or digits not
+           starting with 0, then an optional fraction and exponent,
+           each with at least one digit. *)
+        let start = !i in
+        let digits () =
+          let j = !i in
+          while !i < n && match s.[!i] with '0' .. '9' -> true | _ -> false do
+            incr i
+          done;
+          if !i = j then fail "bad number"
+        in
+        if peek () = Some '-' then incr i;
+        (match peek () with
+        | Some '0' -> incr i
+        | Some '1' .. '9' -> digits ()
+        | _ -> fail "bad number");
+        if peek () = Some '.' then begin
+          incr i;
+          digits ()
+        end;
+        (match peek () with
+        | Some ('e' | 'E') ->
+            incr i;
+            (match peek () with Some ('+' | '-') -> incr i | _ -> ());
+            digits ()
+        | _ -> ());
+        Num (float_of_string (String.sub s start (!i - start)))
+    | Some _ -> fail "expected a value"
     | None -> fail "unexpected end of input"
   in
   let v = parse_value () in

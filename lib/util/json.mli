@@ -9,10 +9,12 @@
     and the ledger benchmark.
 
     The parser accepts standard JSON with the escapes {!escape} emits
-    (incl. [\uXXXX]) and fails closed: trailing garbage, misspelt or
-    truncated [true] / [false] / [null] literals, and control bytes
-    below 0x20 left unescaped inside a string (RFC 8259 §7) all raise
-    {!Bad}. *)
+    (incl. [\uXXXX]; a surrogate pair decodes to one 4-byte UTF-8
+    character) and fails closed: trailing garbage, misspelt or
+    truncated [true] / [false] / [null] literals, control bytes below
+    0x20 left unescaped inside a string (RFC 8259 §7), a lone
+    surrogate escape, and numbers outside RFC 8259 §6 ([+1], [.5],
+    [01], [1.]) all raise {!Bad}. *)
 
 type t =
   | Null

@@ -300,28 +300,27 @@ let test_cross_core_cosched_closed () =
 (* ------------------------------------------------------------------ *)
 (* DRAM row-buffer channel (beyond-paper, taxonomy §2.2) *)
 
-let run_dram config ~close =
+let run_dram config =
   let b = Boot.boot ~platform:haswell ~config ~domains:2 () in
   let rng = Tp_util.Rng.create ~seed:4 in
-  Tp_attacks.Dram_chan.run b ~samples:250 ~close_rows_on_switch:close ~rng
+  Tp_attacks.Dram_chan.run b ~samples:250 ~rng
 
 let test_dram_channel_raw_leaks () =
   Alcotest.(check bool) "row-buffer channel open on raw" true
-    (is_leak (run_dram Config.raw ~close:false))
+    (is_leak (run_dram Config.raw))
 
 let test_dram_channel_survives_protection () =
   (* Row-buffer state is outside the architected flush set: full time
      protection does not close this channel — the same
      hardware-contract gap as the prefetcher. *)
   Alcotest.(check bool) "row-buffer channel survives time protection" true
-    (is_leak (run_dram (Config.protected_ haswell) ~close:false))
+    (is_leak (run_dram (Config.protected_ haswell)))
 
 let test_dram_channel_closed_by_row_close () =
   Alcotest.(check bool) "hypothetical precharge-on-switch closes it" true
     (no_leak
        (run_dram
-          { (Config.protected_ haswell) with Config.close_dram_rows = true }
-          ~close:true))
+          { (Config.protected_ haswell) with Config.close_dram_rows = true }))
 
 (* ------------------------------------------------------------------ *)
 (* Harness mechanics *)

@@ -1037,12 +1037,15 @@ let test_flush_l2_alone_keeps_l2_open () =
   Alcotest.(check int) "flush_l2 alone: same LLC bits" 135168
     (llc_bits { Config.raw with Config.flush_l2 = true })
 
-let test_certifiers_agree_on_lattice () =
-  (* The static certifier (partition facts from the booted view) and
-     the kernel certifier (from the configuration) must close the same
-     channels.  The outer-cache channel is compared by its bits, which
-     both compute per level with no coverage, so an L2 closed in one
-     and open in the other shows. *)
+let test_partition_facts_agree_with_config () =
+  (* Both certifiers build their bounds with the one [Certify.bounds];
+     what differs is where the partition facts come from.  The static
+     certifier reads them off the booted view ([colour_partition_ok],
+     [clone_ok], [cat_ok]); the kernel certifier takes the
+     configuration's claim.  On every point of the strengthen lattice
+     the two must close the same channels.  The outer-cache channel is
+     compared by its bits (per level, no coverage), so an L2 closed by
+     one view and open in the other shows. *)
   let closed bounds =
     List.map
       (fun b ->
@@ -1247,6 +1250,6 @@ let suite =
       test_static_certs_pinned;
     Alcotest.test_case "flush_l2 alone leaves the L2 open" `Quick
       test_flush_l2_alone_keeps_l2_open;
-    Alcotest.test_case "certifiers close the same channels on the lattice"
-      `Quick test_certifiers_agree_on_lattice;
+    Alcotest.test_case "booted partition facts match config"
+      `Quick test_partition_facts_agree_with_config;
   ]

@@ -112,7 +112,29 @@ let test_table6_shape () =
   Alcotest.(check bool) "raw is sub-microsecond-ish" true (avg "Raw" < 2.0);
   Alcotest.(check bool) "protected well below full flush" true
     (avg "Protected" *. 4.0 < avg "Full flush");
-  Alcotest.(check bool) "protected costs real time" true (avg "Protected" > 1.0)
+  Alcotest.(check bool) "protected costs real time" true (avg "Protected" > 1.0);
+  (* The exact medians: the simulation is deterministic, so any change
+     to what a measured slice or switch does moves one of them. *)
+  let pinned =
+    [
+      ( "Raw",
+        [ 0.1; 0.19470588235294117; 0.195; 0.33705882352941174;
+          0.4111764705882353 ] );
+      ( "Full flush",
+        [ 202.88588235294117; 204.42176470588234; 202.91235294117647;
+          204.48911764705883; 204.48029411764705 ] );
+      ( "Protected",
+        [ 9.985; 11.52970588235294; 9.985; 11.696470588235295;
+          12.096176470588235 ] );
+    ]
+  in
+  List.iter
+    (fun (m, us) ->
+      Alcotest.(check (list (pair string (float 0.0))))
+        (m ^ " medians")
+        (List.combine [ "Idle"; "L1-D"; "L1-I"; "L2"; "L3" ] us)
+        (row m).Exp_table6.us_by_workload)
+    pinned
 
 let test_table7_shape () =
   let r = Exp_table7.run Quality.Quick haswell in
@@ -155,12 +177,24 @@ let test_table8_pad_costs_more () =
     r.Exp_fig7.rows
 
 let test_calibrate () =
-  let c = Calibrate.switch_pad ~trials_per_workload:8 haswell in
-  Alcotest.(check bool) "worst positive" true (c.Calibrate.worst_observed_cycles > 0);
-  Alcotest.(check bool) "pad above worst" true
-    (c.Calibrate.pad_cycles > c.Calibrate.worst_observed_cycles);
-  Alcotest.(check bool) "validates on a fresh system" true
-    (Calibrate.covers c haswell ~trials:5)
+  (* The worst unpadded switch over the adversarial workloads, and the
+     pad 25 % above it, pinned on every platform. *)
+  List.iter
+    (fun (p, worst, pad) ->
+      let c = Calibrate.switch_pad ~trials_per_workload:8 p in
+      let name = p.Tp_hw.Platform.name in
+      Alcotest.(check int) (name ^ " worst") worst
+        c.Calibrate.worst_observed_cycles;
+      Alcotest.(check int) (name ^ " pad") pad c.Calibrate.pad_cycles;
+      Alcotest.(check int) (name ^ " trials") 32 c.Calibrate.trials;
+      if p == haswell then
+        Alcotest.(check bool) "validates on a fresh system" true
+          (Calibrate.covers c p ~trials:5))
+    [
+      (haswell, 55435, 69293);
+      (sabre, 40238, 50297);
+      (Tp_hw.Platform.armv8, 20388, 25485);
+    ]
 
 let test_calibrated_pad_closes_flush_channel () =
   let p = haswell in

@@ -270,6 +270,40 @@ let test_json_rejects_raw_control_bytes () =
     "control whitespace between tokens still parses" {|[1,2]|}
     (Tp_util.Json.to_string (Tp_util.Json.parse "\t[1,\n2]\r\n"))
 
+(* RFC 8259 §6: no plus sign, no leading zero, and digits on both
+   sides of a decimal point.  A lenient reader would take each of
+   these as a number. *)
+let test_json_rejects_bad_numbers () =
+  List.iter
+    (fun s ->
+      match Tp_util.Json.parse s with
+      | v ->
+          Alcotest.failf "%S accepted as %s" s (Tp_util.Json.to_string v)
+      | exception Tp_util.Json.Bad _ -> ())
+    [ "+1"; ".5"; "01"; "1."; "-"; "[-01]"; "1e"; "1.e3"; "{\"a\":+0}" ];
+  Alcotest.(check string)
+    "RFC numbers still parse" {|[0,-0,0.5,-1.25,100,1000,1e+20,0.001]|}
+    (Tp_util.Json.to_string
+       (Tp_util.Json.parse "[0,-0,0.5,-1.25,1e2,1E+3,1e20,1e-3]"))
+
+(* A \u escape names a UTF-16 code unit: a surrogate pair is one
+   character, and half a pair is none. *)
+let test_json_surrogates () =
+  List.iter
+    (fun s ->
+      match Tp_util.Json.parse s with
+      | v ->
+          Alcotest.failf "%S accepted as %s" s (Tp_util.Json.to_string v)
+      | exception Tp_util.Json.Bad _ -> ())
+    [ {|"\ud800"|}; {|"\udc00"|}; {|"\ud800x"|}; {|"\ud800\u0041"|};
+      {|"\udbff\ud800"|} ];
+  Alcotest.(check string)
+    "a pair is one 4-byte character" "\xf0\x9f\x98\x80"
+    (Option.get (Tp_util.Json.str (Tp_util.Json.parse {|"\ud83d\ude00"|})));
+  Alcotest.(check string)
+    "BMP escapes still decode" "\xc3\xa9\xe2\x82\xac"
+    (Option.get (Tp_util.Json.str (Tp_util.Json.parse {|"\u00e9\u20ac"|})))
+
 (* Strings drawn with plenty of control bytes, besides arbitrary ones. *)
 let json_string_gen =
   QCheck.Gen.(
@@ -357,6 +391,9 @@ let suite =
       test_json_bad_literals;
     Alcotest.test_case "json rejects raw control bytes" `Quick
       test_json_rejects_raw_control_bytes;
+    Alcotest.test_case "json rejects non-RFC numbers" `Quick
+      test_json_rejects_bad_numbers;
+    Alcotest.test_case "json surrogate escapes" `Quick test_json_surrogates;
     QCheck_alcotest.to_alcotest qcheck_json_round_trip;
     QCheck_alcotest.to_alcotest qcheck_json_fails_closed;
   ]
