@@ -7,7 +7,8 @@
     {!Exp_table6.costs}, over its receivers less x86's L3 row — every
     prime&probe receiver dirties a different part of the machine),
     record the worst observed unpadded switch latency, and add a 25 %
-    safety margin.  The result feeds [Kernel_SetPad]. *)
+    safety margin.  The result feeds [Kernel_SetPad].  {!covers} then
+    checks the pad against every Table 6 receiver, L3 included. *)
 
 type t = {
   worst_observed_cycles : int;
@@ -22,5 +23,6 @@ val switch_pad : ?trials_per_workload:int -> Tp_hw.Platform.t -> t
 
 val covers :
   t -> Tp_hw.Platform.t -> trials:int -> bool
-(** Validation: re-run the adversarial workloads on a fresh system and
-    check no unpadded switch exceeds the calibrated pad. *)
+(** Validation: run every Table 6 receiver, x86's L3 row included, on
+    fresh systems and check no unpadded switch exceeds the calibrated
+    pad. *)

@@ -102,7 +102,7 @@ let clone sys ~core ~src ~kmem =
   Txn.run @@ fun txn ->
   (* ASID allocation scans the shared first-level ASID table — the
      lifted clone trace (Tp_analysis.Kcert) models this same read. *)
-  ignore (System.touch_shared sys ~core Layout.Asid_table ~kind:Tp_hw.Defs.Read ());
+  ignore (System.touch_shared sys ~core Layout.Asid_table ~kind:Tp_hw.Defs.Read);
   let asid = System.alloc_asid sys in
   Txn.defer txn (fun () -> System.free_asid sys asid);
   (* The image occupies the Kernel_Memory frames in offset order.  The
@@ -226,7 +226,7 @@ let teardown sys ~core ki ~charge =
         Tp_obs.Counter.incr (stats ()).st_destroy_ipis;
         if charge then begin
           ignore
-            (System.touch_shared sys ~core Layout.Ipi_barrier ~kind:Tp_hw.Defs.Write ());
+            (System.touch_shared sys ~core Layout.Ipi_barrier ~kind:Tp_hw.Defs.Write);
           Tp_hw.Machine.add_cycles m ~core ipi_cost;
           Tp_hw.Machine.add_cycles m ~core:c ipi_cost
         end;
@@ -247,7 +247,7 @@ let teardown sys ~core ki ~charge =
        write. *)
     if charge then
       ignore
-        (System.touch_shared sys ~core Layout.Asid_table ~kind:Tp_hw.Defs.Write ());
+        (System.touch_shared sys ~core Layout.Asid_table ~kind:Tp_hw.Defs.Write);
     let a = ki.Types.ki_asid in
     ki.Types.ki_asid <- -1;
     System.free_asid sys a
@@ -287,7 +287,7 @@ let destroy sys ~core cap =
      raise e);
   (* Fixed bookkeeping cost of the destruction path itself. *)
   ignore
-    (System.touch_shared sys ~core Layout.Cur_pointers ~kind:Tp_hw.Defs.Write ());
+    (System.touch_shared sys ~core Layout.Cur_pointers ~kind:Tp_hw.Defs.Write);
   Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.destroy_bookkeeping_cost;
   Tp_obs.Counter.incr (stats ()).st_destroys;
   if Tp_obs.Trace.enabled () then

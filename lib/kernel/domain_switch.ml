@@ -99,10 +99,16 @@ let rec flush sys ~core = function
       in
       cost + flush sys ~core plan
 
+(* Walks the region list directly: a [List.iter] closure over [sys]
+   and [core] would be allocated on every switch. *)
+let rec prefetch_regions sys ~core = function
+  | [] -> ()
+  | r :: rest ->
+      ignore (System.touch_shared sys ~core r ~kind:Tp_hw.Defs.Read);
+      prefetch_regions sys ~core rest
+
 let prefetch_shared sys ~core =
-  List.iter
-    (fun r -> ignore (System.touch_shared sys ~core r ~kind:Tp_hw.Defs.Read ()))
-    Layout.all_shared_regions
+  prefetch_regions sys ~core Layout.all_shared_regions
 
 let switch sys ~core ~to_ =
   let cfg = System.cfg sys in
@@ -123,25 +129,25 @@ let switch sys ~core ~to_ =
   let protect = kernel_switched || (domain_crossed && not cfg.Config.clone_kernel) in
   let t0 = System.now sys ~core in
   (* 1. acquire the kernel lock *)
-  ignore (System.touch_shared sys ~core Layout.Big_lock ~kind:Tp_hw.Defs.Write ());
+  ignore (System.touch_shared sys ~core Layout.Big_lock ~kind:Tp_hw.Defs.Write);
   Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.lock_cost;
   (* 2. process the timer tick normally *)
   ignore
     (System.touch_image sys ~core from_kernel ~region:System.Text
        ~off:Layout.handler_tick.Layout.t_off ~len:Layout.handler_tick.Layout.t_len
        ~kind:Tp_hw.Defs.Fetch);
-  ignore (System.touch_shared sys ~core Layout.Cur_irq ~kind:Tp_hw.Defs.Write ());
+  ignore (System.touch_shared sys ~core Layout.Cur_irq ~kind:Tp_hw.Defs.Write);
   ignore
-    (System.touch_shared sys ~core Layout.Sched_queues ~off:(to_.Types.t_prio * 16)
-       ~len:16 ~kind:Tp_hw.Defs.Read ());
-  ignore (System.touch_shared sys ~core Layout.Sched_bitmap ~kind:Tp_hw.Defs.Read ());
-  ignore (System.touch_shared sys ~core Layout.Cur_decision ~kind:Tp_hw.Defs.Write ());
+    (System.touch_shared_range sys ~core Layout.Sched_queues ~off:(to_.Types.t_prio * 16)
+       ~len:16 ~kind:Tp_hw.Defs.Read);
+  ignore (System.touch_shared sys ~core Layout.Sched_bitmap ~kind:Tp_hw.Defs.Read);
+  ignore (System.touch_shared sys ~core Layout.Cur_decision ~kind:Tp_hw.Defs.Write);
   if protect then begin
     (* 3. mask interrupts (and resolve the x86 mask race by acking
        anything that already fired, §4.3). *)
     ignore
-      (System.touch_shared sys ~core Layout.Irq_tables ~len:256
-         ~kind:Tp_hw.Defs.Write ());
+      (System.touch_shared_range sys ~core Layout.Irq_tables ~off:0 ~len:256
+         ~kind:Tp_hw.Defs.Write);
     if cfg.Config.partition_irqs then
       Irq.drop_masked_race (System.irq sys) ~core ~now:(System.now sys ~core)
   end;
@@ -162,8 +168,8 @@ let switch sys ~core ~to_ =
       if not cur.Types.t_is_idle then begin
         cur.Types.t_state <- Types.Ts_ready;
         ignore
-          (System.touch_shared sys ~core Layout.Sched_queues
-             ~off:(cur.Types.t_prio * 16) ~len:16 ~kind:Tp_hw.Defs.Write ())
+          (System.touch_shared_range sys ~core Layout.Sched_queues
+             ~off:(cur.Types.t_prio * 16) ~len:16 ~kind:Tp_hw.Defs.Write)
       end
   | None -> ());
   (* Touch the destination TCB (it holds the Kernel_Image reference the
@@ -182,23 +188,23 @@ let switch sys ~core ~to_ =
       done
   | [] -> ());
   ignore
-    (System.touch_shared sys ~core Layout.Cur_pointers ~kind:Tp_hw.Defs.Write ());
+    (System.touch_shared sys ~core Layout.Cur_pointers ~kind:Tp_hw.Defs.Write);
   from_kernel.Types.ki_running_on.(core) <- false;
   to_kernel.Types.ki_running_on.(core) <- true;
   pc.System.cur_thread <- Some to_;
   pc.System.cur_kernel <- to_kernel;
   to_.Types.t_state <- Types.Ts_running;
   (* 6. release the kernel lock *)
-  ignore (System.touch_shared sys ~core Layout.Big_lock ~kind:Tp_hw.Defs.Write ());
+  ignore (System.touch_shared sys ~core Layout.Big_lock ~kind:Tp_hw.Defs.Write);
   Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.lock_cost;
   (* 7. unmask the interrupts of the new kernel *)
   if protect then
     ignore
-      (System.touch_shared sys ~core Layout.Irq_tables ~len:256
-         ~kind:Tp_hw.Defs.Write ());
+      (System.touch_shared_range sys ~core Layout.Irq_tables ~off:0 ~len:256
+         ~kind:Tp_hw.Defs.Write);
   (* 8. flush on-core microarchitectural state *)
   let flush =
-    if protect then flush sys ~core (Config.flush_plan (System.platform sys) cfg)
+    if protect then flush sys ~core (System.flush_plan sys)
     else 0
   in
   (* 9. pre-fetch shared kernel data (Requirement 3) *)
@@ -220,7 +226,8 @@ let switch sys ~core ~to_ =
   in
   (* 11. reprogram the timer interrupt *)
   ignore
-    (System.touch_shared sys ~core Layout.Irq_tables ~len:64 ~kind:Tp_hw.Defs.Write ());
+    (System.touch_shared_range sys ~core Layout.Irq_tables ~off:0 ~len:64
+       ~kind:Tp_hw.Defs.Write);
   Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.timer_reprogram_cost;
   (* 12. restore the user stack pointer and return *)
   Tp_hw.Machine.add_cycles m ~core Tp_hw.Bounds.return_cost;

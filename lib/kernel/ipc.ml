@@ -41,7 +41,7 @@ let one_way sys ~core ~ep ~from ~to_ =
   touch_frame_lines sys ~core from.Types.t_frames ~lines:3 ~kind:Tp_hw.Defs.Read;
   touch_frame_lines sys ~core to_.Types.t_frames ~lines:3 ~kind:Tp_hw.Defs.Write;
   ignore
-    (System.touch_shared sys ~core Layout.Cur_pointers ~kind:Tp_hw.Defs.Write ());
+    (System.touch_shared sys ~core Layout.Cur_pointers ~kind:Tp_hw.Defs.Write);
   (* Address-space switch: the receiver becomes current, so kernel
      accesses from here run under its ASID. *)
   pc.System.cur_thread <- Some to_;

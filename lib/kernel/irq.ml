@@ -95,6 +95,12 @@ let next_deliverable t ~core ~partitioned ~current =
       else acc)
     max_int !(t.timers.(core))
 
+let rec any_due ~now = function
+  | [] -> false
+  | tm :: rest -> tm.tm_at <= now || any_due ~now rest
+
+(* Runs on every protected switch, where usually nothing is due: only
+   then is the list rebuilt. *)
 let drop_masked_race t ~core ~now =
   let ts = t.timers.(core) in
-  ts := List.filter (fun tm -> tm.tm_at > now) !ts
+  if any_due ~now !ts then ts := List.filter (fun tm -> tm.tm_at > now) !ts

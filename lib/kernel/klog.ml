@@ -15,10 +15,13 @@ let destroy ki = Log.info (fun m -> m "kernel_destroy %s" (kid ki))
 
 let set_int ki ~irq = Log.info (fun m -> m "kernel_set_int %s irq=%d" (kid ki) irq)
 
+(* Every kernel-crossing switch logs, so the message closure is built
+   only when debug output is on. *)
 let switch ~core ~from_kernel ~to_kernel ~total =
-  Log.debug (fun m ->
-      m "core %d: switch %s -> %s (%d cycles)" core (kid from_kernel)
-        (kid to_kernel) total)
+  if Logs.Src.level src = Some Logs.Debug then
+    Log.debug (fun m ->
+        m "core %d: switch %s -> %s (%d cycles)" core (kid from_kernel)
+          (kid to_kernel) total)
 
 (* Fault-injection events: every armed, injected and recovered fault
    is a kernel-log event so injected runs are auditable. *)

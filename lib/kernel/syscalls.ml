@@ -44,7 +44,7 @@ let entry sys ~core ki =
   fetch_text sys ~core ki Layout.entry_stub;
   touch_stack sys ~core ki;
   ignore
-    (System.touch_shared sys ~core Layout.Cur_pointers ~kind:Tp_hw.Defs.Read ())
+    (System.touch_shared sys ~core Layout.Cur_pointers ~kind:Tp_hw.Defs.Read)
 
 let wake sys ~core tcb =
   tcb.Types.t_state <- Types.Ts_ready;
@@ -52,9 +52,9 @@ let wake sys ~core tcb =
   (* Enqueue touches the priority's ready-queue head and the bitmap in
      the shared region. *)
   ignore
-    (System.touch_shared sys ~core Layout.Sched_queues ~off:(tcb.Types.t_prio * 16)
-       ~len:16 ~kind:Tp_hw.Defs.Write ());
-  ignore (System.touch_shared sys ~core Layout.Sched_bitmap ~kind:Tp_hw.Defs.Write ())
+    (System.touch_shared_range sys ~core Layout.Sched_queues ~off:(tcb.Types.t_prio * 16)
+       ~len:16 ~kind:Tp_hw.Defs.Write);
+  ignore (System.touch_shared sys ~core Layout.Sched_bitmap ~kind:Tp_hw.Defs.Write)
 
 let execute sys ~core tcb call =
   let ki =
@@ -89,26 +89,26 @@ let execute sys ~core tcb call =
       if was_queued then
         Sched.remove (System.sched sys) ~core:target.Types.t_core target;
       ignore
-        (System.touch_shared sys ~core Layout.Sched_queues
-           ~off:(target.Types.t_prio * 16) ~len:16 ~kind:Tp_hw.Defs.Write ());
+        (System.touch_shared_range sys ~core Layout.Sched_queues
+           ~off:(target.Types.t_prio * 16) ~len:16 ~kind:Tp_hw.Defs.Write);
       target.Types.t_prio <- max 0 (min (Sched.n_priorities - 1) prio);
       if was_queued then begin
         Sched.enqueue (System.sched sys) ~core:target.Types.t_core target;
         ignore
-          (System.touch_shared sys ~core Layout.Sched_queues
-             ~off:(target.Types.t_prio * 16) ~len:16 ~kind:Tp_hw.Defs.Write ())
+          (System.touch_shared_range sys ~core Layout.Sched_queues
+             ~off:(target.Types.t_prio * 16) ~len:16 ~kind:Tp_hw.Defs.Write)
       end;
       ignore
-        (System.touch_shared sys ~core Layout.Sched_bitmap ~kind:Tp_hw.Defs.Write ())
+        (System.touch_shared sys ~core Layout.Sched_bitmap ~kind:Tp_hw.Defs.Write)
   | Yield ->
       fetch_text sys ~core ki Layout.handler_yield;
       ignore
-        (System.touch_shared sys ~core Layout.Cur_decision ~kind:Tp_hw.Defs.Write ())
+        (System.touch_shared sys ~core Layout.Cur_decision ~kind:Tp_hw.Defs.Write)
   | Set_timeout { irq; after } ->
       fetch_text sys ~core ki Layout.handler_irq;
       ignore
-        (System.touch_shared sys ~core Layout.Irq_tables ~off:(irq * 64) ~len:64
-           ~kind:Tp_hw.Defs.Write ());
+        (System.touch_shared_range sys ~core Layout.Irq_tables ~off:(irq * 64) ~len:64
+           ~kind:Tp_hw.Defs.Write);
       Irq.arm_timer (System.irq sys) ~core ~irq
         ~at:(System.now sys ~core + after));
   (* Return to user: back through the stub. *)
@@ -121,10 +121,10 @@ let handle_irq sys ~core ~irq =
   fetch_text sys ~core ki Layout.handler_irq;
   touch_stack sys ~core ki;
   ignore
-    (System.touch_shared sys ~core Layout.Cur_irq ~kind:Tp_hw.Defs.Write ());
+    (System.touch_shared sys ~core Layout.Cur_irq ~kind:Tp_hw.Defs.Write);
   ignore
-    (System.touch_shared sys ~core Layout.Irq_tables ~off:(irq * 64) ~len:64
-       ~kind:Tp_hw.Defs.Read ());
+    (System.touch_shared_range sys ~core Layout.Irq_tables ~off:(irq * 64) ~len:64
+       ~kind:Tp_hw.Defs.Read);
   (* Acknowledge at the interrupt controller (EOI round-trip), signal
      the user-level driver's notification, and return — several
      microseconds of work on real hardware, and the magnitude of the

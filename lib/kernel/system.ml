@@ -8,6 +8,7 @@ type t = {
   platform : Tp_hw.Platform.t;
   layout : Layout.image_layout;
   cfg : Config.t;
+  flush_plan : Tp_hw.Flush.step list;
   phys : Phys.t;
   sched : Sched.t;
   irq : Irq.t;
@@ -73,6 +74,7 @@ let create platform cfg =
     platform;
     layout = Layout.image_layout platform;
     cfg;
+    flush_plan = Config.flush_plan platform cfg;
     phys;
     sched = Sched.create ~cores:platform.Tp_hw.Platform.cores;
     irq = Irq.create ~cores:platform.Tp_hw.Platform.cores;
@@ -93,6 +95,7 @@ let machine t = t.machine
 let platform t = t.platform
 let image_layout t = t.layout
 let cfg t = t.cfg
+let flush_plan t = t.flush_plan
 let phys t = t.phys
 let sched t = t.sched
 let irq t = t.irq
@@ -162,28 +165,32 @@ let image_region_base t ki region =
 
 (* Touch every cache line overlapping [off, off + len) of a kernel
    window, in address order, through the current address space's TLB
-   context: window offset [o] is virtual address [vbase + o] and
-   physical address [pa o].  Nothing is allocated per line. *)
-let touch_range t ~core ~kind ~vbase ~pa ~off ~len =
+   context.  The shared window maps linearly from [shared_paddr]; an
+   image window resolves each line through [ki]'s frames ([ki] is not
+   read when [shared]).  Nothing is allocated. *)
+let touch_range t ~core ~kind ~shared ~ki ~off ~len =
   let line = t.platform.Tp_hw.Platform.line in
   let asid = current_asid t ~core in
   let global = kernel_mappings_global t in
+  let vbase = if shared then t.shared_vaddr else Layout.kernel_base_vaddr in
   let last = (off + len - 1) / line * line in
   let o = ref (off / line * line) in
   let lat = ref 0 in
   while !o <= last do
+    let paddr =
+      if shared then t.shared_paddr + !o else image_pa ki ~off:!o
+    in
     lat :=
       !lat
       + Tp_hw.Machine.access_pt t.machine ~core ~asid ~global ~llc_ways:max_int
-          ~root_pa:(-1) ~leaf_pa:(-1) ~vaddr:(vbase + !o) ~paddr:(pa !o) ~kind;
+          ~root_pa:(-1) ~leaf_pa:(-1) ~vaddr:(vbase + !o) ~paddr ~kind;
     o := !o + line
   done;
   !lat
 
 let touch_image t ~core ki ~region ~off ~len ~kind =
-  touch_range t ~core ~kind ~vbase:Layout.kernel_base_vaddr
-    ~pa:(fun o -> image_pa ki ~off:o)
-    ~off:(region_off t region + off) ~len
+  touch_range t ~core ~kind ~shared:false ~ki ~off:(region_off t region + off)
+    ~len
 
 let set_shared_audit t hook = t.shared_audit <- hook
 
@@ -198,17 +205,18 @@ let cat_mask_of_domain t dom =
   | Some a when dom >= 0 && dom < Array.length a -> a.(dom)
   | Some _ | None -> max_int
 
-let touch_shared t ~core region ?(off = 0) ?len ~kind () =
-  let len =
-    match len with Some l -> l | None -> Layout.shared_region_size region
-  in
+let touch_shared_range t ~core region ~off ~len ~kind =
   (match t.shared_audit with
   | Some hook -> hook region ~off ~len ~kind
   | None -> ());
   assert (len > 0);
-  touch_range t ~core ~kind ~vbase:t.shared_vaddr
-    ~pa:(fun o -> t.shared_paddr + o)
-    ~off:(Layout.shared_region_off region + off) ~len
+  touch_range t ~core ~kind ~shared:true ~ki:t.initial_kernel
+    ~off:(Layout.shared_region_off region + off)
+    ~len
+
+let touch_shared t ~core region ~kind =
+  touch_shared_range t ~core region ~off:0
+    ~len:(Layout.shared_region_size region) ~kind
 
 let shared_base t = (t.shared_vaddr, t.shared_paddr)
 

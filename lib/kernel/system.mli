@@ -31,6 +31,11 @@ val image_layout : t -> Layout.image_layout
 (** [Layout.image_layout (platform t)], computed once at {!create}. *)
 
 val cfg : t -> Config.t
+
+val flush_plan : t -> Tp_hw.Flush.step list
+(** {!Config.flush_plan} of the system's platform and configuration,
+    built once at {!create}: the protected switch runs it as is. *)
+
 val phys : t -> Phys.t
 val sched : t -> Sched.t
 val irq : t -> Irq.t
@@ -81,10 +86,14 @@ val touch_image :
     through the current address space's TLB context. *)
 
 val touch_shared :
-  t -> core:int -> Layout.shared_region -> ?off:int -> ?len:int ->
-  kind:Tp_hw.Defs.access_kind -> unit -> int
-(** Touch (a sub-range of) one shared static data region.  Defaults to
-    the whole region. *)
+  t -> core:int -> Layout.shared_region -> kind:Tp_hw.Defs.access_kind -> int
+(** Touch one whole shared static data region. *)
+
+val touch_shared_range :
+  t -> core:int -> Layout.shared_region -> off:int -> len:int ->
+  kind:Tp_hw.Defs.access_kind -> int
+(** Touch the byte range [[off, off + len)] of one shared static data
+    region. *)
 
 val shared_base : t -> int * int
 (** [(vaddr, paddr)] base of the shared static data block. *)

@@ -2,7 +2,7 @@
 
    One process-global registry guarded by a mutex: unlike the counter
    registry (domain-local, merged at pool joins), metric recording is
-   low-rate — per trial, per wave, per store commit — so worker domains
+   low-rate — per trial, per job, per store commit — so worker domains
    simply take the lock.  Everything is gated on [enabled]: with
    metrics off (the default) every record call is one atomic load, no
    lock, no clock reads, so a metrics-off run is bit-identical to one

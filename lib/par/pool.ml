@@ -7,7 +7,7 @@ let recommended_jobs () = Domain.recommended_domain_count ()
    plain per-slot tallies (one writer each) and the coordinator folds
    them into the registry at join, so recording never races. *)
 let m_runs =
-  Tp_obs.Metrics.counter ~help:"Pool invocations (waves dispatched)."
+  Tp_obs.Metrics.counter ~help:"Pool runs, each one ordered claim loop."
     "tpsim_pool_runs_total"
 
 let m_tasks =
@@ -79,97 +79,131 @@ let with_task i f =
       Tp_kernel.Types.set_id_mark ((i + 1) lsl id_region_bits);
       Tp_obs.Trace.with_capture (fun () -> f i))
 
-let run_seq n f =
-  (* Same capture/replay path as the parallel case so a traced [-j 1]
-     run buffers exactly what [-j N] does. *)
-  let inst = Tp_obs.Metrics.enabled () in
-  let t_start = if inst then Unix.gettimeofday () else 0.0 in
-  let busy = ref 0.0 in
-  let out =
-    Array.init n (fun i ->
-        let t0 = if inst then Unix.gettimeofday () else 0.0 in
-        let v, evs = with_task i f in
-        if inst then busy := !busy +. (Unix.gettimeofday () -. t0);
-        Tp_obs.Trace.replay evs;
-        v)
+let run_ordered ?jobs n f ~commit =
+  if n < 0 then invalid_arg "Tp_par.Pool.run_ordered: negative task count";
+  let jobs =
+    Stdlib.max 1
+      (Stdlib.min n (match jobs with Some j -> j | None -> default_jobs ()))
   in
-  if inst then
-    record_slots
-      ~wall:(Unix.gettimeofday () -. t_start)
-      [| n |] [| !busy |];
-  out
-
-let run_par jobs n f =
   let next = Atomic.make 0 in
   let stop = Atomic.make false in
-  let results = Array.make n None in
-  let errors = Array.make n None in
+  (* The one claim loop.  Every domain, the caller's included, takes
+     the next index off the shared counter until the tasks run out or
+     a stop is raised; [between] runs before each claim and ends the
+     loop when it returns false.  [exec] runs a claimed task to
+     completion whatever happens meanwhile, so every index below the
+     counter always lands. *)
+  let rec claim_loop ~between exec =
+    if between () && not (Atomic.get stop) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        exec i;
+        claim_loop ~between exec
+      end
+    end
+  in
+  (* [slots.(i)] is written once, under [mu], by the domain that ran
+     task [i], and taken (cleared) by the caller when it commits [i]. *)
+  let mu = Mutex.create () in
+  let landed = Condition.create () in
+  let slots = Array.make n None in
   let inst = Tp_obs.Metrics.enabled () in
   let t_start = if inst then Unix.gettimeofday () else 0.0 in
+  (* Per-slot telemetry tallies, one writer each, read after join. *)
   let tasks = Array.make jobs 0 in
   let busy = Array.make jobs 0.0 in
-  (* One writer per slot (the worker that claimed the index); reads
-     happen only after every worker has joined, so plain arrays are
-     race-free here.  Same story for the per-slot telemetry tallies. *)
-  let work slot =
-    let continue = ref true in
-    while !continue do
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= n || Atomic.get stop then continue := false
-      else begin
-        let t0 = if inst then Unix.gettimeofday () else 0.0 in
-        (match with_task i f with
-        | v -> results.(i) <- Some v
-        | exception e ->
-            errors.(i) <- Some (e, Printexc.get_raw_backtrace ());
-            Atomic.set stop true;
-            continue := false);
-        if inst then begin
-          tasks.(slot) <- tasks.(slot) + 1;
-          busy.(slot) <- busy.(slot) +. (Unix.gettimeofday () -. t0)
-        end
-      end
-    done
+  let exec slot i =
+    let t0 = if inst then Unix.gettimeofday () else 0.0 in
+    let r =
+      match with_task i f with
+      | v -> Ok v
+      | exception e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    if Result.is_error r then Atomic.set stop true;
+    if inst then begin
+      tasks.(slot) <- tasks.(slot) + 1;
+      busy.(slot) <- busy.(slot) +. (Unix.gettimeofday () -. t0)
+    end;
+    Mutex.protect mu (fun () ->
+        slots.(i) <- Some r;
+        Condition.broadcast landed)
   in
   let workers =
     Array.init (jobs - 1) (fun k ->
         Domain.spawn (fun () ->
-            work (k + 1);
+            claim_loop ~between:(fun () -> true) (exec (k + 1));
             Tp_obs.Counter.export ()))
   in
-  work 0;
+  (* The caller commits in index order.  [drain ~block] hands every
+     landed result from [!committed] on to [commit], replaying its
+     trace first; with [~block] it also waits for tasks already claimed.
+     The run is [over] once [commit] says stop or the next result in
+     order is a failure — then the lowest-index one, since every index
+     below it has committed. *)
+  let committed = ref 0 in
+  let over = ref false in
+  let failure = ref None in
+  let rec drain ~block =
+    let k = !committed in
+    if (not !over) && k < n then begin
+      let claimed = k < Atomic.get next in
+      let r =
+        Mutex.protect mu (fun () ->
+            if block && claimed then
+              while Option.is_none slots.(k) do
+                Condition.wait landed mu
+              done;
+            let r = slots.(k) in
+            slots.(k) <- None;
+            r)
+      in
+      match r with
+      | None -> ()
+      | Some (Error e) ->
+          failure := Some e;
+          over := true
+      | Some (Ok (v, evs)) -> (
+          Tp_obs.Trace.replay evs;
+          committed := k + 1;
+          match commit k v with
+          | `Continue -> drain ~block
+          | `Stop ->
+              over := true;
+              Atomic.set stop true)
+    end
+  in
+  let commit_failure =
+    match
+      claim_loop
+        ~between:(fun () ->
+          drain ~block:false;
+          not !over)
+        (exec 0);
+      drain ~block:true
+    with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  (* Claims end with the run; tasks already claimed finish and are
+     dropped uncommitted. *)
+  Atomic.set stop true;
   let exports = Array.map Domain.join workers in
-  (* Deterministic merge: counter sums in fixed worker order (sums
-     commute, so totals equal the sequential run's), then traces in
-     trial order. *)
+  (* Counter sums in fixed worker order: sums commute, so totals equal
+     the sequential run's. *)
   Array.iter Tp_obs.Counter.absorb exports;
   if inst then
     record_slots ~wall:(Unix.gettimeofday () -. t_start) tasks busy;
-  (* Array.iter visits slots in index order, so this re-raises the
-     lowest-index failure — independent of which worker hit it. *)
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    errors;
-  Array.map
-    (fun slot ->
-      match slot with
-      | Some (v, evs) ->
-          Tp_obs.Trace.replay evs;
-          v
-      | None -> assert false (* no error ⇒ every slot was filled *))
-    results
+  match (commit_failure, !failure) with
+  | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None, None -> ()
 
 let run ?jobs n f =
   if n < 0 then invalid_arg "Tp_par.Pool.run: negative task count";
-  if n = 0 then [||]
-  else begin
-    let jobs =
-      Stdlib.max 1 (Stdlib.min n (match jobs with Some j -> j | None -> default_jobs ()))
-    in
-    if jobs = 1 then run_seq n f else run_par jobs n f
-  end
+  let out = Array.make n None in
+  run_ordered ?jobs n f ~commit:(fun i v ->
+      out.(i) <- Some v;
+      `Continue);
+  Array.map Option.get out
 
 let map_list ?jobs xs f =
   let arr = Array.of_list xs in

@@ -47,10 +47,6 @@ let m_trial_us =
     ~help:"Wall latency of one trial dispatch incl. retries, microseconds."
     "tpsim_engine_trial_us"
 
-let m_wave_us =
-  Metrics.histogram ~help:"Wall latency of one dispatch wave, microseconds."
-    "tpsim_engine_wave_us"
-
 let m_job_us =
   Metrics.histogram ~help:"Wall latency of one job, microseconds."
     "tpsim_engine_job_us"
@@ -471,13 +467,6 @@ let job_digest ~store trials =
   in
   Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare pairs)))
 
-let rec take n = function
-  | [] -> ([], [])
-  | xs when n <= 0 -> ([], xs)
-  | x :: xs ->
-      let hd, tl = take (n - 1) xs in
-      (x :: hd, tl)
-
 let run_job ~store ?code_rev:rev ?jobs ?progress ?(compute = compute_cell)
     (j : Protocol.job) =
   let* cells = cells_of_job j in
@@ -548,85 +537,83 @@ let run_job ~store ?code_rev:rev ?jobs ?progress ?(compute = compute_cell)
                 (failed_trial c ~key ~retries:0
                    ("stored trial unreadable: " ^ why))))
     keyed;
-  let pending = List.rev !pending in
+  let pending = Array.of_list (List.rev !pending) in
+  let n_pending = Array.length pending in
   consecutive := 0;
   if !done_ > 0 then emit ();
-  let wave = Stdlib.max 1 (jobs_n * 2) in
   let deadline =
     Option.map
       (fun s -> Unix.gettimeofday () +. s)
       j.Protocol.j_wall_budget_s
   in
-  let rec waves rest =
-    match rest with
-    | [] -> ()
-    | _ when !stop_reason <> None ->
-        (* Graceful degradation: everything already computed (and
-           stored) is kept; the remainder is reported failed with the
-           stop reason and recomputed on resubmission. *)
-        List.iter
-          (fun (i, c, key) ->
-            record i (failed_trial c ~key ~retries:0 (Option.get !stop_reason)))
-          rest;
-        emit ()
-    | _
-      when Option.fold ~none:false
-             ~some:(fun d -> Unix.gettimeofday () >= d)
-             deadline ->
-        stop_reason := Some "job wall budget exhausted";
-        waves rest
-    | _ ->
-        let chunk, rest = take wave rest in
-        (* Dispatch crossings happen here in the coordinating thread —
-           one per cell — so fail-at-step-N can crash a sweep between
-           any two dispatches. *)
-        List.iter (fun _ -> Tp_fault.Fault.hit point_dispatch) chunk;
-        let arr = Array.of_list chunk in
-        let t_wave = if Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-        let outs =
-          Tp_par.Pool.run ~jobs:jobs_n (Array.length arr) (fun k ->
-              let _, c, _ = arr.(k) in
-              if Metrics.enabled () then begin
-                let t0 = Unix.gettimeofday () in
-                let out = attempt_cell ~compute j c in
-                Metrics.observe m_trial_us (us_since t0);
-                out
-              end
-              else attempt_cell ~compute j c)
-        in
-        if Metrics.enabled () then Metrics.observe m_wave_us (us_since t_wave);
-        Array.iteri
-          (fun k (out, retries) ->
-            let i, c, key = arr.(k) in
-            match out with
-            | Ok blob -> (
-                (* Store before anything depends on the result: a crash
-                   after this put resumes with the cell already
-                   answered. *)
-                Store.put store ~key blob;
-                match Protocol.trial_of_stored ~key blob with
-                | Ok t ->
-                    record i
-                      { t with Protocol.t_cached = false; t_retries = retries }
-                | Error why ->
-                    record i
-                      (failed_trial c ~key ~retries
-                         ("computed trial unreadable: " ^ why)))
-            | Error why -> record i (failed_trial c ~key ~retries why))
-          outs;
-        if !consecutive >= circuit_threshold && !stop_reason = None then begin
-          stop_reason :=
-            Some
-              (Printf.sprintf
-                 "circuit open after %d consecutive trial failures"
-                 !consecutive);
-          Metrics.inc m_circuit_opens;
-          Metrics.set m_circuit 1.0
-        end;
-        emit ();
-        waves rest
+  let check_deadline () =
+    match deadline with
+    | Some d when !stop_reason = None && Unix.gettimeofday () >= d ->
+        stop_reason := Some "job wall budget exhausted"
+    | Some _ | None -> ()
   in
-  waves pending;
+  (* Progress every [2 × jobs] commits and after the last one. *)
+  let every = 2 * jobs_n in
+  let committed = ref 0 in
+  let commit k (out, retries) =
+    let i, c, key = pending.(k) in
+    (match out with
+    | Ok blob -> (
+        (* Store before anything depends on the result: a crash after
+           this put resumes with the cell already answered. *)
+        Store.put store ~key blob;
+        match Protocol.trial_of_stored ~key blob with
+        | Ok t ->
+            record i { t with Protocol.t_cached = false; t_retries = retries }
+        | Error why ->
+            record i
+              (failed_trial c ~key ~retries
+                 ("computed trial unreadable: " ^ why)))
+    | Error why -> record i (failed_trial c ~key ~retries why));
+    incr committed;
+    if !consecutive >= circuit_threshold && !stop_reason = None then begin
+      stop_reason :=
+        Some
+          (Printf.sprintf "circuit open after %d consecutive trial failures"
+             !consecutive);
+      Metrics.inc m_circuit_opens;
+      Metrics.set m_circuit 1.0
+    end;
+    check_deadline ();
+    if
+      !committed mod every = 0
+      || !committed = n_pending
+      || !stop_reason <> None
+    then emit ();
+    if !stop_reason = None then `Continue else `Stop
+  in
+  check_deadline ();
+  if !stop_reason = None then
+    Tp_par.Pool.run_ordered ~jobs:jobs_n n_pending
+      (fun k ->
+        let _, c, _ = pending.(k) in
+        (* One crossing per cell, just before it is computed, so
+           fail-at-step-N can crash a sweep between any two cells. *)
+        Tp_fault.Fault.hit point_dispatch;
+        if Metrics.enabled () then begin
+          let t0 = Unix.gettimeofday () in
+          let out = attempt_cell ~compute j c in
+          Metrics.observe m_trial_us (us_since t0);
+          out
+        end
+        else attempt_cell ~compute j c)
+      ~commit;
+  (* Graceful degradation: everything committed (and stored) is kept;
+     the rest — even cells a worker already computed — is reported
+     failed with the stop reason and recomputed on resubmission. *)
+  if !committed < n_pending then begin
+    let why = Option.get !stop_reason in
+    for k = !committed to n_pending - 1 do
+      let i, c, key = pending.(k) in
+      record i (failed_trial c ~key ~retries:0 why)
+    done;
+    emit ()
+  end;
   let trials = Array.to_list trials |> List.map Option.get in
   let degraded =
     List.length

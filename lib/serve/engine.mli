@@ -2,9 +2,11 @@
 
     Expands a {!Protocol.job} into its deterministic cell list
     (platform × config × channel × trial, in job order), answers
-    already-stored cells from the result store, and shards the rest
-    across {!Tp_par.Pool} in small waves so progress can stream and
-    budgets/circuit state are checked at deterministic points.
+    already-stored cells from the result store, and runs the rest as
+    one {!Tp_par.Pool.run_ordered} run.  Results are committed in cell
+    order as they arrive — stored, recorded, checked against the
+    circuit breaker and the wall budget, and reported as progress — so
+    a job's reply does not depend on the jobs level.
 
     Robustness contract (the headline of this subsystem):
 
@@ -12,13 +14,18 @@
       times out is retried up to [j_max_retries] times with exponential
       backoff before being reported [Failed];
     - {e circuit breaking}: after {!circuit_threshold} consecutive
-      trial failures (post-retry), remaining cells are skipped and the
-      job degrades — a sick worker pool cannot burn the whole budget;
+      trial failures (post-retry, in cell order), remaining cells are
+      skipped and the job degrades — a sick worker pool cannot burn
+      the whole budget;
     - {e graceful degradation}: a job that exhausts its wall budget
-      returns everything computed so far, marked [Degraded] with a
-      reason, mirroring the PR 1 harness contract;
-    - {e idempotent resubmission}: every completed cell is stored
-      before the next wave is dispatched, so resubmitting after any
+      (checked before the run and after every commit) returns
+      everything committed so far, marked [Degraded] with a reason,
+      mirroring the harness's budget contract.  Every cell not yet
+      committed when the circuit opens or the budget runs out is
+      reported [Failed] with that reason and never stored, even if a
+      worker had already computed it;
+    - {e idempotent resubmission}: every completed cell is stored, in
+      cell order, before the job reports it, so resubmitting after any
       interruption (including [kill -9] — see the crash-resume tests)
       continues from the store and converges to a result bit-identical
       to an uninterrupted run;
@@ -26,10 +33,11 @@
       Wall-clock-degraded trials are host-dependent, so they are
       reported [Failed] (recomputable) and never written back.
 
-    The dispatch loop crosses the {!Tp_fault} point [job_dispatch]
-    once per cell (in the coordinating thread), so the fail-at-step-N
-    driver can crash a sweep between any two dispatches and prove
-    crash-resume bit-identity. *)
+    Each cell crosses the {!Tp_fault} point [job_dispatch] once, just
+    before it is computed, so the fail-at-step-N driver can crash a
+    sweep between any two cells and prove crash-resume bit-identity.
+    Fault plans force [-j 1], so under injection that crossing is
+    always in the calling domain. *)
 
 type cell = {
   cl_platform : string;  (** platform slug, e.g. ["haswell"] *)

@@ -222,7 +222,6 @@ let render ?prev ~now e =
         (fmt_f (total e (fam ^ "_count"))))
     [
       ("trial", "tpsim_engine_trial_us");
-      ("wave", "tpsim_engine_wave_us");
       ("job", "tpsim_engine_job_us");
     ];
   line "";

@@ -188,7 +188,7 @@ let test_calibrate () =
       Alcotest.(check int) (name ^ " pad") pad c.Calibrate.pad_cycles;
       Alcotest.(check int) (name ^ " trials") 32 c.Calibrate.trials;
       if p == haswell then
-        Alcotest.(check bool) "validates on a fresh system" true
+        Alcotest.(check bool) "covers every Table 6 receiver, L3 included" true
           (Calibrate.covers c p ~trials:5))
     [
       (haswell, 55435, 69293);

@@ -406,6 +406,38 @@ let test_switch_updates_current () =
   Alcotest.(check bool) "cur kernel" true
     (pc.System.cur_kernel.Types.ki_id = d0.Boot.dom_kernel.Types.ki_id)
 
+(* Minor-heap words one [Domain_switch.switch] allocates on haswell,
+   alternating between two domains' threads (every switch crosses
+   domains, and kernels where they are cloned), averaged over 64
+   switches after 4 warm-up ones. *)
+let switch_words kind =
+  let b = Tp_core.Scenario.boot kind haswell in
+  let sys = b.Boot.sys in
+  let t0 = Boot.spawn b b.Boot.domains.(0) (fun _ -> ()) in
+  let t1 = Boot.spawn b b.Boot.domains.(1) (fun _ -> ()) in
+  Sched.remove (System.sched sys) ~core:0 t0;
+  Sched.remove (System.sched sys) ~core:0 t1;
+  let switch i =
+    let to_ = if i land 1 = 0 then t0 else t1 in
+    ignore (Domain_switch.switch sys ~core:0 ~to_)
+  in
+  for i = 0 to 3 do switch i done;
+  let n = 64 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do switch i done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* A switch allocates its cost record and the [Some] for the current
+   thread, and nothing else: no closures, optional arguments or lists
+   per touched region or flush step.  Every pool domain shares the
+   minor GC, so a boxing switch slows the other worker too. *)
+let test_switch_allocation () =
+  List.iter
+    (fun (slug, kind) ->
+      Alcotest.(check (float 0.0))
+        (slug ^ ": minor words per switch") 7.0 (switch_words kind))
+    Tp_core.Scenario.slugs
+
 let test_switch_flushes_on_core_state () =
   let b = boot_protected ~platform:sabre () in
   let sys = b.Boot.sys in
@@ -1137,6 +1169,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_sched_always_highest;
     Alcotest.test_case "switch updates current" `Quick test_switch_updates_current;
     Alcotest.test_case "switch flushes on-core" `Quick test_switch_flushes_on_core_state;
+    Alcotest.test_case "switch allocation pinned" `Quick
+      test_switch_allocation;
     Alcotest.test_case "switch padding constant" `Quick
       test_switch_padding_makes_total_constant;
     Alcotest.test_case "switch no-pad varies" `Quick test_switch_no_pad_varies;

@@ -78,6 +78,51 @@ let test_trace_replayed_in_trial_order () =
         [ "t0"; "t1"; "t2"; "t3"; "t4"; "t5" ]
         (List.map (fun e -> e.Tp_obs.Trace.name) (Tp_obs.Trace.events ())))
 
+(* Uneven task times, 0–4 ms cycling down with the index, so at
+   -j > 1 later tasks often land before earlier ones and the commit
+   must wait for them. *)
+let uneven n i =
+  Unix.sleepf (0.001 *. float_of_int ((n - i) mod 5));
+  i * 10
+
+let test_ordered_commit () =
+  let n = 23 in
+  List.iter
+    (fun jobs ->
+      let seen = ref [] in
+      Pool.run_ordered ~jobs n (uneven n) ~commit:(fun i v ->
+          seen := (i, v) :: !seen;
+          `Continue);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "-j %d: every index once, in order" jobs)
+        (List.init n (fun i -> (i, i * 10)))
+        (List.rev !seen))
+    [ 1; 2; 3 ]
+
+let test_commit_stop () =
+  let n = 64 and stop_at = 3 in
+  List.iter
+    (fun jobs ->
+      let seen = ref [] in
+      let started = Atomic.make 0 in
+      Pool.run_ordered ~jobs n
+        (fun i ->
+          Atomic.incr started;
+          uneven n i)
+        ~commit:(fun i _ ->
+          seen := i :: !seen;
+          if i = stop_at then `Stop else `Continue);
+      Alcotest.(check (list int))
+        (Printf.sprintf "-j %d: no commit after stop" jobs)
+        (List.init (stop_at + 1) Fun.id)
+        (List.rev !seen);
+      Alcotest.(check bool)
+        (Printf.sprintf "-j %d: claims end at the stop (%d started)" jobs
+           (Atomic.get started))
+        true
+        (Atomic.get started < n))
+    [ 1; 2; 3 ]
+
 (* ---- the determinism property ----------------------------------- *)
 
 (* One harness channel trial, digested: fresh boot, trial-derived RNG,
@@ -224,6 +269,10 @@ let suite =
       test_validate_jobs;
     Alcotest.test_case "run degenerate sizes" `Quick test_run_degenerate;
     Alcotest.test_case "map_list order and index" `Quick test_map_list;
+    Alcotest.test_case "ordered commit: each index once, in order" `Quick
+      test_ordered_commit;
+    Alcotest.test_case "ordered commit: stop ends the run" `Quick
+      test_commit_stop;
     Alcotest.test_case "lowest failure wins" `Quick test_lowest_failure_wins;
     Alcotest.test_case "counters absorbed at join" `Quick
       test_pool_absorbs_worker_counters;

@@ -271,6 +271,45 @@ let test_circuit_breaker () =
             (Printf.sprintf "breaker saved work (%d calls)" !calls)
             true (!calls < 16)))
 
+(* The breaker counts failures in cell order, after every commit, so a
+   failing job's reply is the same at every jobs level: cell 0 stored,
+   cells 1-5 failed by the stub, the rest failed by the open circuit. *)
+let test_failing_reply_independent_of_jobs () =
+  let fail_from_1 j (c : E.cell) =
+    if c.E.cl_trial >= 1 then Error "sick worker" else stub_compute j c
+  in
+  let reply jobs =
+    with_dir (fun dir ->
+        with_store dir (fun store ->
+            match
+              E.run_job ~store ~code_rev:"test-rev" ~jobs ~compute:fail_from_1
+                (job ~channels:[ "l1d" ] ~trials:16 ~max_retries:0 ())
+            with
+            | Error e -> Alcotest.fail ("run_job rejected: " ^ e)
+            | Ok r ->
+                ( List.map
+                    (fun t ->
+                      (P.status_name t.P.t_status, t.P.t_degraded_reason))
+                    r.P.r_trials,
+                  r.P.r_reason,
+                  r.P.r_failed,
+                  Store.count store )))
+  in
+  let ((_, reason, failed, stored) as seq) = reply 1 in
+  Alcotest.(check (option string))
+    "circuit opens after 5 failures"
+    (Some "circuit open after 5 consecutive trial failures")
+    reason;
+  Alcotest.(check int) "failed" 15 failed;
+  Alcotest.(check int) "stored" 1 stored;
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "-j %d reply = -j 1 reply" jobs)
+        true
+        (reply jobs = seq))
+    [ 2; 3 ]
+
 let test_wall_budget_degrades () =
   with_dir (fun dir ->
       with_store dir (fun store ->
@@ -583,7 +622,7 @@ let test_top_quantile () =
     (Top.quantile e "tpsim_engine_trial_us" 100.0);
   Alcotest.(check (option (float 0.0)))
     "empty family has no quantile" None
-    (Top.quantile e "tpsim_engine_wave_us" 50.0)
+    (Top.quantile e "tpsim_engine_job_us" 50.0)
 
 let test_top_render () =
   let e = Top.parse synthetic_exposition in
@@ -724,6 +763,8 @@ let suite =
     Alcotest.test_case "retries exhausted fails the trial" `Quick
       test_retries_exhausted_fails_trial;
     Alcotest.test_case "circuit breaker opens" `Quick test_circuit_breaker;
+    Alcotest.test_case "failing job's reply independent of -j" `Quick
+      test_failing_reply_independent_of_jobs;
     Alcotest.test_case "wall budget degrades gracefully" `Quick
       test_wall_budget_degrades;
     Alcotest.test_case "crash-resume: dispatch faults" `Quick
