@@ -37,6 +37,7 @@ type result = {
   checkpoints : int;
   switch_counters : Tp_obs.Counter.snapshot;
   cert : Tp_analysis.Certify.cert;
+  streams : Tp_hw.Replay.t option array;
 }
 
 type placement = Same_core | Concurrent | Coscheduled
@@ -141,27 +142,37 @@ type sym_state =
   | Recorded of Tp_hw.Replay.t
   | Live
 
+(* A seed entry: complete streams replay from the first slice; an empty,
+   unpoisoned one is "not recorded yet" and records on its first send;
+   anything else (cut short, poisoned) runs live. *)
+let seeded r =
+  if Tp_hw.Replay.complete r then Recorded r
+  else if Tp_hw.Replay.length r = 0 && not (Tp_hw.Replay.poisoned r) then
+    Fresh
+  else Live
+
+(* Only now, at the next scheduling of the sender (or at the end of the
+   trial), is it known whether a recorded slice ran to quiescence
+   (complete) or was cut short or poisoned. *)
+let settle = function
+  | Pending r -> if Tp_hw.Replay.complete r then Recorded r else Live
+  | (Fresh | Recorded _ | Live) as st -> st
+
+(* The sender to run and, once the trial is over, the complete stream
+   each symbol ended it with. *)
 let replayed_sender spec ~sender =
-  if not spec.replay then sender
+  if not spec.replay then (sender, fun () -> Array.make spec.symbols None)
   else begin
     let streams =
       match spec.replay_seed with
-      | Some a when Array.length a = spec.symbols ->
-          Array.map
-            (fun r -> if Tp_hw.Replay.complete r then Recorded r else Live)
-            a
+      | Some a when Array.length a = spec.symbols -> Array.map seeded a
       | Some _ | None -> Array.make spec.symbols Fresh
     in
-    fun ctx s ->
-      (* Settle the previous slice's recording: only now, at the next
-         scheduling of the sender, is it known whether that slice ran
-         to quiescence (complete) or was cut short or poisoned. *)
+    let send ctx s =
       Array.iteri
         (fun i st ->
           match st with
-          | Pending r ->
-              streams.(i) <-
-                (if Tp_hw.Replay.complete r then Recorded r else Live)
+          | Pending _ -> streams.(i) <- settle st
           | Fresh | Recorded _ | Live -> ())
         streams;
       match streams.(s) with
@@ -176,6 +187,16 @@ let replayed_sender spec ~sender =
           Uctx.set_recorder ctx (Some r);
           sender ctx s
       | Pending _ -> sender ctx s (* unreachable: settled above *)
+    in
+    let final () =
+      Array.map
+        (fun st ->
+          match settle st with
+          | Recorded r -> Some r
+          | Fresh | Pending _ | Live -> None)
+        streams
+    in
+    (send, final)
   end
 
 let record_streams b ~sender ~symbols ~slice_cycles =
@@ -204,7 +225,7 @@ let run_pair_result ?(placement = Same_core) b ~sender ~receiver spec ~rng =
   let iteration = ref 0 in
   let inputs = ref [] and outputs = ref [] in
   let recorded = ref 0 in
-  let send = replayed_sender spec ~sender in
+  let send, final_streams = replayed_sender spec ~sender in
   let sender_body ctx =
     let s = Tp_util.Rng.int sym_rng spec.symbols in
     cur_sym := s;
@@ -260,6 +281,7 @@ let run_pair_result ?(placement = Same_core) b ~sender ~receiver spec ~rng =
     checkpoints;
     switch_counters;
     cert = Tp_analysis.Certify.certify_static b;
+    streams = final_streams ();
   }
 
 (* Collection metadata as one JSON object: the degradation contract

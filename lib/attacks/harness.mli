@@ -42,9 +42,14 @@ type spec = {
           poisoning).  A sender that communicates through host-side
           state the machine never sees must set this to [false]. *)
   replay_seed : Tp_hw.Replay.t array option;
-      (** pre-recorded per-symbol sender streams (e.g. from
-          {!record_streams}), replayed from the very first slice;
-          [None] records lazily on each symbol's first send *)
+      (** per-symbol sender streams to start from (e.g. from
+          {!record_streams}, or another trial's {!result.streams}).  A
+          complete entry replays from the very first slice; an empty,
+          unpoisoned entry ({!Tp_hw.Replay.length} 0) means "not
+          recorded yet", so that symbol records on its first send; any
+          other entry (cut short or poisoned) runs live.  [None], or an
+          array of the wrong length, records every symbol lazily.  The
+          harness only reads seed streams. *)
 }
 
 val default_spec : Tp_hw.Platform.t -> spec
@@ -58,12 +63,12 @@ val record_streams :
   slice_cycles:int ->
   Tp_hw.Replay.t array
 (** Record one sender slice per symbol (0, 1, …) in domain 0 on core 0
-    of [b] — the campaign engine's scratch pre-pass.  Streams record op
-    identities only, so a stream recorded on one freshly booted system
-    replays bit-identically on any identically booted one.  Streams of
-    senders that poison their recording, or that overrun the slice,
-    come back incomplete ({!Tp_hw.Replay.complete} is false); callers
-    must check before seeding. *)
+    of [b], outside any trial.  Streams record op identities only, so a
+    stream recorded on one freshly booted system replays
+    bit-identically on any identically booted one.  Streams of senders
+    that poison their recording, or that overrun the slice, come back
+    incomplete ({!Tp_hw.Replay.complete} is false); as a [replay_seed]
+    entry such a stream runs live. *)
 
 type result = {
   data : Tp_channel.Mi.samples;  (** what was collected (possibly partial) *)
@@ -79,6 +84,14 @@ type result = {
           of the same configuration: any MI later measured from [data]
           must stay at or below [Certify.total_bits cert] — the
           cross-validation the certifier's test suite enforces *)
+  streams : Tp_hw.Replay.t option array;
+      (** per symbol, the complete sender stream the trial ended with:
+          seeded or recorded on the symbol's first send.  [None] for a
+          symbol never sent, one whose recording was cut short or
+          poisoned, and every symbol when [spec.replay] is off.  Each
+          is what {!record_streams} records for that symbol on a fresh
+          boot, so a later trial may take it as its [replay_seed]
+          entry. *)
 }
 
 type placement =

@@ -211,64 +211,54 @@ let prepare_channel c b =
       in
       (ch.Cc.prepare b, ch.Cc.symbols)
 
-(* ---- record-once / replay-many pre-pass -------------------------- *)
+(* ---- record-once / replay-many stream memo ---------------------- *)
 
-(* Per-(platform, config, channel) victim op streams, recorded once per
-   process against a scratch boot and shared by every trial of the
-   combination.  Booting and buffer allocation are deterministic, so a
-   stream recorded on the scratch system is valid — op identities are
-   position-independent — on every trial's own fresh boot.  Guarded by
-   a mutex: one scratch boot per combination even under [-j N]. *)
-let stream_memo : (string * string * string, Tp_hw.Replay.t array option) Hashtbl.t
-    =
+(* Whether a cell may replay its sender: a function of the job alone. *)
+let replays (j : Protocol.job) c =
+  j.Protocol.j_replay && List.mem c.cl_channel replayable_channels
+
+(* Per-(platform, config, channel) victim op streams, one slot per
+   symbol, shared by every trial of the combination in this process.
+   No trial waits for them: the first trial that sends a symbol records
+   it (Harness.result.streams) and publishes it here, and later trials
+   replay it from their first slice.  Booting and buffer allocation are
+   deterministic and streams are position-independent, so a stream
+   recorded in one trial is valid on every other trial's fresh boot. *)
+let stream_memo :
+    (string * string * string, Tp_hw.Replay.t option array) Hashtbl.t =
   Hashtbl.create 16
 
 let stream_memo_mu = Mutex.create ()
+let memo_key c = (c.cl_platform, c.cl_config, c.cl_channel)
 
-let record_cell_streams c =
-  let b = Scenario.boot c.cl_kind c.cl_plat in
-  let (sender, _receiver), symbols = prepare_channel c b in
-  let streams =
-    Harness.record_streams b ~sender ~symbols
-      ~slice_cycles:(Harness.default_spec c.cl_plat).Harness.slice_cycles
-  in
-  (* All-or-nothing: one incomplete (cut-short or poisoned) stream and
-     the whole combination runs live — a half-seeded bundle would make
-     the cache key's stream digest lie about what replay covers. *)
-  if Array.for_all Tp_hw.Replay.complete streams then Some streams else None
-
+(* The seed a replaying trial starts from: the streams the memo holds,
+   and an empty ("not recorded yet") one for each symbol it lacks. *)
 let streams_for (j : Protocol.job) c =
-  if not (j.Protocol.j_replay && List.mem c.cl_channel replayable_channels)
-  then None
-  else begin
-    let key = (c.cl_platform, c.cl_config, c.cl_channel) in
-    Mutex.lock stream_memo_mu;
-    let r =
-      match Hashtbl.find_opt stream_memo key with
-      | Some v -> v
-      | None ->
-          let v = try record_cell_streams c with _ -> None in
-          Hashtbl.replace stream_memo key v;
-          v
-    in
-    Mutex.unlock stream_memo_mu;
-    r
-  end
+  if not (replays j c) then None
+  else
+    Mutex.protect stream_memo_mu (fun () ->
+        Option.map
+          (Array.map (function
+            | Some r -> r
+            | None -> Tp_hw.Replay.create ~initial_ops:1 ()))
+          (Hashtbl.find_opt stream_memo (memo_key c)))
 
-let streams_digest = function
-  | None -> "no-replay"
-  | Some streams ->
-      "replay:"
-      ^ Digest.to_hex
-          (Digest.string
-             (String.concat ","
-                (Array.to_list (Array.map Tp_hw.Replay.digest streams))))
+(* Merge a trial's complete streams into the memo, symbol by symbol:
+   the first writer wins, so a published stream never changes. *)
+let publish_streams c (streams : Tp_hw.Replay.t option array) =
+  Mutex.protect stream_memo_mu (fun () ->
+      match Hashtbl.find_opt stream_memo (memo_key c) with
+      | None -> Hashtbl.replace stream_memo (memo_key c) streams
+      | Some held ->
+          Array.iteri
+            (fun i r -> if Option.is_none held.(i) then held.(i) <- r)
+            streams)
 
 let cell_key ~code_rev (j : Protocol.job) c =
   Store.key ~code_rev
     ~parts:
       [
-        "tpsim-store/5";
+        "tpsim-store/6";
         c.cl_platform;
         c.cl_config;
         c.cl_channel;
@@ -277,10 +267,11 @@ let cell_key ~code_rev (j : Protocol.job) c =
         (match j.Protocol.j_trial_cycle_budget with
         | None -> "unbounded"
         | Some b -> string_of_int b);
-        (* The victim-trace digests this trial may replay (or
-           "no-replay"): the key tells the whole provenance story, even
-           though replay is bit-identical by construction. *)
-        streams_digest (streams_for j c);
+        (* Whether the trial may replay.  The streams it would replay
+           need no part of their own: a recorded stream is a
+           deterministic function of the binary ([code_rev]), platform,
+           config and channel, all already in the key. *)
+        (if replays j c then "replay" else "no-replay");
         string_of_int c.cl_trial;
       ]
 
@@ -359,6 +350,7 @@ let compute_cell (j : Protocol.job) c =
   in
   let rng = cell_rng j c in
   let r = Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  if replays j c then publish_streams c r.Harness.streams;
   let n = Array.length r.Harness.data.Tp_channel.Mi.input in
   (* Wall-clock truncation depends on host load, so its partial dataset
      must never enter the content-addressed store: report it as a

@@ -69,12 +69,25 @@ val cells_of_job : Protocol.job -> (cell list, string) result
 
 val cell_key : code_rev:string -> Protocol.job -> cell -> string
 (** The store key of one cell: digest over schema, platform, config,
-    channel, seed, samples, cycle budget and trial index. *)
+    channel, seed, samples, cycle budget, replay marker and trial
+    index.  A pure function of the job and the cell: the marker is
+    ["replay"] when the job allows replay and the channel's sender is
+    replayable, else ["no-replay"], and deriving a key never runs a
+    simulation.  The streams a trial replays need no part of their
+    own: each is a deterministic function of the binary ([code_rev]),
+    platform, config and channel. *)
 
 val compute_cell : Protocol.job -> cell -> (string, string) result
 (** Run one trial (fresh boot, per-cell RNG stream) and return its
     stored blob, or [Error reason] for non-cacheable outcomes (wall
-    timeout, empty collection).  The blob records the trial's certified
+    timeout, empty collection).  A replaying trial starts from the
+    sender streams this process already holds for its (platform,
+    config, channel) and records each missing symbol on its first send
+    ({!Tp_attacks.Harness.spec.replay_seed}); afterwards its complete
+    streams join that per-process memo, symbol by symbol, first writer
+    wins (mutex-guarded under [-j N]).  Replay is bit-identical to live
+    execution, so which trial recorded a stream cannot change any
+    result.  The blob records the trial's certified
     leakage bounds — {!Tp_analysis.Certify.total_bits} of the harness
     cert plus the kernel certificate fields of {!kcert_for} — and the
     code rev, so the drift monitor can compare measured MI against them

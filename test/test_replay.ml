@@ -265,6 +265,56 @@ let test_record_streams_deterministic () =
         (Replay.digest r) (Replay.digest s2.(i)))
     s1
 
+(* The campaign engine seeds each trial with the streams earlier trials
+   ended with, so those must be exactly what a recording on a fresh
+   boot gives: for every replayable channel, platform and config, each
+   symbol a short trial sent comes back with the fresh recording's
+   digest, and only a symbol it never sent comes back without one. *)
+let test_trial_streams_match_fresh_recording () =
+  let module H = Tp_attacks.Harness in
+  let module Cc = Tp_attacks.Cache_channels in
+  List.iter
+    (fun (p : Platform.t) ->
+      List.iter
+        (fun (kind, cfg) ->
+          List.iter
+            (fun (chan : Cc.t) ->
+              let name =
+                String.concat "/" [ p.Platform.name; cfg; chan.Cc.name ]
+              in
+              let default = H.default_spec p in
+              let fresh =
+                let b = Scenario.boot kind p in
+                let sender, _ = chan.Cc.prepare b in
+                H.record_streams b ~sender ~symbols:chan.Cc.symbols
+                  ~slice_cycles:default.H.slice_cycles
+              in
+              let b = Scenario.boot kind p in
+              let sender, receiver = chan.Cc.prepare b in
+              let spec =
+                { default with H.samples = 24; symbols = chan.Cc.symbols }
+              in
+              let r =
+                H.run_pair_result b ~sender ~receiver spec
+                  ~rng:(Tp_util.Rng.create ~seed:3)
+              in
+              let sent = r.H.data.Tp_channel.Mi.input in
+              Array.iteri
+                (fun s stream ->
+                  match stream with
+                  | Some st ->
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s: symbol %d stream" name s)
+                        (Replay.digest fresh.(s)) (Replay.digest st)
+                  | None ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s: symbol %d unsent" name s)
+                        false (Array.mem s sent))
+                r.H.streams)
+            Cc.[ l1d; l1i; tlb; btb p; bhb; l2 ])
+        [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ])
+    Platform.[ haswell; sabre; armv8 ]
+
 (* ---- harness-level bit-identity --------------------------------- *)
 
 let collect ~replay chan kind =
@@ -512,6 +562,8 @@ let suite =
     Alcotest.test_case "stream lifecycle" `Quick test_stream_lifecycle;
     Alcotest.test_case "recording deterministic across boots" `Quick
       test_record_streams_deterministic;
+    Alcotest.test_case "trial streams match a fresh recording" `Quick
+      test_trial_streams_match_fresh_recording;
     Alcotest.test_case "harness replay bit-identical" `Quick
       test_harness_replay_bit_identical;
     Alcotest.test_case "kernel-chan sender self-disqualifies" `Quick

@@ -145,6 +145,189 @@ let test_result_roundtrip () =
           | Ok r' -> Alcotest.(check bool) "result round-trips" true (r = r')
           | Error e -> Alcotest.fail e))
 
+(* ---- fail-closed parsing ----------------------------------------- *)
+
+(* Valid wire and store texts to mutate: a stored trial blob, and the
+   JSON of a job, a result and a progress report. *)
+let fuzz_trial =
+  {
+    (stub_trial
+       {
+         E.cl_platform = "sabre";
+         cl_plat = Tp_hw.Platform.sabre;
+         cl_config = "raw";
+         cl_kind = Tp_core.Scenario.Raw;
+         cl_channel = "tlb";
+         cl_trial = 3;
+       })
+    with
+    P.t_status = P.Degraded;
+    t_degraded_reason = Some "cycle budget exhausted";
+  }
+
+let fuzz_result =
+  {
+    P.r_id = "fuzz";
+    r_status = P.Degraded;
+    r_reason = Some "job wall budget exhausted";
+    r_total = 2;
+    r_computed = 1;
+    r_cached = 0;
+    r_degraded = 1;
+    r_failed = 1;
+    r_retried = 2;
+    r_digest = "d41d8cd98f00b204e9800998ecf8427e";
+    r_trials =
+      [
+        { fuzz_trial with P.t_key = "k0"; t_retries = 2 };
+        { fuzz_trial with P.t_key = "k1"; t_status = P.Failed; t_cached = true };
+      ];
+  }
+
+let fuzz_progress =
+  {
+    P.p_done = 3;
+    p_total = 8;
+    p_cached = 1;
+    p_failed = 1;
+    p_retried = 2;
+    p_dropped_spans = 0;
+  }
+
+(* The texts to mutate, by parser: the stored blob goes to
+   [trial_of_stored], the others, once they parse as JSON, to their
+   [*_of_json] reader.  Each reader must return [Ok] or [Error]; an
+   exception fails the property. *)
+let fuzz_targets =
+  let reader of_json s =
+    match Tp_util.Json.parse_opt s with
+    | None -> ()
+    | Some j -> ( match of_json j with Ok _ | Error _ -> ())
+  in
+  [|
+    ( P.stored_of_trial fuzz_trial,
+      fun s -> match P.trial_of_stored ~key:"k" s with Ok _ | Error _ -> () );
+    (Tp_util.Json.to_string (P.job_to_json (job ())), reader P.job_of_json);
+    ( Tp_util.Json.to_string (P.result_to_json fuzz_result),
+      reader P.result_of_json );
+    ( Tp_util.Json.to_string (P.progress_to_json fuzz_progress),
+      reader P.progress_of_json );
+  |]
+
+(* A byte-level edit at a position drawn as a fraction of the text. *)
+type edit =
+  | Flip of float * char
+  | Drop of float
+  | Insert of float * char
+  | Cut of float
+
+let apply_edit s e =
+  let n = String.length s in
+  (* [at f] is in [0, n]; [inside f] is a byte of a non-empty text. *)
+  let at f = int_of_float (f *. float_of_int n) in
+  let inside f = Stdlib.min (n - 1) (at f) in
+  match e with
+  | (Flip _ | Drop _) when n = 0 -> s
+  | Flip (f, c) ->
+      let i = inside f in
+      String.mapi (fun k x -> if k = i then c else x) s
+  | Drop f ->
+      let i = inside f in
+      String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | Insert (f, c) ->
+      let i = at f in
+      String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | Cut f -> String.sub s 0 (at f)
+
+(* Replace the value at [path] (child indices, each taken modulo its
+   node's width) with [by], or drop it from its parent when [by] is
+   [None]. *)
+let rec mutate_json path ~by v =
+  let module J = Tp_util.Json in
+  let child i rest xs f =
+    let j = i mod List.length xs in
+    List.concat
+      (List.mapi
+         (fun n x ->
+           if n <> j then [ x ]
+           else if rest = [] && Option.is_none by then []
+           else [ f (mutate_json rest ~by) x ])
+         xs)
+  in
+  match (path, v) with
+  | i :: rest, J.Obj (_ :: _ as kvs) ->
+      J.Obj (child i rest kvs (fun m (k, x) -> (k, m x)))
+  | i :: rest, J.Arr (_ :: _ as xs) -> J.Arr (child i rest xs (fun m x -> m x))
+  | _ -> Option.value by ~default:v
+
+type mutation = Bytes of edit list | Tree of int list * Tp_util.Json.t option
+
+let mutant text = function
+  | Bytes edits -> List.fold_left apply_edit text edits
+  | Tree (path, by) ->
+      Tp_util.Json.(to_string (mutate_json path ~by (parse text)))
+
+(* Bytes weighted towards JSON's own punctuation and digits, and values
+   of the wrong type or range, so that many mutants still parse as JSON
+   and reach the field readers. *)
+let mutation_gen =
+  let open QCheck.Gen in
+  let module J = Tp_util.Json in
+  let byte =
+    frequency
+      [
+        (3, oneofl (List.of_seq (String.to_seq {|{}[]":,-.0123456789eE+tfn|})));
+        (1, char);
+      ]
+  in
+  let pos = float_bound_inclusive 1.0 in
+  let edit =
+    frequency
+      [
+        (3, map2 (fun f c -> Flip (f, c)) pos byte);
+        (2, map (fun f -> Drop f) pos);
+        (2, map2 (fun f c -> Insert (f, c)) pos byte);
+        (1, map (fun f -> Cut f) pos);
+      ]
+  in
+  let odd =
+    oneofl
+      J.
+        [
+          Null;
+          Bool true;
+          Num 2.5;
+          Num (-1.0);
+          Num 1e19;
+          Str "";
+          Str "\x00";
+          Arr [ Num 0.0 ];
+          Obj [];
+        ]
+  in
+  pair
+    (int_bound (Array.length fuzz_targets - 1))
+    (frequency
+       [
+         (1, map (fun es -> Bytes es) (list_size (int_range 1 4) edit));
+         ( 1,
+           map2
+             (fun path by -> Tree (path, by))
+             (list_size (int_range 1 4) nat)
+             (opt odd) );
+       ])
+
+let qcheck_parsers_fail_closed =
+  QCheck.Test.make ~name:"protocol and stored-trial readers fail closed"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (t, m) -> Printf.sprintf "%S" (mutant (fst fuzz_targets.(t)) m))
+       mutation_gen)
+    (fun (t, m) ->
+      let text, read = fuzz_targets.(t) in
+      read (mutant text m);
+      true)
+
 (* ---- engine ------------------------------------------------------ *)
 
 let test_bad_job_rejected () =
@@ -702,6 +885,43 @@ let test_kcert_memo_matches_certify () =
         E.config_slugs)
     Tp_hw.Platform.[ haswell; sabre; armv8 ]
 
+(* ---- victim stream memo ----------------------------------------- *)
+
+(* No other test in this suite runs sabre x coloured-only, so the first
+   job below starts on a cold stream memo: at -j 2 the two trials of
+   each combination record their symbols concurrently and race to
+   publish them, and the -j 1 rerun then starts every trial from the
+   published streams.  Both must give the same trials in the same
+   order, and no key may depend on what the memo held when it was
+   derived. *)
+let test_stream_memo_cold_par_eq_seq () =
+  let j =
+    P.job ~id:"stream-memo" ~platforms:[ "sabre" ] ~configs:[ "coloured-only" ]
+      ~channels:[ "l1d"; "tlb"; "bhb" ] ~trials:2 ~seed:9 ~samples:40
+      ~max_retries:0 ()
+  in
+  let rev = E.code_rev () in
+  let keys () =
+    List.map (E.cell_key ~code_rev:rev j) (Result.get_ok (E.cells_of_job j))
+  in
+  let cold = keys () in
+  with_dir (fun dir ->
+      let trials ~jobs sub =
+        with_store (Filename.concat dir sub) (fun store ->
+            match E.run_job ~store ~jobs j with
+            | Error e -> Alcotest.fail e
+            | Ok r ->
+                Alcotest.(check string) "job complete" "complete"
+                  (P.status_name r.P.r_status);
+                List.map
+                  (fun t -> Tp_util.Json.to_string (P.trial_to_json t))
+                  r.P.r_trials)
+      in
+      let par = trials ~jobs:2 "par" in
+      let seq = trials ~jobs:1 "seq" in
+      Alcotest.(check (list string)) "-j 2 trials = -j 1 trials" seq par;
+      Alcotest.(check (list string)) "keys unchanged by the job" cold (keys ()))
+
 (* Integer fields fail closed: a seed that is not an exact in-range
    integer is rejected with the field named, never rounded (2.5 -> 3)
    or wrapped (1e19 -> 0); jobs built by [P.job] still round-trip
@@ -754,6 +974,7 @@ let suite =
     Alcotest.test_case "stored blob round-trip" `Quick
       test_stored_blob_roundtrip;
     Alcotest.test_case "result wire round-trip" `Quick test_result_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_parsers_fail_closed;
     Alcotest.test_case "bad job rejected" `Quick test_bad_job_rejected;
     Alcotest.test_case "complete then cached" `Quick test_complete_then_cached;
     Alcotest.test_case "cell key independent of job shape" `Quick
@@ -787,6 +1008,8 @@ let suite =
       test_kcert_memo_race_par_eq_seq;
     Alcotest.test_case "kcert memo matches direct certify" `Quick
       test_kcert_memo_matches_certify;
+    Alcotest.test_case "stream memo: cold -j 2 = warm -j 1, keys fixed" `Quick
+      test_stream_memo_cold_par_eq_seq;
     Alcotest.test_case "non-integral seed rejected" `Quick
       test_non_integral_seed_rejected;
   ]
