@@ -1,10 +1,11 @@
 (* Microbenchmarks (bechamel): host ns/op of the operations beneath
    every experiment.
 
-   The per-access path — Cache.access_*fast, Tlb.access, Machine.access
-   and, above it, a live Uctx.read — dominates every experiment's runtime, so this suite pins its cost:
-   run it before and after touching lib/hw to see what a change does to
-   simulator throughput.  The working set alternates between an
+   The per-access path — Cache.access_*fast, Tlb.access,
+   Prefetcher.on_access, Machine.access and, above it, a live
+   Uctx.read — dominates every experiment's runtime, so this suite pins
+   its cost: run it before and after touching lib/hw to see what a
+   change does to simulator throughput.  The working set alternates between an
    L1-resident sweep (hit path) and a strided sweep larger than the
    cache (miss/evict path), with counters both off and on (the off case
    must stay cheap: the hot path hoists the enabled check).  Above the
@@ -13,7 +14,9 @@
 
    Before the rows, a replay-sweep gate times the record-once /
    replay-many path the sweep is built on, and exits 1 if replay stops
-   being bit-identical to live execution or loses its speedup.
+   being bit-identical to live execution or loses its speedup.  It
+   prints every leg pair's ratio beside the median, so its margin over
+   the floor is visible.
 
    Usage: micro.exe  (no arguments; haswell geometry) *)
 
@@ -59,6 +62,20 @@ let bench_tlb =
     (Staged.stage (fun () ->
          vpn := (!vpn + 1) land 0x7F;
          ignore (Tp_hw.Tlb.access t ~asid:1 ~vpn:!vpn ~global:false)))
+
+(* The stream prefetcher's notification on every L1 miss, haswell
+   tracker table: a sweep over 64 pages, one line at a time, so the
+   trackers train, prefetch and get replaced. *)
+let bench_prefetcher =
+  let pf =
+    Tp_hw.Prefetcher.create ~name:"bench" ~slots:p.Tp_hw.Platform.prefetcher_slots
+      ~degree:p.Tp_hw.Platform.prefetcher_degree ~line:p.Tp_hw.Platform.line ()
+  in
+  let pos = ref 0 in
+  Test.make ~name:"prefetcher.on_access"
+    (Staged.stage (fun () ->
+         pos := (!pos + 64) land 0x3FFFF;
+         ignore (Tp_hw.Prefetcher.on_access pf ~paddr:!pos)))
 
 let bench_machine ~counters =
   let m = Tp_hw.Machine.create p in
@@ -328,11 +345,15 @@ let replay_gate () =
   in
   Printf.printf
     "replay sweep (tlb, haswell raw, %d rounds, %d leg pairs): live %.3f s, \
-     replay %.3f s, median %.2fx (floor %.1fx), %s\n%!"
+     replay %.3f s, median %.2fx (floor %.1fx; pairs %s), %s\n%!"
     replay_rounds replay_pairs
     (median (fun ((_, w), _) -> w))
     (median (fun (_, (_, w)) -> w))
     ratio replay_floor
+    (String.concat " "
+       (List.map
+          (fun ((_, wl), (_, wr)) -> Printf.sprintf "%.2fx" (wl /. wr))
+          pairs))
     (if identical then "bit-identical" else "DIGEST MISMATCH");
   if not identical then
     prerr_endline "micro: FAIL: replayed machine state differs from live";
@@ -349,6 +370,7 @@ let () =
       bench_cache_miss;
       bench_cache_masked;
       bench_tlb;
+      bench_prefetcher;
       bench_machine ~counters:false;
       bench_machine ~counters:true;
       bench_uctx_read;

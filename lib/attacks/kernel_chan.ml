@@ -97,19 +97,32 @@ let prepare b =
     let rec pick s = if gcd s total_lines = 1 then s else pick (s + 2) in
     pick 37
   in
-  let perm i = i * stride mod total_lines in
+  (* The permuted index [i * stride mod total_lines] is stepped by
+     add-and-wrap: [p] is the current line's byte offset, [step] the
+     stride's, both below [span]. *)
+  let span = total_lines * line in
+  let step = stride mod total_lines * line in
   let receiver ctx =
     let misses = ref 0 in
-    for i = 0 to total_lines - 1 do
+    let p = ref 0 in
+    for _ = 1 to total_lines do
       let t0 = Uctx.now ctx in
-      Uctx.read ctx (rbuf + (perm i * line));
-      if Uctx.now ctx - t0 > threshold then incr misses
+      Uctx.read ctx (rbuf + !p);
+      if Uctx.now ctx - t0 > threshold then incr misses;
+      p := !p + step;
+      if !p >= span then p := !p - span
     done;
-    for i = 0 to total_lines - 1 do
-      Uctx.read ctx (evict_buf + (perm i * line))
+    for _ = 1 to total_lines do
+      Uctx.read ctx (evict_buf + !p);
+      p := !p + step;
+      if !p >= span then p := !p - span
     done;
-    for i = total_lines - 1 downto 0 do
-      Uctx.read ctx (rbuf + (perm i * line))
+    (* After 2 * total_lines steps [p] is back at 0; one step back is
+       the permutation's last line, where the reverse pass starts. *)
+    for _ = 1 to total_lines do
+      p := !p - step;
+      if !p < 0 then p := !p + span;
+      Uctx.read ctx (rbuf + !p)
     done;
     Some (float_of_int !misses)
   in

@@ -29,6 +29,7 @@ type t = {
   n_sets : int;
   n_ways : int; (* copy of g.ways, one load instead of two on the hot path *)
   way_mask : int; (* (1 lsl ways) - 1 *)
+  way_bits : int; (* log2 ways *)
   line_bits : int;
   lines : int;
   b : int array;
@@ -89,6 +90,7 @@ let create ?(name = "cache") g =
     n_sets;
     n_ways = g.ways;
     way_mask = (1 lsl g.ways) - 1;
+    way_bits = Defs.log2 g.ways;
     line_bits = Defs.log2 g.line;
     lines = n;
     b;
@@ -156,36 +158,6 @@ let find_way t set tag =
       done;
       if !i < stop then !i else -1
 
-(* LRU victim within the ways allowed by [mask] (a bitmask over way
-   indices).  The first invalid allowed way wins outright — LRU order
-   among invalid ways is meaningless, so there is no reason to keep
-   scanning once one is found. *)
-let lru_way t set mask =
-  let b = t.b and age0 = t.age0 and ways = t.n_ways in
-  let base = set * ways in
-  let best = ref (-1) and best_age = ref max_int in
-  let found = ref (-1) in
-  let w = ref 0 in
-  while !found < 0 && !w < ways do
-    (if (mask lsr !w) land 1 <> 0 then begin
-       let i = base + !w in
-       if get b i = -1 then found := i
-       else begin
-         let a = get b (age0 + i) in
-         if a < !best_age then begin
-           best := i;
-           best_age := a
-         end
-       end
-     end);
-    incr w
-  done;
-  if !found >= 0 then !found
-  else begin
-    assert (!best >= 0);
-    !best
-  end
-
 let[@inline] touch t i =
   let b = t.b in
   let c = get b (t.sc + clock) + 1 in
@@ -199,7 +171,10 @@ let[@inline] bump t k d =
 
 let alloc t s tag ~dirty ~mask ~obs =
   let b = t.b in
-  let i = lru_way t s mask in
+  (* The LRU victim among the ways [mask] allows. *)
+  let i =
+    Victim.lru b ~age0:t.age0 ~way_bits:t.way_bits ~mask (s * t.n_ways)
+  in
   let old = get b i in
   let evicted_dirty = old <> -1 && get b (t.dirty0 + i) <> 0 in
   set b (t.sc + ev_dirty) (Bool.to_int evicted_dirty);

@@ -84,7 +84,7 @@ let create platform =
            Some
              (Prefetcher.create ~name:(n "prefetcher")
                 ~slots:platform.prefetcher_slots
-                ~degree:platform.prefetcher_degree ())
+                ~degree:platform.prefetcher_degree ~line:platform.line ())
          else None);
       w = Array.make 2 0;
       st;
@@ -242,7 +242,7 @@ let rec access_pt t ~core:core_id ~asid ~global ~llc_ways ~root_pa ~leaf_pa
               match c.prefetcher with
               | Some pf ->
                   issue_prefetches t c ~llc_ways pf
-                    (Prefetcher.on_access pf ~paddr ~line:p.Platform.line)
+                    (Prefetcher.on_access pf ~paddr)
               | None -> 0
             in
             if Cache.access_fast l2 ~vaddr:paddr ~paddr ~write:false then

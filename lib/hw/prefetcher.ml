@@ -6,6 +6,11 @@
 type t = {
   slots : int;
   degree : int;
+  (* Shift widths, computed once so that an access divides nothing:
+     log2 of [slots] and of the line size, and the lines per page. *)
+  slot_bits : int;
+  line_bits : int;
+  lines_per_page : int;
   b : int array;
   (* The lines the last [on_access] suggested, as many as it returned.
      Scratch, not model state: it is consumed before the next access,
@@ -44,9 +49,10 @@ let reset_trackers t =
 let set_enabled t e = set t.b (4 * t.slots) (Bool.to_int e)
 let enabled t = get t.b (4 * t.slots) <> 0
 
-let create ?(name = "prefetcher") ~slots ~degree () =
+let create ?(name = "prefetcher") ~slots ~degree ~line () =
   assert (Defs.is_pow2 slots);
   assert (degree > 0);
+  assert (Defs.is_pow2 line && line <= Defs.page_size);
   let st = Tp_obs.Counter.make_set name in
   let st_issued = Tp_obs.Counter.counter st "lines_issued" in
   let st_allocs = Tp_obs.Counter.counter st "tracker_allocs" in
@@ -56,6 +62,9 @@ let create ?(name = "prefetcher") ~slots ~degree () =
     {
       slots;
       degree;
+      slot_bits = Defs.log2 slots;
+      line_bits = Defs.log2 line;
+      lines_per_page = Defs.page_size / line;
       b = Array.make ((4 * slots) + 1) 0;
       out = Array.make degree 0;
       st;
@@ -82,26 +91,25 @@ let slot_of t ~page =
 
 let suggestion t i = t.out.(i)
 
-let on_access t ~paddr ~line =
+let on_access t ~paddr =
   if not (enabled t) then 0
   else begin
     let b = t.b in
-    let page = paddr / Defs.page_size in
-    let line_off = Defs.page_offset paddr / line in
+    let page = Defs.page_of paddr in
+    let line_off = Defs.page_offset paddr lsr t.line_bits in
     let o = 4 * slot_of t ~page in
-    let tag = (page lsr Defs.log2 t.slots) land ((1 lsl partial_tag_bits) - 1) in
-    let lines_per_page = Defs.page_size / line in
+    let tag = (page lsr t.slot_bits) land ((1 lsl partial_tag_bits) - 1) in
     if get b (o + ptag) = tag then begin
       let d = get b (o + dir) in
       let delta = line_off - get b (o + last_line) in
       if delta = d && delta <> 0 then
-        set b (o + confidence) (min confirm (get b (o + confidence) + 1))
+        set b (o + confidence) (Int.min confirm (get b (o + confidence) + 1))
       else if delta = -d && delta <> 0 then begin
         set b (o + dir) (-d);
         set b (o + confidence) 1
       end
       else if delta <> 0 then
-        set b (o + confidence) (max 0 (get b (o + confidence) - 1));
+        set b (o + confidence) (Int.max 0 (get b (o + confidence) - 1));
       set b (o + last_line) line_off;
       if get b (o + confidence) >= confirm then begin
         (* Confirmed stream: prefetch [degree] lines ahead, staying
@@ -109,8 +117,8 @@ let on_access t ~paddr ~line =
         let d = get b (o + dir) in
         let n = ref 0 in
         let next = ref (line_off + d) in
-        while !n < t.degree && !next >= 0 && !next < lines_per_page do
-          set t.out !n ((page * Defs.page_size) + (!next * line));
+        while !n < t.degree && !next >= 0 && !next < t.lines_per_page do
+          set t.out !n ((page lsl Defs.page_bits) + (!next lsl t.line_bits));
           incr n;
           next := !next + d
         done;

@@ -23,10 +23,11 @@
 
 type t
 
-val create : ?name:string -> slots:int -> degree:int -> unit -> t
+val create : ?name:string -> slots:int -> degree:int -> line:int -> unit -> t
 (** [slots] stream trackers, prefetching [degree] lines ahead on a
-    confirmed stream.  [slots] must be a power of two.  [name] labels
-    the performance-counter set. *)
+    confirmed stream, over cache lines of [line] bytes.  [slots] and
+    [line] must be powers of two.  [name] labels the
+    performance-counter set. *)
 
 val counters : t -> Tp_obs.Counter.set
 (** Issue/allocation/filter counters (observability only). *)
@@ -40,9 +41,9 @@ val slot_of : t -> page:int -> int
     bits, so page colouring cannot partition the table (exposed for
     tests). *)
 
-val on_access : t -> paddr:int -> line:int -> int
+val on_access : t -> paddr:int -> int
 (** Notify the prefetcher of a demand access to physical address
-    [paddr] (cache line size [line]); returns how many lines to
+    [paddr]; returns how many lines to
     prefetch (0 when disabled or no stream confirmed).  Their physical
     addresses are [suggestion t 0] to [suggestion t (n - 1)], in issue
     order, valid until the next [on_access]: the per-access path builds

@@ -7,6 +7,7 @@ type geometry = { entries : int; ways : int }
 type t = {
   g : geometry;
   n_sets : int;
+  way_bits : int; (* log2 ways *)
   b : int array;
   (* Word offsets of the asid, global and age regions and of the
      scalars. *)
@@ -44,6 +45,7 @@ let create ?(name = "tlb") g =
   {
     g;
     n_sets;
+    way_bits = Defs.log2 g.ways;
     b;
     asid0 = n;
     global0 = 2 * n;
@@ -83,31 +85,6 @@ let find t ~asid ~vpn =
   done;
   if !i < stop then !i else -1
 
-(* First invalid way wins outright (LRU among invalids is
-   meaningless); otherwise lowest age. *)
-let lru_way t set =
-  let b = t.b and age0 = t.age0 in
-  let base = set * t.g.ways in
-  if get b base = -1 then base
-  else begin
-    let best = ref base and best_age = ref (get b (age0 + base)) in
-    let found = ref (-1) in
-    let w = ref 1 in
-    while !found < 0 && !w < t.g.ways do
-      let i = base + !w in
-      if get b i = -1 then found := i
-      else begin
-        let a = get b (age0 + i) in
-        if a < !best_age then begin
-          best := i;
-          best_age := a
-        end
-      end;
-      incr w
-    done;
-    if !found >= 0 then !found else !best
-  end
-
 let access t ~asid ~vpn ~global =
   let b = t.b in
   let i = find t ~asid ~vpn in
@@ -120,7 +97,10 @@ let access t ~asid ~vpn ~global =
   end
   else begin
     Tp_obs.Counter.incr t.st_misses;
-    let i = lru_way t (set_of t vpn) in
+    let i =
+      Victim.lru b ~age0:t.age0 ~way_bits:t.way_bits ~mask:(-1)
+        (set_of t vpn * t.g.ways)
+    in
     if get b i = -1 then set b (t.sc + n_valid) (get b (t.sc + n_valid) + 1);
     set b i vpn;
     set b (t.asid0 + i) asid;

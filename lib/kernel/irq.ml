@@ -3,16 +3,28 @@ let preemption_irq = 0
 
 type timer = { tm_irq : int; tm_at : int }
 
+(* [deadline.(c)] is derived state: the earliest [tm_at] among core
+   [c]'s timers ([max_int] if none), so that the poll after every user
+   operation is one comparison while nothing is due.  Every function
+   that changes [timers.(c)] refreshes it through [set_timers]. *)
 type t = {
   handlers : Types.irq_handler array;
   timers : timer list ref array; (* per core, unsorted (few entries) *)
+  deadline : int array;
 }
 
 let create ~cores =
   {
     handlers = Array.init n_irqs (fun i -> { Types.ih_irq = i; ih_kernel = None });
     timers = Array.init cores (fun _ -> ref []);
+    deadline = Array.make cores max_int;
   }
+
+let earliest ts = List.fold_left (fun acc tm -> Int.min acc tm.tm_at) max_int ts
+
+let set_timers t ~core ts =
+  t.timers.(core) := ts;
+  t.deadline.(core) <- earliest ts
 
 let handler t irq =
   assert (irq >= 0 && irq < n_irqs);
@@ -43,12 +55,10 @@ let routes t =
          | None -> None)
 
 let arm_timer t ~core ~irq ~at =
-  let ts = t.timers.(core) in
-  ts := { tm_irq = irq; tm_at = at } :: !ts
+  set_timers t ~core ({ tm_irq = irq; tm_at = at } :: !(t.timers.(core)))
 
 let cancel_timers t ~core ~irq =
-  let ts = t.timers.(core) in
-  ts := List.filter (fun tm -> tm.tm_irq <> irq) !ts
+  set_timers t ~core (List.filter (fun tm -> tm.tm_irq <> irq) !(t.timers.(core)))
 
 let deliverable t ~partitioned ~current irq =
   if not partitioned then true
@@ -72,20 +82,18 @@ let rec any_fires t ~now ~partitioned ~current = function
       || any_fires t ~now ~partitioned ~current rest
 
 (* Called after every user operation: in the common case, no timer
-   due, it returns at once and builds nothing. *)
+   due, it returns after one comparison and builds nothing. *)
 let pending t ~core ~now ~partitioned ~current =
   let ts = t.timers.(core) in
-  if not (any_fires t ~now ~partitioned ~current !ts) then []
+  if now < t.deadline.(core) || not (any_fires t ~now ~partitioned ~current !ts)
+  then []
   else begin
     let fired, rest = List.partition (fires t ~now ~partitioned ~current) !ts in
-    ts := rest;
+    set_timers t ~core rest;
     List.map (fun tm -> tm.tm_irq) (List.sort (fun a b -> compare a.tm_at b.tm_at) fired)
   end
 
-let next_timer t ~core =
-  List.fold_left
-    (fun acc tm -> Stdlib.min acc tm.tm_at)
-    max_int !(t.timers.(core))
+let next_timer t ~core = t.deadline.(core)
 
 let next_deliverable t ~core ~partitioned ~current =
   List.fold_left
@@ -95,12 +103,8 @@ let next_deliverable t ~core ~partitioned ~current =
       else acc)
     max_int !(t.timers.(core))
 
-let rec any_due ~now = function
-  | [] -> false
-  | tm :: rest -> tm.tm_at <= now || any_due ~now rest
-
 (* Runs on every protected switch, where usually nothing is due: only
    then is the list rebuilt. *)
 let drop_masked_race t ~core ~now =
-  let ts = t.timers.(core) in
-  if any_due ~now !ts then ts := List.filter (fun tm -> tm.tm_at > now) !ts
+  if now >= t.deadline.(core) then
+    set_timers t ~core (List.filter (fun tm -> tm.tm_at > now) !(t.timers.(core)))

@@ -180,6 +180,8 @@ let retype_vspace cap ~asid =
          vs_root_pt = root_pt;
          vs_leaf_pts = Types.Itbl.create 16;
          vs_heap_next = 0x1000_0000 / Tp_hw.Defs.page_size;
+         vs_memo_pti = -1;
+         vs_memo_leaf = -1;
        })
 
 let retype_sched_context cap ~budget ~period =

@@ -245,10 +245,20 @@ let pt_entry_line t frame idx =
 
 let root_line t vs vpn = pt_entry_line t vs.Types.vs_root_pt (pt_index vpn land 511)
 
+(* Consecutive accesses mostly stay within one leaf table's 2 MiB, so
+   the last table found is memoised in the vspace (see [vs_memo_pti]);
+   a missing table is not, since [map_page] may add it later. *)
 let leaf_line t vs vpn =
-  match Types.Itbl.find vs.Types.vs_leaf_pts (pt_index vpn) with
-  | leaf -> pt_entry_line t leaf (vpn land 511)
-  | exception Not_found -> -1
+  let pti = pt_index vpn in
+  if pti = vs.Types.vs_memo_pti then
+    pt_entry_line t vs.Types.vs_memo_leaf (vpn land 511)
+  else
+    match Types.Itbl.find vs.Types.vs_leaf_pts pti with
+    | leaf ->
+        vs.Types.vs_memo_pti <- pti;
+        vs.Types.vs_memo_leaf <- leaf;
+        pt_entry_line t leaf (vpn land 511)
+    | exception Not_found -> -1
 
 let user_access ?recorder t ~core tcb ~vaddr ~kind =
   match tcb.Types.t_vspace with

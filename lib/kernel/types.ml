@@ -113,6 +113,13 @@ and vspace = {
           colouring userland colours them too — which is what defeats
           page-table side-channel attacks (§5.3.1, van Schaik 2018). *)
   mutable vs_heap_next : int;  (** next free heap vpn (bump) *)
+  mutable vs_memo_pti : int;
+      (** Derived, not kernel state: the PT index of the last leaf
+          table a walk found ([-1] before the first), so that
+          consecutive accesses to one leaf table look it up once.
+          Exact because a leaf table, once mapped, is never replaced
+          or removed. *)
+  mutable vs_memo_leaf : int;  (** the frame of that leaf table *)
 }
 
 and tcb = {

@@ -237,6 +237,59 @@ let test_leaf_pts_come_from_the_pool () =
     (Colour.mem d0.Boot.dom_colours
        (Colour.colour_of_frame ~n_colours:8 vs.Types.vs_root_pt))
 
+(* [System.user_access] memoises the last leaf table it found per
+   vspace.  Pages across three leaf tables, some unmapped and remapped
+   to other frames, accessed in an order that alternates between the
+   tables: every recorded walk line must equal what a lookup in
+   [vs_root_pt]/[vs_leaf_pts] gives. *)
+let test_leaf_memo_matches_lookup () =
+  let b = boot_protected () in
+  let sys = b.Boot.sys in
+  let d0 = b.Boot.domains.(0) in
+  let vs = d0.Boot.dom_vspace in
+  let tcb = Boot.spawn b d0 (fun _ -> ()) in
+  Sched.remove (System.sched sys) ~core:0 tcb;
+  let take () =
+    match Retype.take_frames d0.Boot.dom_pool 1 with
+    | [ f ] -> f
+    | _ -> assert false
+  in
+  let map vpn = System.map_page sys vs ~pt_alloc:(Some take) ~vpn ~frame:(take ()) in
+  let tables = [ 0x300; 0x301; 0x305 ] in
+  let vpns pti = List.init 4 (fun k -> (pti * 512) + (k * 130)) in
+  List.iter (fun pti -> List.iter map (vpns pti)) tables;
+  (* Interleaved: one page of each table in turn. *)
+  let order =
+    List.concat (List.init 4 (fun k -> List.map (fun pti -> List.nth (vpns pti) k) tables))
+  in
+  let line = (System.platform sys).Tp_hw.Platform.line in
+  let entry_line frame idx = Phys.frame_addr frame + (idx * 8 / line * line) in
+  let got = Tp_hw.Replay.create () and expect = Tp_hw.Replay.create () in
+  let access vpn =
+    let vaddr = (vpn * Tp_hw.Defs.page_size) + 64 in
+    ignore
+      (System.user_access ~recorder:got sys ~core:0 tcb ~vaddr
+         ~kind:Tp_hw.Defs.Read);
+    Tp_hw.Replay.append_access expect ~kind:Tp_hw.Defs.Read ~vaddr
+      ~paddr:(Phys.frame_addr (Types.Itbl.find vs.Types.vs_pages vpn) + 64)
+      ~root_pa:(entry_line vs.Types.vs_root_pt (vpn lsr 9 land 511))
+      ~leaf_pa:(entry_line (Types.Itbl.find vs.Types.vs_leaf_pts (vpn lsr 9)) (vpn land 511))
+  in
+  List.iter access order;
+  (* Unmap every other page and map it again onto a fresh frame. *)
+  List.iteri
+    (fun i vpn ->
+      if i mod 2 = 0 then begin
+        Types.Itbl.remove vs.Types.vs_pages vpn;
+        map vpn
+      end)
+    order;
+  List.iter access (List.rev order);
+  List.iter access order;
+  Alcotest.(check int) "three leaf tables" 3 (Types.Itbl.length vs.Types.vs_leaf_pts);
+  Alcotest.(check string) "recorded walk lines equal lookups"
+    (Tp_hw.Replay.digest expect) (Tp_hw.Replay.digest got)
+
 let test_walk_latency_reflects_pt_cache_state () =
   (* The walk reads real PT lines: evicting them from the caches makes
      the next TLB-missing access measurably slower — the raw material
@@ -529,6 +582,8 @@ let suite =
     Alcotest.test_case "image_pa frame mapping" `Quick test_image_pa_respects_frames;
     Alcotest.test_case "PT: leaf tables coloured" `Quick
       test_leaf_pts_come_from_the_pool;
+    Alcotest.test_case "PT: leaf memo matches a lookup" `Quick
+      test_leaf_memo_matches_lookup;
     Alcotest.test_case "PT: walk reads real lines" `Quick
       test_walk_latency_reflects_pt_cache_state;
     Alcotest.test_case "PT: TLB hit avoids walk" `Quick test_tlb_hit_avoids_walk;

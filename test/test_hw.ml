@@ -183,41 +183,39 @@ let test_bhb_flush_resets () =
     (Bhb.branch h ~addr:0x40 ~taken:true = Bhb.Mispredicted)
 
 (* The lines one demand access makes the prefetcher suggest. *)
-let suggestions pf ~paddr ~line =
-  List.init (Prefetcher.on_access pf ~paddr ~line) (Prefetcher.suggestion pf)
+let suggestions pf ~paddr =
+  List.init (Prefetcher.on_access pf ~paddr) (Prefetcher.suggestion pf)
 
 let test_prefetcher_stream_detection () =
-  let pf = Prefetcher.create ~slots:16 ~degree:2 () in
-  let line = 64 in
+  let pf = Prefetcher.create ~slots:16 ~degree:2 ~line:64 () in
   (* Sequential accesses within a page: third access confirms. *)
-  Alcotest.(check (list int)) "1st: none" [] (suggestions pf ~paddr:0 ~line);
-  Alcotest.(check (list int)) "2nd: none" [] (suggestions pf ~paddr:64 ~line);
-  let pfs = suggestions pf ~paddr:128 ~line in
+  Alcotest.(check (list int)) "1st: none" [] (suggestions pf ~paddr:0);
+  Alcotest.(check (list int)) "2nd: none" [] (suggestions pf ~paddr:64);
+  let pfs = suggestions pf ~paddr:128 in
   Alcotest.(check (list int)) "3rd: prefetch next two" [ 192; 256 ] pfs
 
 let test_prefetcher_page_boundary () =
-  let pf = Prefetcher.create ~slots:16 ~degree:2 () in
-  let line = 64 in
+  let pf = Prefetcher.create ~slots:16 ~degree:2 ~line:64 () in
   let last = 4096 - 64 in
-  ignore (suggestions pf ~paddr:(last - 128) ~line);
-  ignore (suggestions pf ~paddr:(last - 64) ~line);
-  let pfs = suggestions pf ~paddr:last ~line in
+  ignore (suggestions pf ~paddr:(last - 128));
+  ignore (suggestions pf ~paddr:(last - 64));
+  let pfs = suggestions pf ~paddr:last in
   Alcotest.(check (list int)) "no cross-page prefetch" [] pfs
 
 let test_prefetcher_disabled () =
-  let pf = Prefetcher.create ~slots:16 ~degree:2 () in
+  let pf = Prefetcher.create ~slots:16 ~degree:2 ~line:64 () in
   Prefetcher.set_enabled pf false;
   for i = 0 to 5 do
     Alcotest.(check (list int)) "disabled: none" []
-      (suggestions pf ~paddr:(i * 64) ~line:64)
+      (suggestions pf ~paddr:(i * 64))
   done
 
 let test_prefetcher_state_survives_and_aliases () =
-  let pf = Prefetcher.create ~slots:16 ~degree:2 () in
+  let pf = Prefetcher.create ~slots:16 ~degree:2 ~line:64 () in
   let line = 64 in
   (* Domain A trains a stream on page 0. *)
   for i = 0 to 4 do
-    ignore (suggestions pf ~paddr:(i * line) ~line)
+    ignore (suggestions pf ~paddr:(i * line))
   done;
   Alcotest.(check bool) "trained" true (Prefetcher.trained_slots pf >= 1);
   (* Domain B touches a page aliasing the same (hashed) slot and the
@@ -231,7 +229,7 @@ let test_prefetcher_state_survives_and_aliases () =
     else find (page + 1)
   in
   let pb = find 1 * 4096 in
-  let pfs = suggestions pf ~paddr:(pb + (5 * line)) ~line in
+  let pfs = suggestions pf ~paddr:(pb + (5 * line)) in
   (* A's last_line was 4, direction +1; B's first access to line 5
      looks like a continuation => spurious prefetch, B-visible. *)
   Alcotest.(check bool) "spurious prefetch from stale state" true
@@ -436,6 +434,170 @@ let qcheck_tlb_occupancy =
       let t = Tlb.create { Tlb.entries = 64; ways = 4 } in
       List.iter (fun v -> ignore (Tlb.access t ~asid:1 ~vpn:v ~global:false)) vpns;
       Tlb.valid_entries t <= 64)
+
+(* ---- victim choice against a naive reference model --------------- *)
+
+(* An independent model of one set-associative structure: each set a
+   recency list, most recent first, of the ways that hold something.
+   It shares no code with [Cache] or [Tlb]: no ages, no flat arrays.
+   The victim of a miss is the lowest-index free way among those
+   allowed, else the least recent allowed way. *)
+type 'a ref_way = { r_way : int; r_entry : 'a }
+
+let ref_victim set ~ways ~allowed =
+  let used w = List.exists (fun e -> e.r_way = w) set in
+  match List.find_opt (fun w -> allowed w && not (used w)) (List.init ways Fun.id) with
+  | Some w -> (w, None)
+  | None ->
+      let e = List.find (fun e -> allowed e.r_way) (List.rev set) in
+      (e.r_way, Some e.r_entry)
+
+(* Install [entry] in way [w] as the most recent, dropping what held it. *)
+let ref_install set w entry =
+  { r_way = w; r_entry = entry } :: List.filter (fun e -> e.r_way <> w) set
+
+(* Move the way holding [e] to the front, with its entry replaced. *)
+let ref_touch set e entry =
+  { e with r_entry = entry } :: List.filter (fun x -> x.r_way <> e.r_way) set
+
+let shrink_geometries =
+  List.concat_map Shrink.variants [ Platform.haswell; Platform.sabre ]
+
+let cache_geometries =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun p ->
+         [ p.Platform.l1d; p.Platform.l1i; p.Platform.llc ]
+         @ Option.to_list p.Platform.l2)
+       shrink_geometries)
+
+let tlb_geometries =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun p -> [ p.Platform.itlb; p.Platform.dtlb; p.Platform.l2tlb ])
+       shrink_geometries)
+
+(* One op: a line index into a pool four times the structure's size,
+   an alias bit (a second virtual index for the same physical line), a
+   write bit and a way mask (0 stands for every way).  One op in eight
+   removes an entry instead of accessing (a cache line invalidation, a
+   TLB flush of one ASID): that way is invalid again but keeps its age,
+   so the victim choice must still prefer it over every valid way. *)
+let victim_ops =
+  QCheck.(
+    list_of_size Gen.(int_range 1 400)
+      (pair (int_bound 7) (quad (int_bound 10_000) bool bool (int_bound 0xffff))))
+
+let qcheck_cache_victims_match_model =
+  QCheck.Test.make ~name:"cache victims match recency-list model" ~count:60
+    victim_ops (fun ops ->
+      List.for_all
+        (fun (g : Cache.geometry) ->
+          let c = Cache.create g in
+          let n_sets = Cache.sets g and ways = g.Cache.ways in
+          let sets = Array.make n_sets [] in
+          let lines = n_sets * ways in
+          List.for_all
+            (fun (op, (n, alias, write, m)) ->
+              let paddr = n mod (4 * lines) * g.Cache.line in
+              let vaddr = if alias then paddr lxor g.Cache.line else paddr in
+              let mask = if m land ((1 lsl ways) - 1) = 0 then max_int else m in
+              let index =
+                match g.Cache.indexing with
+                | Cache.Virtual -> vaddr
+                | Cache.Physical -> paddr
+              in
+              let s = index / g.Cache.line mod n_sets in
+              let tag = paddr / g.Cache.line in
+              if op = 0 then begin
+                Cache.invalidate_line c ~vaddr ~paddr;
+                sets.(s) <- List.filter (fun e -> fst e.r_entry <> tag) sets.(s);
+                Cache.valid_lines c
+                = Array.fold_left (fun acc l -> acc + List.length l) 0 sets
+              end
+              else
+                let hit =
+                  Cache.access_masked_fast c ~alloc_ways:mask ~vaddr ~paddr ~write
+                in
+                match List.find_opt (fun e -> fst e.r_entry = tag) sets.(s) with
+                | Some e ->
+                    sets.(s) <- ref_touch sets.(s) e (tag, snd e.r_entry || write);
+                    hit
+                | None ->
+                    let w, old =
+                      ref_victim sets.(s) ~ways ~allowed:(fun w ->
+                          (mask lsr w) land 1 = 1)
+                    in
+                    sets.(s) <- ref_install sets.(s) w (tag, write);
+                    let ev_line, ev_dirty =
+                      match old with
+                      | Some (t, d) -> (t * g.Cache.line, d)
+                      | None -> (-1, false)
+                    in
+                    (not hit)
+                    && Cache.last_evicted c = ev_line
+                    && Cache.last_evicted_dirty c = ev_dirty)
+            ops)
+        cache_geometries)
+
+let qcheck_tlb_victims_match_model =
+  QCheck.Test.make ~name:"TLB victims match a recency-list model" ~count:60
+    victim_ops (fun ops ->
+      List.for_all
+        (fun (g : Tlb.geometry) ->
+          let t = Tlb.create g in
+          let ways = g.Tlb.ways in
+          let n_sets = g.Tlb.entries / ways in
+          let sets = Array.make n_sets [] in
+          List.for_all
+            (fun (op, (n, global, asid2, _)) ->
+              let vpn = n mod (4 * g.Tlb.entries) in
+              let asid = if asid2 then 2 else 1 in
+              let s = vpn mod n_sets in
+              let expect_hit =
+                if op = 0 then begin
+                  Tlb.flush_asid t asid;
+                  Array.iteri
+                    (fun i l ->
+                      sets.(i) <-
+                        List.filter
+                          (fun e ->
+                            let _, a, gl = e.r_entry in
+                            gl || a <> asid)
+                          l)
+                    sets;
+                  None
+                end
+                else
+                  (* Among matching entries, the lowest way answers. *)
+                  let matches =
+                    List.filter
+                      (fun e ->
+                        let v, a, gl = e.r_entry in
+                        v = vpn && (gl || a = asid))
+                      sets.(s)
+                  in
+                  match
+                    List.sort (fun a b -> compare a.r_way b.r_way) matches
+                  with
+                  | e :: _ ->
+                      sets.(s) <- ref_touch sets.(s) e e.r_entry;
+                      Some true
+                  | [] ->
+                      let w, _ = ref_victim sets.(s) ~ways ~allowed:(fun _ -> true) in
+                      sets.(s) <- ref_install sets.(s) w (vpn, asid, global);
+                      Some false
+              in
+              let hit_ok =
+                match expect_hit with
+                | None -> true
+                | Some h -> (Tlb.access t ~asid ~vpn ~global = Tlb.Hit) = h
+              in
+              hit_ok
+              && Tlb.valid_entries t
+                 = Array.fold_left (fun acc l -> acc + List.length l) 0 sets)
+            ops)
+        tlb_geometries)
 
 (* ---- the flush log: a flush that costs what it clears ------------- *)
 
@@ -685,6 +847,8 @@ let suite =
     Alcotest.test_case "platform table 1" `Quick test_platform_table1;
     QCheck_alcotest.to_alcotest qcheck_cache_occupancy_bounded;
     QCheck_alcotest.to_alcotest qcheck_cache_flush_empties;
+    QCheck_alcotest.to_alcotest qcheck_cache_victims_match_model;
+    QCheck_alcotest.to_alcotest qcheck_tlb_victims_match_model;
     QCheck_alcotest.to_alcotest qcheck_access_after_access_hits;
     QCheck_alcotest.to_alcotest qcheck_tlb_occupancy;
     QCheck_alcotest.to_alcotest qcheck_flush_log_matches_full_fill;

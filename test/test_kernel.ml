@@ -763,22 +763,27 @@ let ref_pending timers ~now ~deliverable =
   in
   (List.map fst (List.sort (fun (_, a) (_, b) -> compare a b) fired), rest)
 
+(* One step on one of two cores: arm [irq] at [x], cancel [irq], drop
+   the timers due by [x] (the mask race), or poll at [x]. *)
 let pending_case =
   let open QCheck.Gen in
-  let timer = pair (int_range 1 6) (int_bound 12) in
+  let step =
+    quad (int_bound 3) (int_bound 1) (int_range 1 6) (int_bound 14)
+  in
   QCheck.make
     ~print:
       QCheck.Print.(
-        quad (list (pair int int)) (list int) bool (list int))
-    (quad (list_size (int_bound 10) timer)
-       (list_size (int_range 1 3) (int_bound 14))
-       bool
+        triple (list (quad int int int int)) bool (list int))
+    (triple (list_size (int_bound 30) step) bool
        (list_repeat 6 (int_bound 2)))
 
+(* Every step is checked against the model, and so is [next_timer] on
+   both cores after it: the controller caches each core's earliest
+   deadline, and a cache left stale by any operation shows here. *)
 let qcheck_pending_matches_model =
   QCheck.Test.make ~name:"Irq.pending matches its reference model" ~count:300
-    pending_case (fun (timers, nows, partitioned, binding) ->
-      let irq = Irq.create ~cores:1 in
+    pending_case (fun (steps, partitioned, binding) ->
+      let irq = Irq.create ~cores:2 in
       let current = mk_kimage 1 and other = mk_kimage 2 in
       (* binding.(i - 1): 0 the current kernel, 1 another, 2 none. *)
       List.iteri
@@ -791,21 +796,43 @@ let qcheck_pending_matches_model =
       let deliverable i =
         (not partitioned) || List.nth binding (i - 1) <> 1
       in
-      (* The controller keeps the most recently armed timer first. *)
-      List.iter (fun (i, at) -> Irq.arm_timer irq ~core:0 ~irq:i ~at) timers;
-      let model = ref (List.rev timers) in
-      List.for_all
-        (fun now ->
-          let expect, rest = ref_pending !model ~now ~deliverable in
-          model := rest;
-          Irq.pending irq ~core:0 ~now ~partitioned ~current = expect
-          && Irq.next_timer irq ~core:0
-             = List.fold_left (fun m (_, at) -> min m at) max_int rest)
-        nows
+      (* Per core, most recently armed first, as the controller keeps
+         them. *)
+      let model = Array.make 2 [] in
+      let earliest ts = List.fold_left (fun m (_, at) -> min m at) max_int ts in
+      let step_ok (op, core, i, x) =
+        let polled =
+          match op with
+          | 0 ->
+              Irq.arm_timer irq ~core ~irq:i ~at:x;
+              model.(core) <- (i, x) :: model.(core);
+              true
+          | 1 ->
+              Irq.cancel_timers irq ~core ~irq:i;
+              model.(core) <- List.filter (fun (j, _) -> j <> i) model.(core);
+              true
+          | 2 ->
+              Irq.drop_masked_race irq ~core ~now:x;
+              model.(core) <- List.filter (fun (_, at) -> at > x) model.(core);
+              true
+          | _ ->
+              let expect, rest = ref_pending model.(core) ~now:x ~deliverable in
+              model.(core) <- rest;
+              Irq.pending irq ~core ~now:x ~partitioned ~current = expect
+        in
+        polled
+        && Irq.next_timer irq ~core:0 = earliest model.(0)
+        && Irq.next_timer irq ~core:1 = earliest model.(1)
+      in
+      List.for_all step_ok steps
       &&
       (* What is left behind, drained in fire-time order. *)
-      Irq.pending irq ~core:0 ~now:max_int ~partitioned:false ~current
-      = fst (ref_pending !model ~now:max_int ~deliverable:(fun _ -> true)))
+      List.for_all
+        (fun core ->
+          Irq.pending irq ~core ~now:max_int ~partitioned:false ~current
+          = fst (ref_pending model.(core) ~now:max_int ~deliverable:(fun _ -> true))
+          && Irq.next_timer irq ~core = max_int)
+        [ 0; 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* IPC *)

@@ -230,6 +230,78 @@ let qcheck_fsck_never_corrupts =
           Store.close s;
           ok_content && converged))
 
+(* Property: damage anywhere in the journal — one byte overwritten,
+   the file cut short, or bytes inserted, at any offset — and open
+   still succeeds: every entry whose line lies wholly before the damage
+   reads back byte-exact, whatever else survived is byte-exact too
+   (never wrong data), fsck quarantines instead of raising, and a
+   second open finds nothing left to repair. *)
+let qcheck_journal_damage_fails_closed =
+  QCheck.Test.make ~name:"journal damage anywhere fails closed"
+    ~count:100
+    QCheck.(
+      quad (int_bound 2) (int_bound 10_000) (int_bound 255)
+        (small_list (int_bound 255)))
+    (fun (how, at, byte, extra) ->
+      let dir = fresh_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let n = 4 in
+          let s = Store.open_ ~dir in
+          commit_batch s n;
+          Store.close s;
+          let jpath = Filename.concat dir "journal" in
+          let raw = In_channel.with_open_bin jpath In_channel.input_all in
+          let len = String.length raw in
+          let at = at mod (len + 1) in
+          let damaged =
+            match how with
+            | 0 when at < len ->
+                String.mapi (fun i c -> if i = at then Char.chr byte else c) raw
+            | 0 | 1 -> String.sub raw 0 at
+            | _ ->
+                String.sub raw 0 at
+                ^ String.init (List.length extra + 1) (fun i ->
+                      Char.chr (if i = 0 then byte else List.nth extra (i - 1)))
+                ^ String.sub raw at (len - at)
+          in
+          Out_channel.with_open_bin jpath (fun oc ->
+              Out_channel.output_string oc damaged);
+          (* Entry [i]'s line ends at the [i + 1]th newline. *)
+          let line_end i =
+            let rec go pos k =
+              let nl = String.index_from raw pos '\n' in
+              if k = 0 then nl + 1 else go (nl + 1) (k - 1)
+            in
+            go 0 i
+          in
+          let intact = List.filter (fun i -> line_end i <= at) (List.init n Fun.id) in
+          let s = Store.open_ ~dir in
+          let prefix_ok =
+            List.for_all (fun i -> Store.find s (k i) = Some (v i)) intact
+          in
+          let survivors_ok =
+            List.for_all
+              (fun key ->
+                match Store.find s key with
+                | None -> false
+                | Some data ->
+                    List.exists (fun i -> k i = key && v i = data) (List.init n Fun.id))
+              (Store.keys s)
+          in
+          let survivors = Store.keys s in
+          Store.close s;
+          let s = Store.open_ ~dir in
+          let r = Store.fsck_report s in
+          let converged =
+            Store.keys s = survivors
+            && r.Store.f_torn = 0 && r.Store.f_corrupt = 0
+            && r.Store.f_missing = 0 && r.Store.f_orphans = 0
+          in
+          Store.close s;
+          prefix_ok && survivors_ok && converged))
+
 let test_fail_at_each () =
   with_dir (fun dir ->
       let outcomes = Tp_store.Sweep.fail_at_each ~dir in
@@ -263,6 +335,7 @@ let suite =
     Alcotest.test_case "orphans and staging reaped" `Quick
       test_orphan_and_staging_reaped;
     QCheck_alcotest.to_alcotest qcheck_fsck_never_corrupts;
+    QCheck_alcotest.to_alcotest qcheck_journal_damage_fails_closed;
     Alcotest.test_case "fail-at-step-N crash consistency" `Quick
       test_fail_at_each;
   ]
